@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .affine import AffineProblem, TrainingSet
-from .errors import BasisRejectionError, ConfigurationError
+from .errors import BasisRejectionError, ConfigurationError, NumericalFailureError
 from .reduced import (
     ReducedModel,
     error_estimate,
@@ -188,7 +188,8 @@ def argmax_sweep(
     Every domain point is evaluated; ``excluded`` indices only lose their
     eligibility for selection.  ``delta_max`` is the maximum over the whole
     swept domain, which is what a termination certificate needs.  Ties in
-    selection go to the earliest domain position.
+    selection go to the earliest domain position.  A non-finite estimate
+    raises ``NumericalFailureError`` naming the first such parameter.
     """
     excluded = excluded or set()
     if domain is None:
@@ -201,6 +202,13 @@ def argmax_sweep(
     deltas, coeffs, thetas, scales = estimate_batch(
         model, problem, points, chunk=chunk, kind=kind, return_coeffs=True, workers=workers
     )
+    bad = np.flatnonzero(~np.isfinite(deltas))
+    if bad.size:
+        j = int(bad[0])
+        index = j if domain is None else int(domain[j])
+        raise NumericalFailureError(
+            f"non-finite estimate {deltas[j]} at training index {index}, mu = {points[j]}"
+        )
     if domain is None:
         scattered = deltas
     else:

@@ -30,11 +30,10 @@ import numpy as np
 from . import __version__
 from .affine import AffineProblem, TrainingSet, sample_training_set
 from .errors import ConfigurationError, RbxError, ResourceError
-from .greedy import GreedyConfig, GreedyTrace, run_greedy
+from .greedy import _METHODS, GreedyConfig, GreedyTrace, run_greedy
 from .reduced import ReducedModel
 from .truth import build_diffusion2d, build_thermal_block
 
-_METHODS = ("classical", "smm", "cdm")
 
 PROBLEMS: dict[str, dict] = {
     "diffusion2d": {

@@ -10,6 +10,10 @@ triangular coordinate factor, and evaluates the dual norm as a plain
 Euclidean norm of factor @ weights.  Both cost O((N Q_a)^2) per parameter;
 the factored route stays accurate down to machine-level residuals where the
 quadratic form loses half its digits to cancellation.
+
+All arithmetic is float64.  Single-point calls are a batch of one through
+the sweep kernels, so they agree with ``estimate_batch`` to round-off and the
+reproduction check runs the arithmetic of the certifying sweep.
 """
 
 from __future__ import annotations
@@ -20,13 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .affine import (
-    AffineProblem,
-    evaluate_theta,
-    evaluate_theta_batch,
-    rhs_scale,
-    rhs_scale_batch,
-)
+from .affine import AffineProblem, evaluate_theta_batch, rhs_scale_batch
 from .errors import BasisRejectionError, NumericalFailureError, BoundStrategyError
 from .truth import TruthSolution, riesz_solve, x_norm
 
@@ -238,10 +236,6 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
 # solves and outputs
 
 
-def _reduced_matrix(model: ReducedModel, theta: np.ndarray, n: int) -> np.ndarray:
-    return np.einsum("q,qmn->mn", theta, model.reduced_components[:, :n, :n])
-
-
 def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSolution:
     """Galerkin solve in the leading ``n``-dimensional reduced space."""
     mu = model.problem.box.validate(mu)
@@ -251,16 +245,13 @@ def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSo
     model.counters.reduced_solves += 1
     if n == 0:
         return ReducedSolution(mu=mu, coeffs=np.zeros(0))
-    theta = evaluate_theta(model.problem, mu)
-    mat = _reduced_matrix(model, theta, n)
-    b = rhs_scale(model.problem, mu) * model.reduced_rhs[:n]
+    mus = mu[None, :]
+    thetas = evaluate_theta_batch(model.problem, mus)
+    scales = rhs_scale_batch(model.problem, mus)
     try:
-        coeffs = np.linalg.solve(mat, b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            f"reduced system is singular at mu = {mu}: {exc}",
-            condition_estimate=float(np.linalg.cond(mat)),
-        )
+        coeffs = _solve_chunk(model, thetas, scales, n)[0]
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"{exc} at mu = {mu}", exc.condition_estimate) from exc
     return ReducedSolution(mu=mu, coeffs=coeffs)
 
 
@@ -278,14 +269,6 @@ def reduced_output(model: ReducedModel, sol: ReducedSolution) -> float:
 # residual dual norm
 
 
-def _aug_weights(model: ReducedModel, theta, scale, coeffs) -> np.ndarray:
-    n = coeffs.size
-    w = np.empty(model.n_aug(n))
-    w[0] = scale
-    w[1:] = (coeffs[:, None] * theta[None, :]).reshape(-1)  # m-major, q fast
-    return w
-
-
 def residual_dual_norm_sq(
     model: ReducedModel, mu, sol: ReducedSolution, method: str = "factor"
 ) -> float:
@@ -294,19 +277,18 @@ def residual_dual_norm_sq(
     ``method="gram"`` evaluates the stored-blocks quadratic form
     (C,C) + 2 sum theta u (C,L) + sum sum theta u theta' u' (L,L') with the
     documented clamp at zero; ``method="factor"`` evaluates the same number
-    through the orthonormal residual factor in extended precision.
+    through the orthonormal residual factor, as ``residual_norm_sq_batch``
+    on one row.
     """
-    theta = evaluate_theta(model.problem, mu)
-    scale = rhs_scale(model.problem, mu)
-    n = sol.n
-    if method == "factor":
-        w = _aug_weights(model, theta, scale, sol.coeffs).astype(np.longdouble)
-        cols = model.n_aug(n)
-        z = model._res_factor[:, :cols].astype(np.longdouble) @ w
-        return float(np.dot(z, z))
-    if method != "gram":
+    if method not in ("factor", "gram"):
         raise ValueError(f"unknown residual method {method!r}")
-    w = (sol.coeffs[:, None] * theta[None, :]).reshape(-1)
+    mus = model.problem.box.validate(mu)[None, :]
+    thetas = evaluate_theta_batch(model.problem, mus)
+    scales = rhs_scale_batch(model.problem, mus)
+    if method == "factor":
+        return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None, :])[0])
+    n, scale = sol.n, float(scales[0])
+    w = (sol.coeffs[:, None] * thetas[0][None, :]).reshape(-1)
     nq = n * model.n_terms
     cc = model.residual_cc * scale * scale
     cl = 2.0 * scale * float(np.dot(w, model.residual_cl[:n].reshape(-1)))
@@ -323,10 +305,14 @@ def residual_dual_norm_sq(
     return val
 
 
-def coercivity_lower_bound(problem: AffineProblem, mu) -> float:
+def _lower_bounds(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
     if problem.coercivity is None:
         raise BoundStrategyError("no coercivity bound strategy configured")
-    return float(problem.coercivity.lower_bound(problem, mu))
+    return problem.coercivity.lower_bound_batch(problem, mus)
+
+
+def coercivity_lower_bound(problem: AffineProblem, mu) -> float:
+    return float(_lower_bounds(problem, problem.box.validate(mu)[None, :])[0])
 
 
 def error_estimate(
@@ -359,7 +345,8 @@ def _solve_chunk(
     try:
         return np.linalg.solve(mats, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"singular reduced system in batch solve: {exc}")
+        cond = float(np.max(np.linalg.cond(mats)))
+        raise NumericalFailureError(f"singular reduced system: {exc}", cond)
 
 
 def reduced_solve_batch(
@@ -406,9 +393,7 @@ def estimate_batch(
     b = mus.shape[0]
     thetas = evaluate_theta_batch(problem, mus)
     scales = rhs_scale_batch(problem, mus)
-    if problem.coercivity is None:
-        raise BoundStrategyError("no coercivity bound strategy configured")
-    alphas = problem.coercivity.lower_bound_batch(problem, mus)
+    alphas = _lower_bounds(problem, mus)
     deltas = np.empty(b)
     coeffs_all = np.empty((b, n)) if return_coeffs else None
 

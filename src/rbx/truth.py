@@ -182,13 +182,13 @@ def riesz_solve(disc: TruthDiscretization, functional: np.ndarray) -> np.ndarray
 
 
 def operator_factorization(
-    problem: AffineProblem, mu, cache_key=None, keep: bool = False
+    problem: AffineProblem, mu, cache_key=None, keep: bool = False, operator=None
 ) -> Factorization:
-    """Factorize ``A(mu)``, optionally caching the handle under ``cache_key``."""
+    """Factorize ``A(mu)`` (``operator`` if given), optionally caching under ``cache_key``."""
     disc = problem.discretization
     if cache_key is not None and cache_key in disc.operator_cache:
         return disc.operator_cache[cache_key]
-    a = assemble_operator(problem, mu)
+    a = assemble_operator(problem, mu) if operator is None else operator
     try:
         fact = Factorization(a)
     except Exception as exc:
@@ -222,11 +222,11 @@ def truth_solve(
     """
     mu = problem.box.validate(mu)
     disc = problem.discretization
-    fact = operator_factorization(problem, mu, cache_key=cache_key, keep=keep_factorization)
+    a = assemble_operator(problem, mu)
+    fact = operator_factorization(problem, mu, cache_key, keep=keep_factorization, operator=a)
     b = rhs_scale(problem, mu) * problem.rhs
     u = fact.solve(b)
     disc.counters.truth_solves += 1
-    a = assemble_operator(problem, mu)
     denom = np.linalg.norm(b)
     resid = np.linalg.norm(a @ u - b)
     if resid > SOLVE_RTOL * max(denom, 1e-300):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rbx
-from rbx.errors import BasisRejectionError, ConfigurationError
+from rbx.errors import BasisRejectionError, ConfigurationError, NumericalFailureError
 from rbx.greedy import (
     GreedyConfig,
     argmax_sweep,
@@ -104,6 +104,48 @@ class TestArgmaxSelection:
             argmax_sweep(
                 model, diffusion_small, diffusion_train_small, domain=np.zeros(0, dtype=int)
             )
+
+
+def _poison_theta(problem, point, monkeypatch):
+    """Make the coefficient functions return NaN at one parameter."""
+    real = problem.theta_batch
+
+    def poisoned(mus):
+        out = real(mus)
+        out[np.all(mus == point, axis=1), 4] = np.nan
+        return out
+
+    monkeypatch.setattr(problem, "theta_batch", poisoned)
+
+
+class TestNonFiniteEstimates:
+    # a NaN estimate must be neither selected nor carried into delta_max;
+    # the sweep names the training point instead
+
+    def test_nan_coefficient_fails_the_sweep_loudly(
+        self, thermal_small, thermal_train_small, monkeypatch
+    ):
+        from rbx.reduced import extend_basis
+        from rbx.truth import truth_solve
+
+        model = rbx.ReducedModel(thermal_small)
+        extend_basis(model, truth_solve(thermal_small, thermal_train_small.points[0]), 0)
+        bad = 17
+        _poison_theta(thermal_small, thermal_train_small.points[bad], monkeypatch)
+        with pytest.raises(NumericalFailureError, match=f"training index {bad}\\b"):
+            argmax_sweep(model, thermal_small, thermal_train_small)
+        with pytest.raises(NumericalFailureError, match=f"training index {bad}\\b"):
+            argmax_sweep(
+                model, thermal_small, thermal_train_small, domain=np.array([3, bad, 40])
+            )
+
+    def test_nan_coefficient_stops_the_greedy_run(
+        self, thermal_small, thermal_train_small, monkeypatch
+    ):
+        bad = thermal_train_small.n_train - 1
+        _poison_theta(thermal_small, thermal_train_small.points[bad], monkeypatch)
+        with pytest.raises(NumericalFailureError, match=f"training index {bad}\\b"):
+            classical_greedy(thermal_small, thermal_train_small, GreedyConfig(eps_tol=1e-6))
 
 
 class TestClassicalCounting:

@@ -213,14 +213,18 @@ class TestBatchedSweeps:
         )
         np.testing.assert_allclose(batch, single, rtol=1e-9)
 
-    def test_batch_threaded_matches_serial(self, diffusion_small, diffusion_model):
+    @pytest.mark.parametrize("chunk", [64, 4096])
+    def test_batch_threaded_matches_serial(self, diffusion_small, diffusion_model, chunk):
+        # bitwise invariance in chunk size and worker count
         rng = np.random.default_rng(15)
-        mus = -0.99 + 1.98 * rng.random((64, 2))
-        serial = estimate_batch(diffusion_model, diffusion_small, mus, chunk=16)
+        mus = -0.99 + 1.98 * rng.random((2 * 4096 + 100, 2))
+        whole = estimate_batch(diffusion_model, diffusion_small, mus, chunk=len(mus))
+        serial = estimate_batch(diffusion_model, diffusion_small, mus, chunk=chunk)
         threaded = estimate_batch(
-            diffusion_model, diffusion_small, mus, chunk=16, workers=4
+            diffusion_model, diffusion_small, mus, chunk=chunk, workers=2
         )
-        np.testing.assert_array_equal(serial, threaded)
+        np.testing.assert_array_equal(serial, whole)
+        np.testing.assert_array_equal(threaded, whole)
 
     def test_batch_residuals_match_quadratic_form(self, thermal_small, thermal_model):
         from rbx.affine import evaluate_theta_batch, rhs_scale_batch
@@ -245,3 +249,64 @@ class TestBatchedSweeps:
         after = counters.snapshot()
         assert after["estimator_evals"] == base["estimator_evals"] + 25
         assert after["sweep_evals_global"] == base["sweep_evals_global"] + 25
+
+
+class TestSinglePointIsBatchOfOne:
+    """Single-point calls run the float64 kernels of the sweeps on one row."""
+
+    @staticmethod
+    def _points(problem, model, count=12, seed=17):
+        rng = np.random.default_rng(seed)
+        lo, hi = problem.box.lower, problem.box.upper
+        drawn = lo + rng.random((count, problem.dim)) * (hi - lo)
+        # snapshot parameters put the estimate at round-off level
+        return np.vstack([drawn, np.asarray(model.snapshot_params)])
+
+    @pytest.mark.parametrize("fixture_name", ["diffusion", "thermal"])
+    def test_estimate_equals_batch(self, request, fixture_name):
+        problem = request.getfixturevalue(f"{fixture_name}_small")
+        model = request.getfixturevalue(f"{fixture_name}_model")
+        mus = self._points(problem, model)
+        single = np.array([error_estimate(model, problem, mu) for mu in mus])
+        batch = estimate_batch(model, problem, mus)
+        empty = estimate_batch(model, problem, mus, n=0)
+        assert np.all(np.abs(single - batch) <= 1e-12 * empty)
+
+    @pytest.mark.parametrize("fixture_name", ["diffusion", "thermal"])
+    def test_solve_equals_batch_coefficients(self, request, fixture_name):
+        problem = request.getfixturevalue(f"{fixture_name}_small")
+        model = request.getfixturevalue(f"{fixture_name}_model")
+        mus = self._points(problem, model)
+        _, coeffs, _, _ = estimate_batch(model, problem, mus, return_coeffs=True)
+        single = np.stack([reduced_solve(model, mu).coeffs for mu in mus])
+        np.testing.assert_allclose(single, coeffs, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["global", "surrogate", "check", "other"])
+    def test_query_counts_one_solve_and_one_estimate(
+        self, thermal_small, thermal_model, kind
+    ):
+        counters = thermal_small.counters
+        before = counters.snapshot()
+        mu = np.full(thermal_small.dim, 2.5)
+        sol = reduced_solve(thermal_model, mu)
+        error_estimate(thermal_model, thermal_small, mu, sol=sol, kind=kind)
+        reduced_output(thermal_model, sol)
+        bucket = {
+            "global": "sweep_evals_global",
+            "surrogate": "sweep_evals_surrogate",
+            "check": "reproduction_checks",
+        }
+        expected = dict(before)
+        expected["reduced_solves"] += 1
+        expected["estimator_evals"] += 1
+        if kind in bucket:
+            expected[bucket[kind]] += 1
+        assert counters.snapshot() == expected
+
+    def test_singular_system_reports_condition(self, diffusion_small, diffusion_model):
+        from rbx.errors import NumericalFailureError
+
+        diffusion_model.reduced_components = np.zeros_like(diffusion_model.reduced_components)
+        with pytest.raises(NumericalFailureError, match="singular") as info:
+            reduced_solve(diffusion_model, [0.1, 0.2])
+        assert info.value.condition_estimate == np.inf

@@ -144,6 +144,20 @@ class TestDiffusionProblem:
         resid = np.linalg.norm(a @ sol.coefficients - diffusion_small.rhs)
         assert resid <= 1e-10 * np.linalg.norm(diffusion_small.rhs)
 
+    def test_truth_solve_assembles_once(self, diffusion_small, monkeypatch):
+        import rbx.truth
+
+        calls = []
+        real = rbx.truth.assemble_operator
+
+        def counting(problem, mu):
+            calls.append(mu)
+            return real(problem, mu)
+
+        monkeypatch.setattr(rbx.truth, "assemble_operator", counting)
+        truth_solve(diffusion_small, [0.3, -0.2])
+        assert len(calls) == 1
+
     def test_factorization_cache_reused(self, diffusion_small):
         counters = diffusion_small.counters
         truth_solve(diffusion_small, [0.1, 0.2], cache_key="k", keep_factorization=True)
