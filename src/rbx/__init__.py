@@ -19,7 +19,7 @@ from .affine import (
     rhs_scale,
     sample_training_set,
 )
-from .bounds import ConstantBound, EigenBound, MinThetaBound
+from .bounds import ConstantBound, MinThetaBound
 from .counters import Counters
 from .errors import (
     BasisRejectionError,
@@ -36,16 +36,12 @@ from .greedy import (
     IterationRecord,
     OuterLoopRecord,
     argmax_sweep,
-    classical_greedy,
-    surrogate_enhanced_greedy,
     run_greedy,
-    surrogate_acceptance_ratio,
 )
 from .harness import (
     ExperimentConfig,
     MethodResult,
     PROBLEMS,
-    cost_counters,
     run_experiment,
     run_methods,
     verify,
@@ -91,7 +87,6 @@ __all__ = [
     "rhs_scale",
     "sample_training_set",
     "ConstantBound",
-    "EigenBound",
     "MinThetaBound",
     "Counters",
     "RbxError",
@@ -106,13 +101,9 @@ __all__ = [
     "IterationRecord",
     "OuterLoopRecord",
     "argmax_sweep",
-    "classical_greedy",
-    "surrogate_enhanced_greedy",
     "run_greedy",
-    "surrogate_acceptance_ratio",
     "ExperimentConfig",
     "PROBLEMS",
-    "cost_counters",
     "run_experiment",
     "run_methods",
     "MethodResult",

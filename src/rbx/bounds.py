@@ -1,9 +1,10 @@
 """Coercivity lower-bound strategies used by the error estimator.
 
-Each strategy exposes ``lower_bound(problem, mu)`` plus a vectorized
-``lower_bound_batch``.  Positivity of the returned values is part of the
-contract; strategies raise ``BoundStrategyError`` where their assumptions
-fail instead of returning garbage.
+Each strategy exposes ``lower_bound_batch(problem, mus)``, one bound per
+parameter row; a single parameter is a batch of one.  Positivity of the
+returned values is part of the contract; strategies raise
+``BoundStrategyError`` where their assumptions fail instead of returning
+garbage.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ class ConstantBound:
         if not value > 0:
             raise BoundStrategyError("constant coercivity bound must be positive")
         self.value = float(value)
-
-    def lower_bound(self, problem, mu) -> float:
-        return self.value
 
     def lower_bound_batch(self, problem, mus) -> np.ndarray:
         return np.full(np.asarray(mus).shape[0], self.value)
@@ -80,15 +78,6 @@ class MinThetaBound:
                 )
             self.anchor_alpha = alpha
 
-    def lower_bound(self, problem, mu) -> float:
-        self._ensure_anchor(problem)
-        theta = evaluate_theta(problem, mu)
-        if np.any(theta <= 0):
-            raise BoundStrategyError(
-                "min-theta bound needs positive coefficients at the query parameter"
-            )
-        return float(np.min(theta / self._anchor_theta) * self.anchor_alpha)
-
     def lower_bound_batch(self, problem, mus) -> np.ndarray:
         self._ensure_anchor(problem)
         thetas = evaluate_theta_batch(problem, np.asarray(mus, dtype=float))
@@ -98,33 +87,3 @@ class MinThetaBound:
             )
         return np.min(thetas / self._anchor_theta[None, :], axis=1) * self.anchor_alpha
 
-
-class EigenBound:
-    """Exact smallest generalized eigenvalue per parameter.
-
-    Truth-dimension work on every call, so this is only sensible for small
-    discretizations and for cross-checking the cheap strategies.
-    """
-
-    name = "eigen"
-
-    def __init__(self):
-        self._cache = {}
-
-    def lower_bound(self, problem, mu) -> float:
-        from .affine import assemble_operator
-
-        mu = problem.box.validate(mu)
-        key = mu.tobytes()
-        if key not in self._cache:
-            a = assemble_operator(problem, mu)
-            alpha = _smallest_generalized_eigenvalue(a, problem.x_inner)
-            if not alpha > 0:
-                raise BoundStrategyError(
-                    f"operator is not coercive at mu = {mu} (alpha = {alpha:.3e})"
-                )
-            self._cache[key] = alpha
-        return self._cache[key]
-
-    def lower_bound_batch(self, problem, mus) -> np.ndarray:
-        return np.array([self.lower_bound(problem, m) for m in np.asarray(mus, dtype=float)])

@@ -1,16 +1,15 @@
-"""Offline greedy drivers.
+"""Offline greedy driver.
 
-``classical_greedy`` repeats full training-set sweeps, extending the basis
-at the worst-estimated parameter until the estimate field drops below the
-tolerance everywhere or the basis cap is reached.
-
-``surrogate_enhanced_greedy`` wraps the same machinery in a two-level loop:
-each outer round performs one certifying full sweep, extends at its argmax,
-builds a small surrogate subset of the training set from the sweep's data,
-and then keeps extending inside that subset while the worst surrogate
-estimate stays above both the tolerance and a shrinking fraction of the
-round's full-sweep maximum.  Termination is decided only by full sweeps, so
-the certificate always covers the whole training set.
+``run_greedy`` repeats rounds of one certifying full training-set sweep
+followed by one basis extension at the worst-estimated parameter, until the
+estimate field drops below the tolerance everywhere or the basis cap is
+reached.  The classical method does nothing else.  The smm and cdm methods
+also build a small surrogate subset of the training set from each round's
+sweep (before the extension) and then keep extending inside that subset
+while the worst surrogate estimate stays above both the tolerance and a
+shrinking fraction of the round's full-sweep maximum.  Termination is
+decided only by full sweeps, so the certificate always covers the whole
+training set.
 
 Counting conventions: every full sweep evaluates the estimator at every
 training point (selection skips previously chosen or rejected indices, the
@@ -150,13 +149,12 @@ class GreedyTrace:
 
 @dataclass
 class SweepResult:
-    index: Optional[int]  # training index of the selectable argmax
     delta_max: float  # maximum over everything swept
     deltas: np.ndarray  # estimates in domain order
+    field: np.ndarray  # estimates over the training set, -inf off the domain
     coeffs: np.ndarray
     thetas: np.ndarray
     scales: np.ndarray
-    domain: Optional[np.ndarray]
 
 
 def _argmax_excluding(values: np.ndarray, excluded: set[int]) -> Optional[int]:
@@ -177,21 +175,18 @@ def argmax_sweep(
     problem: AffineProblem,
     train: TrainingSet,
     domain: Optional[np.ndarray] = None,
-    excluded: Optional[set[int]] = None,
     kind: str = "other",
     chunk: int = 4096,
     workers: int = 1,
 ) -> SweepResult:
-    """Estimate over a sweep domain, returning the selectable argmax.
+    """Estimate over a sweep domain.
 
     ``domain`` is a list of training indices (the whole set when omitted).
-    Every domain point is evaluated; ``excluded`` indices only lose their
-    eligibility for selection.  ``delta_max`` is the maximum over the whole
-    swept domain, which is what a termination certificate needs.  Ties in
-    selection go to the earliest domain position.  A non-finite estimate
-    raises ``NumericalFailureError`` naming the first such parameter.
+    ``delta_max`` is the maximum over the whole swept domain, which is what a
+    termination certificate needs; ``field`` scatters the estimates over the
+    training set for selection.  A non-finite estimate raises
+    ``NumericalFailureError`` naming the first such parameter.
     """
-    excluded = excluded or set()
     if domain is None:
         points = train.points
     else:
@@ -210,24 +205,22 @@ def argmax_sweep(
             f"non-finite estimate {deltas[j]} at training index {index}, mu = {points[j]}"
         )
     if domain is None:
-        scattered = deltas
+        field = deltas
     else:
-        scattered = np.full(train.n_train, -np.inf)
-        scattered[domain] = deltas
-    idx = _argmax_excluding(scattered, excluded)
+        field = np.full(train.n_train, -np.inf)
+        field[domain] = deltas
     return SweepResult(
-        index=idx,
         delta_max=float(deltas.max()),
         deltas=deltas,
+        field=field,
         coeffs=coeffs,
         thetas=thetas,
         scales=scales,
-        domain=domain,
     )
 
 
 class _RunState:
-    """Timers and bookkeeping shared by both drivers."""
+    """Timers, bookkeeping and the per-sweep records of one greedy run."""
 
     def __init__(self, problem: AffineProblem, train: TrainingSet, config: GreedyConfig):
         problem.counters.reset()
@@ -236,6 +229,7 @@ class _RunState:
         self.config = config
         self.excluded: set[int] = set()
         self.skipped: list[int] = []
+        self.offline: Optional[CdmOfflineData] = None
         self.truth_seconds = 0.0
         self.surrogate_seconds = 0.0
         self.t0 = time.perf_counter()
@@ -249,20 +243,77 @@ class _RunState:
         self.truth_seconds += time.perf_counter() - start
         return snap
 
+    def sweep(
+        self,
+        model: ReducedModel,
+        trace: GreedyTrace,
+        outer_loop: int,
+        domain: Optional[list[int]] = None,
+    ) -> tuple[SweepResult, IterationRecord]:
+        """Run one full (``domain`` omitted) or surrogate sweep and record it."""
+        kind = "global" if domain is None else "surrogate"
+        result = argmax_sweep(
+            model,
+            self.problem,
+            self.train,
+            domain=domain,
+            kind=kind,
+            chunk=self.config.sweep_chunk,
+            workers=self.config.workers,
+        )
+        record = IterationRecord(
+            n=model.n,
+            sweep_kind=kind,
+            outer_loop=outer_loop,
+            delta_max=result.delta_max,
+            sweep_size=self.train.n_train if domain is None else len(domain),
+            chosen_index=None,
+            chosen_mu=None,
+            cum_estimator_evals=self.problem.counters.estimator_evals,
+            wall_ms=self.wall_ms(),
+        )
+        trace.iterations.append(record)
+        return result, record
+
+    def build_surrogate(self, model: ReducedModel, budget: int, sweep: SweepResult) -> list[int]:
+        """Surrogate domain of one round, without already excluded indices."""
+        start = time.perf_counter()
+        config = self.config
+        if config.method == "smm":
+            picked = smm_construct(sweep.deltas, config.eps_tol, budget)
+        else:
+            self.offline = cdm_build_offline(
+                model, self.problem, q_cap=config.cdm_q_cap, offline=self.offline
+            )
+            picked = cdm_construct(
+                model,
+                self.problem,
+                self.offline,
+                self.train.points,
+                budget,
+                coeffs=sweep.coeffs,
+                thetas=sweep.thetas,
+                scales=sweep.scales,
+                memory_cap_bytes=config.cdm_memory_cap_bytes,
+            )
+        self.surrogate_seconds += time.perf_counter() - start
+        return [int(i) for i in picked if int(i) not in self.excluded]
+
     def extend_from_sweep(
-        self, model: ReducedModel, scattered: np.ndarray
-    ) -> tuple[Optional[int], Optional[float]]:
+        self, model: ReducedModel, field: np.ndarray, record: IterationRecord
+    ) -> Optional[int]:
         """Extend at the best admissible index of an estimate field.
 
         Rejected snapshots are excluded and the next-best index is tried
-        against the same (still valid) estimates.  Returns the extended
-        index and its reproduction-check estimate, or (None, None) when
-        every candidate is exhausted.
+        against the same (still valid) estimates.  On success the sweep's
+        record gets the chosen parameter and its reproduction-check
+        estimate; returns the extended index, or None when every candidate
+        is exhausted.
         """
         while True:
-            idx = _argmax_excluding(scattered, self.excluded)
+            idx = _argmax_excluding(field, self.excluded)
             if idx is None:
-                return None, None
+                return None
             mu = self.train.points[idx]
             snap = self.solve_snapshot(mu)
             try:
@@ -272,8 +323,12 @@ class _RunState:
                 self.skipped.append(idx)
                 continue
             self.excluded.add(idx)
-            check = error_estimate(model, self.problem, mu, kind="check")
-            return idx, check
+            record.post_extension_delta = error_estimate(model, self.problem, mu, kind="check")
+            record.chosen_index = idx
+            record.chosen_mu = np.array(mu)
+            record.wall_ms = self.wall_ms()
+            record.cum_estimator_evals = self.problem.counters.estimator_evals
+            return idx
 
     def finish(self, model: ReducedModel, trace: GreedyTrace) -> GreedyTrace:
         trace.n_final = model.n
@@ -299,206 +354,53 @@ def _seed_model(state: _RunState) -> tuple[ReducedModel, GreedyTrace]:
     return model, trace
 
 
-def classical_greedy(
+def run_greedy(
     problem: AffineProblem, train: TrainingSet, config: GreedyConfig
 ) -> tuple[ReducedModel, GreedyTrace]:
-    """Full-sweep greedy: one training-set sweep per basis extension."""
-    if config.method != "classical":
-        raise ConfigurationError(f"classical driver got method {config.method!r}")
-    if train.n_train == 0:
-        raise ConfigurationError("training set is empty")
-    state = _RunState(problem, train, config)
-    model, trace = _seed_model(state)
+    """Certified greedy of the configured method (see the module docstring).
 
-    while model.n < config.n_max:
-        sweep = argmax_sweep(
-            model,
-            problem,
-            train,
-            kind="global",
-            chunk=config.sweep_chunk,
-            workers=config.workers,
-        )
-        record = IterationRecord(
-            n=model.n,
-            sweep_kind="global",
-            outer_loop=0,
-            delta_max=sweep.delta_max,
-            sweep_size=train.n_train,
-            chosen_index=None,
-            chosen_mu=None,
-            cum_estimator_evals=problem.counters.estimator_evals,
-            wall_ms=state.wall_ms(),
-        )
-        trace.iterations.append(record)
-        trace.final_delta_max = sweep.delta_max
-        if sweep.delta_max <= config.eps_tol:
-            trace.certified = True
-            break
-        idx, check = state.extend_from_sweep(model, sweep.deltas)
-        if idx is None:
-            break
-        record.chosen_index = idx
-        record.chosen_mu = np.array(train.points[idx])
-        record.post_extension_delta = check
-        record.wall_ms = state.wall_ms()
-        record.cum_estimator_evals = problem.counters.estimator_evals
-    return model, state.finish(model, trace)
-
-
-def surrogate_enhanced_greedy(
-    problem: AffineProblem,
-    train: TrainingSet,
-    config: GreedyConfig,
-    spd_constructor: Optional[Callable] = None,
-) -> tuple[ReducedModel, GreedyTrace]:
-    """Two-level greedy alternating full sweeps with surrogate-set sweeps.
-
-    ``spd_constructor(model, problem, train, config, ell, budget, sweep)``
-    may override the built-in surrogate construction; it must return an
-    array of training indices.  The built-in dispatch follows
-    ``config.method``.
+    Classical rounds record ``outer_loop=0`` and no ``OuterLoopRecord``.
     """
-    if config.method not in ("smm", "cdm"):
-        raise ConfigurationError(f"enhanced driver got method {config.method!r}")
     if train.n_train == 0:
         raise ConfigurationError("training set is empty")
     state = _RunState(problem, train, config)
     model, trace = _seed_model(state)
-    offline: Optional[CdmOfflineData] = None
+    enhanced = config.method != "classical"
     ell = 0
-
-    def build_surrogate(budget: int, sweep: SweepResult) -> np.ndarray:
-        nonlocal offline
-        if spd_constructor is not None:
-            return np.asarray(
-                spd_constructor(model, problem, train, config, ell, budget, sweep), dtype=int
-            )
-        if config.method == "smm":
-            return smm_construct(sweep.deltas, config.eps_tol, budget)
-        offline = cdm_build_offline(model, problem, q_cap=config.cdm_q_cap, offline=offline)
-        return cdm_construct(
-            model,
-            problem,
-            offline,
-            train.points,
-            budget,
-            coeffs=sweep.coeffs,
-            thetas=sweep.thetas,
-            scales=sweep.scales,
-            memory_cap_bytes=config.cdm_memory_cap_bytes,
-        )
 
     while model.n < config.n_max:
         ell += 1
-        sweep = argmax_sweep(
-            model,
-            problem,
-            train,
-            kind="global",
-            chunk=config.sweep_chunk,
-            workers=config.workers,
-        )
+        sweep, record = state.sweep(model, trace, ell if enhanced else 0)
         e_ell = sweep.delta_max
-        eps = e_ell
-        record = IterationRecord(
-            n=model.n,
-            sweep_kind="global",
-            outer_loop=ell,
-            delta_max=e_ell,
-            sweep_size=train.n_train,
-            chosen_index=None,
-            chosen_mu=None,
-            cum_estimator_evals=problem.counters.estimator_evals,
-            wall_ms=state.wall_ms(),
-        )
-        trace.iterations.append(record)
         trace.final_delta_max = e_ell
         if e_ell <= config.eps_tol:
             trace.certified = True
             break
+        if not enhanced:
+            if state.extend_from_sweep(model, sweep.field, record) is None:
+                break
+            continue
 
         m_ell = config.budget(ell)
-        t_build = time.perf_counter()
-        surrogate = build_surrogate(m_ell, sweep)
-        state.surrogate_seconds += time.perf_counter() - t_build
-        pending = [int(i) for i in surrogate if int(i) not in state.excluded]
-        surrogate_size = len(pending)
-
-        idx, check = state.extend_from_sweep(model, sweep.deltas)
-        if idx is None:
-            trace.outer_loops.append(
-                OuterLoopRecord(ell, e_ell, m_ell, surrogate_size, 0, model.n)
-            )
+        pending = state.build_surrogate(model, m_ell, sweep)
+        outer = OuterLoopRecord(ell, e_ell, m_ell, len(pending), 0, model.n)
+        trace.outer_loops.append(outer)
+        chosen = state.extend_from_sweep(model, sweep.field, record)
+        if chosen is None:
             break
-        record.chosen_index = idx
-        record.chosen_mu = np.array(train.points[idx])
-        record.post_extension_delta = check
-        record.wall_ms = state.wall_ms()
-        record.cum_estimator_evals = problem.counters.estimator_evals
-        pending = [i for i in pending if i != idx]
+        pending = [i for i in pending if i != chosen]
 
-        added_inner = 0
+        eps = e_ell
         threshold = e_ell / (config.k_damp * (ell + 1))
-        while (
-            eps > config.eps_tol
-            and eps > threshold
-            and model.n < config.n_max
-            and pending
-        ):
-            ssweep = argmax_sweep(
-                model,
-                problem,
-                train,
-                domain=np.asarray(pending, dtype=int),
-                excluded=state.excluded,
-                kind="surrogate",
-                chunk=config.sweep_chunk,
-                workers=config.workers,
-            )
+        while eps > config.eps_tol and eps > threshold and model.n < config.n_max and pending:
+            ssweep, srecord = state.sweep(model, trace, ell, pending)
             eps = ssweep.delta_max
-            srecord = IterationRecord(
-                n=model.n,
-                sweep_kind="surrogate",
-                outer_loop=ell,
-                delta_max=eps,
-                sweep_size=len(pending),
-                chosen_index=None,
-                chosen_mu=None,
-                cum_estimator_evals=problem.counters.estimator_evals,
-                wall_ms=state.wall_ms(),
-            )
-            trace.iterations.append(srecord)
             if eps <= config.eps_tol:
                 break
-            scattered = np.full(train.n_train, -np.inf)
-            scattered[np.asarray(pending, dtype=int)] = ssweep.deltas
-            inner_idx, inner_check = state.extend_from_sweep(model, scattered)
+            inner = state.extend_from_sweep(model, ssweep.field, srecord)
             pending = [i for i in pending if i not in state.excluded]
-            if inner_idx is None:
+            if inner is None:
                 break
-            added_inner += 1
-            srecord.chosen_index = inner_idx
-            srecord.chosen_mu = np.array(train.points[inner_idx])
-            srecord.post_extension_delta = inner_check
-            srecord.wall_ms = state.wall_ms()
-            srecord.cum_estimator_evals = problem.counters.estimator_evals
-
-        trace.outer_loops.append(
-            OuterLoopRecord(ell, e_ell, m_ell, surrogate_size, added_inner, model.n)
-        )
+            outer.n_added_inner += 1
+        outer.basis_size_after = model.n
     return model, state.finish(model, trace)
-
-
-def run_greedy(
-    problem: AffineProblem, train: TrainingSet, config: GreedyConfig
-) -> tuple[ReducedModel, GreedyTrace]:
-    """Dispatch on the configured method."""
-    if config.method == "classical":
-        return classical_greedy(problem, train, config)
-    return surrogate_enhanced_greedy(problem, train, config)
-
-
-def surrogate_acceptance_ratio(trace: GreedyTrace) -> list[tuple[int, float]]:
-    """Per-outer-loop ratio of inner extensions to the surrogate budget."""
-    return [(rec.ell, rec.sar) for rec in trace.outer_loops]

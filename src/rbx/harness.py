@@ -58,8 +58,8 @@ PROBLEMS: dict[str, dict] = {
 
 _METHOD_GREEDY_DEFAULTS: dict[str, dict] = {
     "classical": {},
-    "smm": {"k_damp": 1, "m_growth": 2},
-    "cdm": {"k_damp": 10, "m_growth": 20},
+    "smm": {},
+    "cdm": {"k_damp": 10},
 }
 
 _GREEDY_KEYS = {
@@ -249,11 +249,6 @@ class MethodResult:
     wall_ms_all: list[float] = field(default_factory=list)
 
 
-def cost_counters(problem: AffineProblem) -> dict:
-    """Structured instrumentation counters of one problem instance."""
-    return problem.discretization.counters.snapshot()
-
-
 def run_methods(config: ExperimentConfig) -> dict[str, MethodResult]:
     """Execute every configured method on fresh problem instances.
 
@@ -436,13 +431,12 @@ def run_experiment(
 
 def _check_residual_equivalence(quick: bool) -> tuple[bool, str]:
     from .affine import evaluate_theta, rhs_scale
-    from .greedy import GreedyConfig, classical_greedy
     from .reduced import reconstruct, reduced_solve, residual_dual_norm_sq
     from .truth import riesz_solve, x_norm
 
     problem = build_diffusion2d(n_x=10)
     train = sample_training_set(problem.box, kind="grid", n_per_dim=6, seed=0)
-    model, _ = classical_greedy(
+    model, _ = run_greedy(
         problem, train, GreedyConfig(eps_tol=1e-12, n_max=4, seed=1)
     )
     rng = np.random.default_rng(7)
@@ -488,13 +482,12 @@ def _check_pivoted_cholesky(quick: bool) -> tuple[bool, str]:
 
 
 def _check_certified_bound(quick: bool) -> tuple[bool, str]:
-    from .greedy import GreedyConfig, classical_greedy
     from .reduced import error_estimate, reconstruct, reduced_solve
     from .truth import truth_solve, x_norm
 
     problem = build_thermal_block(nodes_per_side=7)
     train = sample_training_set(problem.box, kind="random", count=150, seed=5)
-    model, _ = classical_greedy(
+    model, _ = run_greedy(
         problem, train, GreedyConfig(eps_tol=1e-12, n_max=5, seed=2)
     )
     rng = np.random.default_rng(11)
@@ -516,7 +509,6 @@ def _check_certified_bound(quick: bool) -> tuple[bool, str]:
 
 
 def _check_reproduction(quick: bool) -> tuple[bool, str]:
-    from .greedy import GreedyConfig, classical_greedy
     from .reduced import (
         ReducedSolution,
         coercivity_lower_bound,
@@ -538,7 +530,7 @@ def _check_reproduction(quick: bool) -> tuple[bool, str]:
             count=size if kind == "random" else None,
             seed=4,
         )
-        model, _ = classical_greedy(
+        model, _ = run_greedy(
             problem, train, GreedyConfig(eps_tol=1e-12, n_max=3 if quick else 5, seed=3)
         )
         for mu in model.snapshot_params:

@@ -1,24 +1,23 @@
 """Reduced model: Galerkin projection, residual algebra, error estimator.
 
-The residual dual norm is available through two algebraically identical
-routes.  The classical route stores the Gramian blocks of the Riesz
-representers of the load and of the basis-image functionals and evaluates the quadratic form
-directly; it is kept because its pieces are part of the model contract and
-because it is easy to cross-check against truth-space computations.  The
-default route keeps an X-orthonormal basis of the same Riesz vectors and a
-triangular coordinate factor, and evaluates the dual norm as a plain
-Euclidean norm of factor @ weights.  Both cost O((N Q_a)^2) per parameter;
-the factored route stays accurate down to machine-level residuals where the
-quadratic form loses half its digits to cancellation.
+The residual dual norm has one route.  The model keeps an X-orthonormal
+basis of the Riesz representers of the load and of the basis-image
+functionals -A_q xi_m, together with a triangular coordinate factor, and
+evaluates the dual norm as the plain Euclidean norm of factor @ weights.
+That costs O((N Q_a)^2) per parameter and stays accurate down to
+machine-level residuals, where the expanded Gramian quadratic form would
+lose half its digits to cancellation.
 
 All arithmetic is float64.  Single-point calls are a batch of one through
 the sweep kernels, so they agree with ``estimate_batch`` to round-off and the
-reproduction check runs the arithmetic of the certifying sweep.
+reproduction check runs the arithmetic of the certifying sweep.  A
+single-point solve or estimate that comes out non-finite raises
+``NumericalFailureError`` naming the parameter.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +29,6 @@ from .truth import TruthSolution, riesz_solve, x_norm
 
 REJECTION_RTOL = 1e-10
 RESIDUAL_BASIS_RTOL = 1e-12
-NEGATIVE_CLAMP_WARN = 1e-6
 DEFAULT_CHUNK = 4096
 
 
@@ -69,19 +67,14 @@ class ReducedModel:
         self.reduced_rhs = np.zeros(0)
         self.reduced_output = np.zeros(0)
 
-        # Riesz representer of the load and of -A_q xi_m, flattened m-major.
-        self.riesz_f = riesz_solve(self.disc, problem.rhs)
-        self.riesz_flat = np.zeros((0, n_dof))
-
-        self.residual_cc = float(np.dot(self.riesz_f, problem.rhs))
-        self.residual_cl = np.zeros((0, q))
-        self.residual_ll = np.zeros((0, 0))
-
-        # X-orthonormal residual basis and coordinates of [C, L_10, ...].
-        cnorm = np.sqrt(self.residual_cc)
+        # X-orthonormal residual basis and coordinates of [C, L_10, ...],
+        # where C is the Riesz representer of the load and L_mq that of
+        # -A_q xi_m.
+        riesz_f = riesz_solve(self.disc, problem.rhs)
+        cnorm = np.sqrt(float(np.dot(riesz_f, problem.rhs)))
         if cnorm <= 0:
             raise NumericalFailureError("load functional has zero dual norm")
-        self._res_basis = (self.riesz_f / cnorm)[:, None]
+        self._res_basis = (riesz_f / cnorm)[:, None]
         self._res_factor = np.array([[cnorm]])
 
     # -- sizes ---------------------------------------------------------
@@ -97,11 +90,6 @@ class ReducedModel:
     def n_aug(self, n: Optional[int] = None) -> int:
         n = self.n if n is None else n
         return 1 + n * self.n_terms
-
-    @property
-    def riesz_terms(self) -> np.ndarray:
-        """Riesz representers per basis vector and operator term, (n, q, dof)."""
-        return self.riesz_flat.reshape(self.n, self.n_terms, -1)
 
     # -- internal helpers ------------------------------------------------
 
@@ -121,10 +109,6 @@ class ReducedModel:
                 v -= against @ h
                 record += h
         return v, x_norm(self.disc, v)
-
-    def gram_matrix(self) -> np.ndarray:
-        """X-Gram matrix of the stored basis (identity up to round-off)."""
-        return self.basis.T @ self._x_apply(self.basis)
 
 
 def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None) -> ReducedModel:
@@ -181,25 +165,7 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     model.basis = basis_new
 
     # Riesz terms for the new basis vector: functionals are -A_q xi.
-    funcs = -a_xi
-    l_new = riesz_solve(disc, funcs.T).T  # (q, n_dof)
-
-    # Gramian blocks come from plain dots with the functionals since
-    # X L = func exactly defines the representers.
-    cl_row = funcs @ model.riesz_f
-    cross = model.riesz_flat @ funcs.T  # (n_old*q, q)
-    diag = l_new @ funcs.T
-    diag = 0.5 * (diag + diag.T)
-
-    nq_old = n_old * q
-    ll_new = np.zeros((nq_old + q, nq_old + q))
-    ll_new[:nq_old, :nq_old] = model.residual_ll
-    ll_new[:nq_old, nq_old:] = cross
-    ll_new[nq_old:, :nq_old] = cross.T
-    ll_new[nq_old:, nq_old:] = diag
-    model.residual_ll = ll_new
-    model.residual_cl = np.concatenate([model.residual_cl, cl_row[None, :]], axis=0)
-    model.riesz_flat = np.concatenate([model.riesz_flat, l_new], axis=0)
+    l_new = riesz_solve(disc, -a_xi.T).T  # (q, n_dof)
 
     # Fold the new Riesz vectors into the orthonormal residual basis.
     k_now = model._res_basis.shape[1]
@@ -252,6 +218,8 @@ def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSo
         coeffs = _solve_chunk(model, thetas, scales, n)[0]
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"{exc} at mu = {mu}", exc.condition_estimate) from exc
+    if not np.isfinite(coeffs).all():
+        raise NumericalFailureError(f"non-finite reduced coefficients at mu = {mu}")
     return ReducedSolution(mu=mu, coeffs=coeffs)
 
 
@@ -269,40 +237,15 @@ def reduced_output(model: ReducedModel, sol: ReducedSolution) -> float:
 # residual dual norm
 
 
-def residual_dual_norm_sq(
-    model: ReducedModel, mu, sol: ReducedSolution, method: str = "factor"
-) -> float:
+def residual_dual_norm_sq(model: ReducedModel, mu, sol: ReducedSolution) -> float:
     """Squared dual norm of the Galerkin residual at one parameter.
 
-    ``method="gram"`` evaluates the stored-blocks quadratic form
-    (C,C) + 2 sum theta u (C,L) + sum sum theta u theta' u' (L,L') with the
-    documented clamp at zero; ``method="factor"`` evaluates the same number
-    through the orthonormal residual factor, as ``residual_norm_sq_batch``
-    on one row.
+    ``residual_norm_sq_batch`` on one row.
     """
-    if method not in ("factor", "gram"):
-        raise ValueError(f"unknown residual method {method!r}")
     mus = model.problem.box.validate(mu)[None, :]
     thetas = evaluate_theta_batch(model.problem, mus)
     scales = rhs_scale_batch(model.problem, mus)
-    if method == "factor":
-        return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None, :])[0])
-    n, scale = sol.n, float(scales[0])
-    w = (sol.coeffs[:, None] * thetas[0][None, :]).reshape(-1)
-    nq = n * model.n_terms
-    cc = model.residual_cc * scale * scale
-    cl = 2.0 * scale * float(np.dot(w, model.residual_cl[:n].reshape(-1)))
-    ll = float(w @ model.residual_ll[:nq, :nq] @ w)
-    val = cc + cl + ll
-    if val < 0.0:
-        if val < -NEGATIVE_CLAMP_WARN * max(cc, 1e-300):
-            warnings.warn(
-                f"residual norm square {val:.3e} clamped to zero; the Gramian "
-                "quadratic form has lost its digits to conditioning",
-                RuntimeWarning,
-            )
-        val = 0.0
-    return val
+    return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None, :])[0])
 
 
 def _lower_bounds(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
@@ -327,7 +270,10 @@ def error_estimate(
         sol = reduced_solve(model, mu)
     rsq = residual_dual_norm_sq(model, mu, sol)
     model.counters.count_estimates(1, kind)
-    return float(np.sqrt(rsq) / coercivity_lower_bound(problem, mu))
+    delta = float(np.sqrt(rsq) / coercivity_lower_bound(problem, mu))
+    if not math.isfinite(delta):
+        raise NumericalFailureError(f"non-finite error estimate {delta} at mu = {mu}")
+    return delta
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ The pivoting constructor builds a cheap approximation of the truth error
 vector at every training point out of a few cached operator inverses and
 runs a pivoted Cholesky factorization of the error Gramian so that the
 pivots enumerate training points whose errors are large and mutually
-independent; a correlation (direction-only) ordering is also available.
+independent.
 
-Both return plain arrays of training-set indices; the greedy driver is
-responsible for excluding indices that already entered the basis.
+Both return plain arrays of training-set indices; the greedy driver calls
+one of them once per outer round, on the data of that round's full sweep,
+and drops indices that already entered the basis.
 """
 
 from __future__ import annotations
@@ -293,27 +294,22 @@ def cdm_construct(
     thetas: Optional[np.ndarray] = None,
     scales: Optional[np.ndarray] = None,
     memory_cap_bytes: int = 1 << 30,
-    ordering: str = "weighted",
 ) -> np.ndarray:
     """Pick up to ``budget`` training indices by error-direction pivoting.
 
     Approximate error vectors for every training point are formed as one
     weighted combination of the cached inverse columns; points whose error
     norm falls below the floor are discarded and the survivors' Gramian is
-    pivoted without ever being materialized.  With ``ordering="weighted"``
-    (the default) the Gramian keeps the squared error norms on its diagonal,
-    so pivots balance error magnitude against directional novelty; this is
-    the ordering that makes the surrogate domains rich in badly-approximated
-    points.  ``ordering="normalized"`` divides out the norms (correlation
-    Gramian, diagonal exactly one) and ranks by direction alone.
+    pivoted without ever being materialized.  The Gramian keeps the squared
+    error norms on its diagonal, so pivots balance error magnitude against
+    directional novelty, which makes the surrogate domains rich in
+    badly-approximated points.
 
     Passing the sweep byproducts ``coeffs``, ``thetas`` and ``scales`` skips
     the reduced re-solves.  When the error block would exceed
     ``memory_cap_bytes`` it is never formed; Gramian columns then come from
     the small cross-Gramian of the cached vectors.
     """
-    if ordering not in ("weighted", "normalized"):
-        raise ConfigurationError(f"unknown cdm ordering {ordering!r}")
     if offline.q_used == 0 or budget == 0:
         return np.zeros(0, dtype=int)
     mus = np.asarray(train_points, dtype=float)
@@ -376,26 +372,21 @@ def cdm_construct(
     if admissible.size == 0:
         return np.zeros(0, dtype=int)
 
-    if ordering == "weighted":
-        scale = np.ones(admissible.size)
-        diag = norm_sq[admissible].copy()
-    else:
-        scale = norms[admissible]
-        diag = np.ones(admissible.size)
-
     if in_memory:
-        nb = err_block[:, admissible] / scale
-        xnb = x_err[:, admissible] / scale
+        nb = err_block[:, admissible]
+        xnb = x_err[:, admissible]
 
         def column(j: int) -> np.ndarray:
             return nb.T @ xnb[:, j]
 
     else:
-        wn = weights[admissible] / scale[:, None]
+        wn = weights[admissible]
         half_n = wn @ gen_gram
 
         def column(j: int) -> np.ndarray:
             return half_n @ wn[j]
 
-    pivots, _ = pivoted_cholesky(column, diag, max_steps=budget, counters=model.counters)
+    pivots, _ = pivoted_cholesky(
+        column, norm_sq[admissible], max_steps=budget, counters=model.counters
+    )
     return admissible[pivots]

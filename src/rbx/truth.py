@@ -428,16 +428,3 @@ def build_thermal_block(nodes_per_side: int = 19):
 def truth_output(problem: AffineProblem, solution: TruthSolution) -> float:
     return float(np.dot(problem.output, solution.coefficients))
 
-
-def dump_matrix_market(problem: AffineProblem, directory) -> None:
-    """Debug dump of all parameter-independent matrices and vectors."""
-    import os
-
-    from scipy.io import mmwrite
-
-    os.makedirs(directory, exist_ok=True)
-    for q, a in enumerate(problem.components):
-        mmwrite(os.path.join(directory, f"component_{q}.mtx"), sp.coo_matrix(a))
-    mmwrite(os.path.join(directory, "x_inner.mtx"), sp.coo_matrix(problem.x_inner))
-    mmwrite(os.path.join(directory, "rhs.mtx"), problem.rhs.reshape(-1, 1))
-    mmwrite(os.path.join(directory, "output.mtx"), problem.output.reshape(-1, 1))

@@ -134,5 +134,5 @@ def direct_residual_dual_norm_sq(model, problem, mu, sol):
 def build_model(problem, train, n_target, seed=0):
     """Classical greedy run stopped at a fixed basis size."""
     config = rbx.GreedyConfig(eps_tol=1e-300, n_max=n_target, seed=seed)
-    model, trace = rbx.classical_greedy(problem, train, config)
+    model, trace = rbx.run_greedy(problem, train, config)
     return model, trace

@@ -1,4 +1,4 @@
-"""Greedy drivers: selection, counting identities, determinism, skip policy."""
+"""Greedy driver: selection, counting identities, determinism, skip policy."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,7 @@ from rbx.errors import BasisRejectionError, ConfigurationError, NumericalFailure
 from rbx.greedy import (
     GreedyConfig,
     argmax_sweep,
-    classical_greedy,
-    surrogate_enhanced_greedy,
     run_greedy,
-    surrogate_acceptance_ratio,
     _argmax_excluding,
 )
 
@@ -42,26 +39,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             bad.budget(1)
 
-    def test_driver_method_mismatch(self, diffusion_small, diffusion_train_small):
-        with pytest.raises(ConfigurationError):
-            classical_greedy(
-                diffusion_small,
-                diffusion_train_small,
-                GreedyConfig(eps_tol=1.0, method="smm"),
-            )
-        with pytest.raises(ConfigurationError):
-            surrogate_enhanced_greedy(
-                diffusion_small,
-                diffusion_train_small,
-                GreedyConfig(eps_tol=1.0, method="classical"),
-            )
-
     def test_empty_training_set_rejected(self, diffusion_small):
         from rbx.affine import TrainingSet
 
         empty = TrainingSet(np.zeros((0, 2)), "manual")
         with pytest.raises(ConfigurationError):
-            classical_greedy(diffusion_small, empty, GreedyConfig(eps_tol=1.0))
+            run_greedy(diffusion_small, empty, GreedyConfig(eps_tol=1.0))
 
 
 class TestArgmaxSelection:
@@ -86,17 +69,21 @@ class TestArgmaxSelection:
         from rbx.reduced import extend_basis
 
         extend_basis(model, truth_solve(diffusion_small, diffusion_train_small.points[0]), 0)
-        free = argmax_sweep(model, diffusion_small, diffusion_train_small)
-        blocked = argmax_sweep(
-            model,
-            diffusion_small,
-            diffusion_train_small,
-            excluded={int(free.index)},
-        )
-        assert blocked.index != free.index
+        full = argmax_sweep(model, diffusion_small, diffusion_train_small)
+        assert full.deltas.size == diffusion_train_small.n_train
+        np.testing.assert_array_equal(full.field, full.deltas)
+        free = _argmax_excluding(full.field, set())
+        blocked = _argmax_excluding(full.field, {free})
+        assert blocked != free
+        # a domain sweep scatters its estimates and leaves the rest unselectable
+        domain = np.array([blocked, free])
+        part = argmax_sweep(model, diffusion_small, diffusion_train_small, domain=domain)
+        assert part.deltas.size == 2
+        np.testing.assert_array_equal(part.field[domain], full.deltas[domain])
+        assert np.all(np.delete(part.field, domain) == -np.inf)
         # the maximum over the swept set ignores eligibility
-        assert blocked.delta_max == free.delta_max
-        assert blocked.deltas.size == diffusion_train_small.n_train
+        assert part.delta_max == full.delta_max
+        assert _argmax_excluding(part.field, {free}) == blocked
 
     def test_sweep_rejects_empty_domain(self, diffusion_small, diffusion_train_small):
         model = rbx.ReducedModel(diffusion_small)
@@ -107,12 +94,12 @@ class TestArgmaxSelection:
 
 
 def _poison_theta(problem, point, monkeypatch):
-    """Make the coefficient functions return NaN at one parameter."""
+    """Make the middle coefficient function return NaN at one parameter."""
     real = problem.theta_batch
 
     def poisoned(mus):
         out = real(mus)
-        out[np.all(mus == point, axis=1), 4] = np.nan
+        out[np.all(mus == point, axis=1), out.shape[1] // 2] = np.nan
         return out
 
     monkeypatch.setattr(problem, "theta_batch", poisoned)
@@ -145,13 +132,35 @@ class TestNonFiniteEstimates:
         bad = thermal_train_small.n_train - 1
         _poison_theta(thermal_small, thermal_train_small.points[bad], monkeypatch)
         with pytest.raises(NumericalFailureError, match=f"training index {bad}\\b"):
-            classical_greedy(thermal_small, thermal_train_small, GreedyConfig(eps_tol=1e-6))
+            run_greedy(thermal_small, thermal_train_small, GreedyConfig(eps_tol=1e-6))
+
+    @pytest.mark.parametrize("fixture_name", ["diffusion", "thermal"])
+    def test_nan_coefficient_fails_single_point_queries_loudly(
+        self, request, fixture_name, monkeypatch
+    ):
+        # the coercivity strategies do not see a NaN (NaN <= 0 is False), so
+        # the single-point solve and estimate check their own results
+        from conftest import build_model
+        from rbx.reduced import error_estimate, reduced_solve
+
+        problem = request.getfixturevalue(f"{fixture_name}_small")
+        train = request.getfixturevalue(f"{fixture_name}_train_small")
+        model, _ = build_model(problem, train, n_target=3)
+        mu = train.points[train.n_train // 2]
+        sol = reduced_solve(model, mu)
+        _poison_theta(problem, mu, monkeypatch)
+        with pytest.raises(NumericalFailureError, match="non-finite reduced coefficients at mu = "):
+            reduced_solve(model, mu)
+        with pytest.raises(NumericalFailureError, match="non-finite reduced coefficients at mu = "):
+            error_estimate(model, problem, mu)
+        with pytest.raises(NumericalFailureError, match="non-finite error estimate nan at mu = "):
+            error_estimate(model, problem, mu, sol=sol)
 
 
 class TestClassicalCounting:
     def test_immediate_certification(self, diffusion_small, diffusion_train_small):
         config = GreedyConfig(eps_tol=1e12, n_max=10, seed=0)
-        model, trace = classical_greedy(diffusion_small, diffusion_train_small, config)
+        model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         assert model.n == 1 and trace.certified
         assert len(trace.iterations) == 1
         rec = trace.iterations[0]
@@ -161,7 +170,7 @@ class TestClassicalCounting:
     def test_cap_terminated_run_counts(self, diffusion_small, diffusion_train_small):
         n_cap = 6
         config = GreedyConfig(eps_tol=1e-300, n_max=n_cap, seed=0)
-        model, trace = classical_greedy(diffusion_small, diffusion_train_small, config)
+        model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         assert model.n == n_cap and not trace.certified
         n_train = diffusion_train_small.n_train
         # one full sweep plus one reproduction check per extension
@@ -172,12 +181,12 @@ class TestClassicalCounting:
 
     def test_certified_run_counts(self, diffusion_small, diffusion_train_small):
         probe = GreedyConfig(eps_tol=1e-300, n_max=5, seed=0)
-        _, probe_trace = classical_greedy(diffusion_small, diffusion_train_small, probe)
+        _, probe_trace = run_greedy(diffusion_small, diffusion_train_small, probe)
         # rerun with the tolerance set just above the size-5 field maximum;
         # determinism makes the paths identical until certification
         target = probe_trace.final_delta_max * 1.000001
         config = GreedyConfig(eps_tol=target, n_max=50, seed=0)
-        model, trace = classical_greedy(diffusion_small, diffusion_train_small, config)
+        model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         n_train = diffusion_train_small.n_train
         n_final = model.n
         assert trace.certified and trace.final_delta_max <= target
@@ -187,7 +196,7 @@ class TestClassicalCounting:
 
     def test_iteration_records_structure(self, diffusion_small, diffusion_train_small):
         config = GreedyConfig(eps_tol=1e-300, n_max=5, seed=0)
-        model, trace = classical_greedy(diffusion_small, diffusion_train_small, config)
+        model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         sizes = [rec.n for rec in trace.iterations]
         assert sizes == [1, 2, 3, 4]
         assert all(rec.sweep_kind == "global" for rec in trace.iterations)
@@ -200,14 +209,14 @@ class TestClassicalCounting:
 
     def test_seed_draw_recorded(self, diffusion_small, diffusion_train_small):
         config = GreedyConfig(eps_tol=1e-300, n_max=3, seed=42)
-        model, trace = classical_greedy(diffusion_small, diffusion_train_small, config)
+        model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         expected = int(np.random.default_rng(42).integers(diffusion_train_small.n_train))
         assert trace.seed_index == expected
         assert model.snapshot_indices[0] == expected
 
     def test_reproduction_after_extension(self, diffusion_small, diffusion_train_small):
         config = GreedyConfig(eps_tol=1e-300, n_max=6, seed=0)
-        _, trace = classical_greedy(diffusion_small, diffusion_train_small, config)
+        _, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         for rec in trace.iterations:
             if rec.chosen_index is not None:
                 assert rec.post_extension_delta <= 1e-6 * rec.delta_max
@@ -219,7 +228,7 @@ class TestDeterminism:
         for _ in range(2):
             problem = rbx.build_diffusion2d(n_x=10)
             config = GreedyConfig(eps_tol=1e-300, n_max=6, seed=1)
-            model, trace = classical_greedy(problem, diffusion_train_small, config)
+            model, trace = run_greedy(problem, diffusion_train_small, config)
             runs.append((model, trace))
         a, b = runs
         assert a[0].snapshot_indices == b[0].snapshot_indices
@@ -236,7 +245,7 @@ class TestDeterminism:
         for _ in range(2):
             problem = rbx.build_thermal_block(nodes_per_side=7)
             config = GreedyConfig(eps_tol=1e-4, n_max=12, seed=3, method=method)
-            model, trace = surrogate_enhanced_greedy(problem, thermal_train_small, config)
+            model, trace = run_greedy(problem, thermal_train_small, config)
             runs.append((model, trace))
         a, b = runs
         assert a[0].snapshot_indices == b[0].snapshot_indices
@@ -253,7 +262,7 @@ class TestEnhancedLoop:
         config = GreedyConfig(
             eps_tol=1e-4, n_max=15, seed=0, method=request.param, k_damp=2
         )
-        model, trace = surrogate_enhanced_greedy(problem, thermal_train_small, config)
+        model, trace = run_greedy(problem, thermal_train_small, config)
         return problem, config, model, trace
 
     def test_outer_records_and_global_eval_counts(self, enhanced_run, thermal_train_small):
@@ -308,13 +317,6 @@ class TestEnhancedLoop:
                 # a follow-up sweep ran, so the previous value passed the gate
                 assert prev.delta_max > thr
 
-    def test_acceptance_ratio_helper(self, enhanced_run):
-        problem, config, model, trace = enhanced_run
-        rows = surrogate_acceptance_ratio(trace)
-        assert [ell for ell, _ in rows] == [rec.ell for rec in trace.outer_loops]
-        for (_, sar), rec in zip(rows, trace.outer_loops):
-            assert sar == rec.sar
-
     def test_certified_terminal_state(self, enhanced_run):
         problem, config, model, trace = enhanced_run
         if trace.certified:
@@ -324,18 +326,24 @@ class TestEnhancedLoop:
         assert model.n <= config.n_max
         assert trace.n_final == model.n
 
-    def test_custom_constructor_hook(self, thermal_small, thermal_train_small):
-        calls = []
+    def test_custom_constructor_hook(self, thermal_small, thermal_train_small, monkeypatch):
+        # the driver looks the constructor up in its module, so a patched one
+        # sees every round's budget and its picks become the surrogate domain
+        import rbx.greedy as greedy_module
 
-        def pick_first_few(model, problem, train, config, ell, budget, sweep):
-            calls.append((ell, budget))
-            return np.arange(min(budget, train.n_train))
+        budgets = []
 
+        def pick_first_few(deltas, eps_tol, budget):
+            budgets.append(budget)
+            return np.arange(min(budget, deltas.size))
+
+        monkeypatch.setattr(greedy_module, "smm_construct", pick_first_few)
         config = GreedyConfig(eps_tol=1e-3, n_max=8, seed=0, method="smm")
-        model, trace = surrogate_enhanced_greedy(
-            thermal_small, thermal_train_small, config, spd_constructor=pick_first_few
-        )
-        assert calls and all(b == 2 * (ell + 1) for ell, b in calls)
+        model, trace = run_greedy(thermal_small, thermal_train_small, config)
+        assert budgets == [2 * (rec.ell + 1) for rec in trace.outer_loops]
+        for rec in trace.iterations:
+            if rec.sweep_kind == "surrogate" and rec.chosen_index is not None:
+                assert rec.chosen_index < config.budget(rec.outer_loop)
 
 
 class TestSkipPolicy:
@@ -345,7 +353,7 @@ class TestSkipPolicy:
         # first find what an unpatched run would choose at step one
         probe_problem = rbx.build_diffusion2d(n_x=10)
         config = GreedyConfig(eps_tol=1e-300, n_max=3, seed=0)
-        _, probe = classical_greedy(probe_problem, diffusion_train_small, config)
+        _, probe = run_greedy(probe_problem, diffusion_train_small, config)
         victim = probe.iterations[0].chosen_index
 
         import rbx.greedy as greedy_module
@@ -358,7 +366,7 @@ class TestSkipPolicy:
             return real(model, snapshot, train_index)
 
         monkeypatch.setattr(greedy_module, "extend_basis", rejecting)
-        model, trace = classical_greedy(diffusion_small, diffusion_train_small, config)
+        model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         assert victim in trace.skipped_indices
         assert victim not in model.snapshot_indices
         assert model.n == 3  # run still reaches the cap with the next-best picks

@@ -8,7 +8,7 @@ import pytest
 import rbx.harness as harness
 from rbx.cli import main as cli_main
 from rbx.errors import ConfigurationError, ResourceError
-from rbx.harness import ExperimentConfig, cost_counters, run_experiment, verify
+from rbx.harness import ExperimentConfig, run_experiment, verify
 
 
 def tiny_config_dict(**overrides):
@@ -93,7 +93,7 @@ class TestGreedyConfigMerge:
         smm = config.greedy_config("smm")
         cdm = config.greedy_config("cdm")
         assert smm.k_damp == 1 and cdm.k_damp == 10
-        assert smm.m_schedule(1) == 4 and cdm.m_schedule(1) == 40
+        assert smm.budget(1) == 4 and cdm.budget(1) == 40
         assert config.greedy_config("classical").m_schedule is None
 
     def test_common_and_method_overrides(self):
@@ -238,7 +238,7 @@ class TestRunExperiment:
     def test_cost_counters_shape(self):
         config = ExperimentConfig.from_dict(tiny_config_dict())
         problem = config.build_problem()
-        counters = cost_counters(problem)
+        counters = problem.counters.snapshot()
         assert counters["truth_solves"] == 0
         assert set(counters) >= {
             "truth_solves",

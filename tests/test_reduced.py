@@ -37,11 +37,13 @@ def thermal_model(thermal_small, thermal_train_small):
 
 class TestBasis:
     def test_gram_identity(self, diffusion_model):
-        gram = diffusion_model.gram_matrix()
+        basis = diffusion_model.basis
+        gram = basis.T @ diffusion_model.disc.x_apply(basis)
         np.testing.assert_allclose(gram, np.eye(diffusion_model.n), atol=1e-10)
 
     def test_gram_identity_sparse_inner(self, thermal_model):
-        gram = thermal_model.gram_matrix()
+        basis = thermal_model.basis
+        gram = basis.T @ thermal_model.disc.x_apply(basis)
         np.testing.assert_allclose(gram, np.eye(thermal_model.n), atol=1e-10)
 
     def test_snapshot_coordinates_reproduce_snapshots(self, diffusion_small, diffusion_model):
@@ -133,23 +135,9 @@ class TestResidualDualNorm:
         for _ in range(8):
             mu = lo + rng.random(problem.dim) * (hi - lo)
             sol = reduced_solve(model, mu)
-            got = residual_dual_norm_sq(model, mu, sol, method="factor")
+            got = residual_dual_norm_sq(model, mu, sol)
             ref = direct_residual_dual_norm_sq(model, problem, mu, sol)
             assert got == pytest.approx(ref, rel=1e-6, abs=1e-14)
-
-    def test_gram_path_matches_factor_path(self, diffusion_small, diffusion_model):
-        rng = np.random.default_rng(12)
-        for _ in range(8):
-            mu = -0.99 + 1.98 * rng.random(2)
-            sol = reduced_solve(diffusion_model, mu)
-            f = residual_dual_norm_sq(diffusion_model, mu, sol, method="factor")
-            g = residual_dual_norm_sq(diffusion_model, mu, sol, method="gram")
-            assert g == pytest.approx(f, rel=1e-6, abs=1e-12)
-
-    def test_unknown_method_rejected(self, diffusion_model):
-        sol = reduced_solve(diffusion_model, [0.0, 0.0])
-        with pytest.raises(ValueError):
-            residual_dual_norm_sq(diffusion_model, [0.0, 0.0], sol, method="exact")
 
     def test_empty_basis_norm_is_load_dual_norm(self, diffusion_small):
         model = ReducedModel(diffusion_small)

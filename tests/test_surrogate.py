@@ -247,7 +247,7 @@ class TestCachedInverseOffline:
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
         grown = cdm_build_offline(model, thermal_small, q_cap=3)
         config = rbx.GreedyConfig(eps_tol=1e-300, n_max=4, seed=0)
-        model2, _ = rbx.classical_greedy(thermal_small, thermal_train_small, config)
+        model2, _ = rbx.run_greedy(thermal_small, thermal_train_small, config)
         # same greedy path, so snapshots 1..2 coincide; grow the cache
         grown = cdm_build_offline(model2, thermal_small, q_cap=3, offline=grown)
         fresh = cdm_build_offline(model2, thermal_small, q_cap=3)
@@ -363,15 +363,10 @@ class TestCachedInverseConstruct:
         )
         np.testing.assert_array_equal(block, contracted)
 
-    def test_orderings_are_valid_and_normalized_ignores_magnitude(self, thermal_setup):
+    def test_ordering_opens_with_the_worst_error(self, thermal_setup):
         problem, train, model, offline = thermal_setup
-        weighted = cdm_construct(
-            model, problem, offline, train.points, budget=6, ordering="weighted"
-        )
-        normalized = cdm_construct(
-            model, problem, offline, train.points, budget=6, ordering="normalized"
-        )
-        assert weighted.size > 0 and normalized.size > 0
+        weighted = cdm_construct(model, problem, offline, train.points, budget=6)
+        assert weighted.size > 0
         # magnitude ordering must open with the worst approximate error,
         # measured in the discretization's inner-product norm
         from rbx.truth import x_norm
@@ -383,11 +378,6 @@ class TestCachedInverseConstruct:
             ]
         )
         assert weighted[0] == int(np.argmax(deltas))
-
-    def test_unknown_ordering_rejected(self, thermal_setup):
-        problem, train, model, offline = thermal_setup
-        with pytest.raises(ConfigurationError):
-            cdm_construct(model, problem, offline, train.points, budget=3, ordering="best")
 
     def test_zero_budget(self, thermal_setup):
         problem, train, model, offline = thermal_setup

@@ -14,7 +14,6 @@ from rbx.truth import (
     chebyshev_diff_matrix,
     chebyshev_lobatto_nodes,
     clenshaw_curtis_weights,
-    dump_matrix_market,
     riesz_solve,
     truth_output,
     truth_solve,
@@ -252,14 +251,3 @@ class TestRieszMachinery:
         assert abs(x_inner_product(disc, v, w) - x_inner_product(disc, w, v)) < 1e-10
         assert x_norm(disc, v) > 0
 
-
-def test_matrix_market_dump_round_trips(tmp_path, thermal_small):
-    from scipy.io import mmread
-
-    dump_matrix_market(thermal_small, tmp_path)
-    back = mmread(tmp_path / "component_4.mtx")
-    np.testing.assert_allclose(
-        back.toarray(), thermal_small.components[4].toarray(), atol=1e-15
-    )
-    rhs = np.asarray(mmread(tmp_path / "rhs.mtx")).reshape(-1)
-    np.testing.assert_allclose(rhs, thermal_small.rhs, atol=1e-15)
