@@ -60,7 +60,6 @@ from .reduced import (
 )
 from .surrogate import (
     CdmOfflineData,
-    cdm_approx_error,
     cdm_build_offline,
     cdm_construct,
     pivoted_cholesky,
@@ -119,7 +118,6 @@ __all__ = [
     "reduced_solve",
     "residual_dual_norm_sq",
     "CdmOfflineData",
-    "cdm_approx_error",
     "cdm_build_offline",
     "cdm_construct",
     "pivoted_cholesky",

@@ -39,6 +39,7 @@ from .truth import truth_solve
 
 DEFAULT_SMM_BUDGET_GROWTH = 2
 DEFAULT_CDM_BUDGET_GROWTH = 20
+DEFAULT_CDM_K_DAMP = 10
 _METHODS = ("classical", "smm", "cdm")
 
 
@@ -50,19 +51,19 @@ class GreedyConfig:
     omitted, the budget grows linearly with the loop count at a per-method
     default rate.  ``k_damp`` scales how far below the full-sweep maximum
     the inner loop must push the surrogate estimates before handing control
-    back to the next full sweep.
+    back to the next full sweep; when omitted it is 10 for cdm and 1
+    otherwise.
     """
 
     eps_tol: float
     n_max: int = 100
     method: str = "classical"
-    k_damp: int = 1
+    k_damp: Optional[int] = None
     m_schedule: Optional[Callable[[int], int]] = None
     seed: int = 0
     cdm_q_cap: int = 5
     sweep_chunk: int = 4096
     workers: int = 1
-    cdm_memory_cap_bytes: int = 1 << 30
 
     def __post_init__(self) -> None:
         if not self.eps_tol > 0:
@@ -71,6 +72,8 @@ class GreedyConfig:
             raise ConfigurationError(f"n_max must be at least 1, got {self.n_max}")
         if self.method not in _METHODS:
             raise ConfigurationError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.k_damp is None:
+            self.k_damp = DEFAULT_CDM_K_DAMP if self.method == "cdm" else 1
         if self.k_damp < 1:
             raise ConfigurationError(f"k_damp must be at least 1, got {self.k_damp}")
         if self.cdm_q_cap < 1:
@@ -294,7 +297,6 @@ class _RunState:
                 coeffs=sweep.coeffs,
                 thetas=sweep.thetas,
                 scales=sweep.scales,
-                memory_cap_bytes=config.cdm_memory_cap_bytes,
             )
         self.surrogate_seconds += time.perf_counter() - start
         return [int(i) for i in picked if int(i) not in self.excluded]

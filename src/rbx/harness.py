@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -56,23 +56,11 @@ PROBLEMS: dict[str, dict] = {
     },
 }
 
-_METHOD_GREEDY_DEFAULTS: dict[str, dict] = {
-    "classical": {},
-    "smm": {},
-    "cdm": {"k_damp": 10},
-}
-
-_GREEDY_KEYS = {
-    "eps_tol",
-    "n_max",
-    "seed",
-    "k_damp",
+# keys of a greedy config block: the GreedyConfig knobs, with the budget
+# schedule given as m_growth or m_fixed and the method taken from the block
+_GREEDY_KEYS = ({f.name for f in fields(GreedyConfig)} - {"method", "m_schedule"}) | {
     "m_growth",
     "m_fixed",
-    "cdm_q_cap",
-    "sweep_chunk",
-    "workers",
-    "cdm_memory_cap_bytes",
 }
 
 
@@ -217,7 +205,7 @@ class ExperimentConfig:
     def greedy_config(self, method: str) -> GreedyConfig:
         # later layers win; a layer that picks a budget schedule displaces
         # whichever schedule kind the earlier layers chose
-        merged = dict(_METHOD_GREEDY_DEFAULTS[method])
+        merged: dict = {}
         for layer in (self.greedy_common, self.greedy_overrides.get(method, {})):
             if "m_growth" in layer and "m_fixed" in layer:
                 raise ConfigurationError("give m_growth or m_fixed, not both")

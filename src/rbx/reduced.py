@@ -25,7 +25,7 @@ import numpy as np
 
 from .affine import AffineProblem, evaluate_theta_batch, rhs_scale_batch
 from .errors import BasisRejectionError, NumericalFailureError, BoundStrategyError
-from .truth import TruthSolution, riesz_solve, x_norm
+from .truth import TruthDiscretization, TruthSolution, riesz_solve, x_norm
 
 REJECTION_RTOL = 1e-10
 RESIDUAL_BASIS_RTOL = 1e-12
@@ -87,28 +87,40 @@ class ReducedModel:
     def n_terms(self) -> int:
         return self.problem.n_terms
 
-    def n_aug(self, n: Optional[int] = None) -> int:
-        n = self.n if n is None else n
-        return 1 + n * self.n_terms
 
-    # -- internal helpers ------------------------------------------------
+def _orthonormalize(disc: TruthDiscretization, vec, against, record):
+    """Two-pass Gram-Schmidt of ``vec`` against the X-orthonormal ``against``.
 
-    def _x_apply(self, v):
-        return self.disc.x_apply(v)
+    Coefficients are accumulated into ``record`` (length = #columns).
+    Returns the orthogonal remainder and its X-norm.
+    """
+    v = vec.copy()
+    for _ in range(2):
+        if against.shape[1]:
+            h = against.T @ disc.x_apply(v)
+            v -= against @ h
+            record += h
+    return v, x_norm(disc, v)
 
-    def _orthonormalize(self, vec, against, record):
-        """Two-pass Gram-Schmidt of ``vec`` against the columns of ``against``.
 
-        Coefficients are accumulated into ``record`` (length = #columns).
-        Returns the orthogonal remainder and its X-norm.
-        """
-        v = vec.copy()
-        for _ in range(2):
-            if against.shape[1]:
-                h = against.T @ self._x_apply(v)
-                v -= against @ h
-                record += h
-        return v, x_norm(self.disc, v)
+def orthonormal_fold(disc: TruthDiscretization, basis, vectors, rtol: float):
+    """Fold the columns of ``vectors`` one at a time into an X-orthonormal basis.
+
+    A column's remainder after ``_orthonormalize`` joins the basis when its
+    X-norm exceeds ``rtol`` times the column's.  Returns the grown basis and
+    the coordinates of every column in it (rows: grown basis, columns:
+    ``vectors``), so that ``vectors`` equals ``basis @ coords`` up to the
+    dropped remainders.
+    """
+    m = vectors.shape[1]
+    coords = np.zeros((basis.shape[1] + m, m))
+    for j in range(m):
+        k = basis.shape[1]
+        rem, nrm = _orthonormalize(disc, vectors[:, j], basis, coords[:k, j])
+        if nrm > rtol * math.hypot(float(np.linalg.norm(coords[:k, j])), nrm):
+            basis = np.concatenate([basis, (rem / nrm)[:, None]], axis=1)
+            coords[k, j] = nrm
+    return basis, coords[: basis.shape[1]]
 
 
 def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None) -> ReducedModel:
@@ -128,7 +140,7 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     if pre_norm <= 0.0:
         raise BasisRejectionError("zero snapshot cannot extend the basis")
     coeffs_in_basis = np.zeros(n_old)
-    v, new_norm = model._orthonormalize(u, model.basis, coeffs_in_basis)
+    v, new_norm = _orthonormalize(disc, u, model.basis, coeffs_in_basis)
     if new_norm < REJECTION_RTOL * pre_norm:
         raise BasisRejectionError(
             f"snapshot is dependent on the basis (norm ratio {new_norm / pre_norm:.2e})"
@@ -164,36 +176,16 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     )
     model.basis = basis_new
 
-    # Riesz terms for the new basis vector: functionals are -A_q xi.
-    l_new = riesz_solve(disc, -a_xi.T).T  # (q, n_dof)
-
-    # Fold the new Riesz vectors into the orthonormal residual basis.
-    k_now = model._res_basis.shape[1]
-    new_cols = []
-    added = []
-    for j in range(q):
-        vec = l_new[j]
-        pre = x_norm(disc, vec)
-        col = np.zeros(k_now + len(added))
-        against = (
-            np.concatenate([model._res_basis] + [a[:, None] for a in added], axis=1)
-            if added
-            else model._res_basis
-        )
-        rem, nrm = model._orthonormalize(vec, against, col)
-        if pre > 0 and nrm > RESIDUAL_BASIS_RTOL * pre:
-            added.append(rem / nrm)
-            col = np.append(col, nrm)
-        new_cols.append(col)
-    k_new = k_now + len(added)
-    factor = np.zeros((k_new, model._res_factor.shape[1] + q))
-    factor[: model._res_factor.shape[0], : model._res_factor.shape[1]] = model._res_factor
-    for j, col in enumerate(new_cols):
-        factor[: col.size, model._res_factor.shape[1] + j] = col
-    if added:
-        model._res_basis = np.concatenate(
-            [model._res_basis] + [a[:, None] for a in added], axis=1
-        )
+    # Riesz terms for the new basis vector (functionals -A_q xi), folded
+    # into the orthonormal residual basis.
+    l_new = riesz_solve(disc, -a_xi.T)  # (n_dof, q)
+    k_old, d_old = model._res_factor.shape
+    model._res_basis, coords = orthonormal_fold(
+        disc, model._res_basis, l_new, RESIDUAL_BASIS_RTOL
+    )
+    factor = np.zeros((model._res_basis.shape[1], d_old + q))
+    factor[:k_old, :d_old] = model._res_factor
+    factor[:, d_old:] = coords
     model._res_factor = factor
     return model
 
@@ -304,15 +296,21 @@ def reduced_solve_batch(
     return _solve_chunk(model, thetas, scales, n)
 
 
+def augmented_weights(thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Rows [s, c_1 theta, ..., c_n theta]: the weights of the load and of the
+    basis-image terms -A_q xi_j in the Galerkin residual."""
+    b, n = coeffs.shape
+    w = np.empty((b, 1 + n * thetas.shape[1]))
+    w[:, 0] = scales
+    w[:, 1:] = (coeffs[:, :, None] * thetas[:, None, :]).reshape(b, -1)
+    return w
+
+
 def residual_norm_sq_batch(
     model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
-    n = coeffs.shape[1]
-    b = coeffs.shape[0]
-    w = np.empty((b, model.n_aug(n)))
-    w[:, 0] = scales
-    w[:, 1:] = (coeffs[:, :, None] * thetas[:, None, :]).reshape(b, -1)
-    z = w @ model._res_factor[:, : model.n_aug(n)].T
+    w = augmented_weights(thetas, scales, coeffs)
+    z = w @ model._res_factor[:, : w.shape[1]].T
     return np.einsum("ij,ij->i", z, z)
 
 

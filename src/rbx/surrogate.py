@@ -4,8 +4,9 @@ Two constructors are provided.  The slow-margin constructor picks, for each
 of a ladder of error levels between the tolerance and the current worst
 estimate, the training point whose estimate sits closest above that level.
 The pivoting constructor builds a cheap approximation of the truth error
-vector at every training point out of a few cached operator inverses and
-runs a pivoted Cholesky factorization of the error Gramian so that the
+vector at every training point out of a few cached operator inverses, as a
+short coordinate vector in an X-orthonormal basis of the cached vectors,
+and runs a pivoted Cholesky factorization of the error Gramian so that the
 pivots enumerate training points whose errors are large and mutually
 independent.
 
@@ -22,21 +23,15 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
-from .affine import (
-    AffineProblem,
-    evaluate_theta,
-    evaluate_theta_batch,
-    rhs_scale,
-    rhs_scale_batch,
-)
+from .affine import AffineProblem, evaluate_theta_batch, rhs_scale_batch
 from .counters import Counters
 from .errors import ConfigurationError, NumericalFailureError
-from .reduced import ReducedModel, ReducedSolution, reduced_solve, reduced_solve_batch
+from .reduced import ReducedModel, augmented_weights, orthonormal_fold, reduced_solve_batch
 from .truth import apply_operator_inverse
 
 PIVOT_DROP_RTOL = 1e-12
+GENERATOR_RTOL = 1e-12
 NORM_FLOOR_ABS = 1e-14
 NORM_FLOOR_RTOL = 1e-10
 
@@ -131,41 +126,38 @@ def pivoted_cholesky(
 
 @dataclass
 class CdmOfflineData:
-    """Cached anchor-operator inverses applied to load and snapshot images.
+    """X-orthonormal factor of the cached anchor-operator inverses.
 
-    ``inv_f[m]`` holds the anchor-m operator inverse applied to the load;
-    ``inv_components[m, k, j]`` holds it applied to component k acting on
-    the raw (un-orthonormalized) snapshot j.  Anchor rows grow with the
-    basis up to the cap, snapshot columns grow with every extension; both
-    updates reuse the cached anchor factorizations.  ``anchor_positions``
-    records which snapshots the surviving anchors correspond to (anchors
-    whose operator fails to factorize are dropped with a warning).
+    For anchor m the generator columns are A_m^-1 f followed, for every
+    basis vector xi_j and component k (j-major), by -A_m^-1 A_k xi_j: the
+    anchor inverse applied to the load and to the basis-image terms of the
+    Galerkin residual.  They are stored as ``basis @ coords[m]``, where
+    ``basis`` is X-orthonormal and ``coords[m]`` holds their coordinates
+    (rows: basis vectors).  Columns grow with every extension and anchors up
+    to the cap; both updates reuse the cached anchor factorizations and fold
+    the new columns into ``basis`` by two-pass Gram-Schmidt.
+    ``anchor_positions`` records which snapshots the surviving anchors
+    correspond to (anchors whose operator fails to factorize are dropped
+    with a warning).
     """
 
     q_cap: int
+    basis: np.ndarray
+    coords: np.ndarray
     anchor_positions: list[int] = field(default_factory=list)
     anchor_mus: list[np.ndarray] = field(default_factory=list)
-    inv_f: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    inv_components: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0, 0)))
+    n_basis: int = 0
     next_position: int = 0
 
     @property
     def q_used(self) -> int:
         return len(self.anchor_positions)
 
-    @property
-    def n_basis(self) -> int:
-        return self.inv_components.shape[2]
 
-
-def _component_image_block(problem: AffineProblem, vectors: np.ndarray) -> np.ndarray:
-    """Columns A_k v_j for all components and block columns, k-major."""
-    return np.concatenate([np.asarray(aq @ vectors) for aq in problem.components], axis=1)
-
-
-def _raw_snapshots(model: ReducedModel, start: int, stop: int) -> np.ndarray:
-    """Reconstruct stored snapshots (pre-orthonormalization) as columns."""
-    return model.basis @ model.snapshot_in_basis[:, start:stop]
+def _component_images(problem: AffineProblem, vectors: np.ndarray) -> np.ndarray:
+    """Columns -A_k v_j for all block columns j and components k, j-major."""
+    images = np.stack([np.asarray(aq @ vectors) for aq in problem.components], axis=2)
+    return -images.reshape(problem.n_dof, -1)
 
 
 def cdm_build_offline(
@@ -174,34 +166,35 @@ def cdm_build_offline(
     q_cap: int = 5,
     offline: Optional[CdmOfflineData] = None,
 ) -> CdmOfflineData:
-    """Create or incrementally grow the cached-inverse tensors.
+    """Create or incrementally grow the generator factor.
 
     Anchor candidates are the first ``min(q_cap, n)`` snapshots in selection
     order.  A basis extension costs one multi-column backsolve per surviving
     anchor; a new anchor costs one factorization plus its full column block.
     """
-    if offline is None:
-        offline = CdmOfflineData(q_cap=q_cap)
-    n = model.n
-    nd = problem.n_dof
+    disc = problem.discretization
     qa = problem.n_terms
+    n = model.n
+    if offline is None:
+        offline = CdmOfflineData(
+            q_cap=q_cap, basis=np.zeros((problem.n_dof, 0)), coords=np.zeros((0, 0, 1))
+        )
 
-    n_old = offline.n_basis
-    q_old = offline.q_used
-    if q_old and n > n_old:
-        block = _component_image_block(problem, _raw_snapshots(model, n_old, n))
-        grown = np.empty((q_old, qa, n, nd))
-        grown[:, :, :n_old, :] = offline.inv_components
+    def fold(columns: np.ndarray) -> np.ndarray:
+        offline.basis, coords = orthonormal_fold(disc, offline.basis, columns, GENERATOR_RTOL)
+        return coords
+
+    parts = [[c] for c in offline.coords]
+    if offline.q_used and n > offline.n_basis:
+        images = _component_images(problem, model.basis[:, offline.n_basis : n])
         for m, (pos, mu) in enumerate(zip(offline.anchor_positions, offline.anchor_mus)):
-            sol = apply_operator_inverse(problem, mu, block, cache_key=("cdm", pos), keep=True)
-            grown[m, :, n_old:, :] = sol.T.reshape(qa, n - n_old, nd)
-        offline.inv_components = grown
+            sol = apply_operator_inverse(problem, mu, images, cache_key=("cdm", pos), keep=True)
+            parts[m].append(fold(sol))
 
     q_target = min(offline.q_cap, n)
     if q_target > offline.next_position:
         block = np.concatenate(
-            [problem.rhs[:, None], _component_image_block(problem, _raw_snapshots(model, 0, n))],
-            axis=1,
+            [problem.rhs[:, None], _component_images(problem, model.basis[:, :n])], axis=1
         )
         for pos in range(offline.next_position, q_target):
             mu = model.snapshot_params[pos]
@@ -214,74 +207,62 @@ def cdm_build_offline(
                     RuntimeWarning,
                 )
                 continue
-            comp = sol[:, 1:].T.reshape(1, qa, n, nd)
-            if offline.q_used:
-                offline.inv_f = np.concatenate([offline.inv_f, sol[None, :, 0]], axis=0)
-                offline.inv_components = np.concatenate([offline.inv_components, comp], axis=0)
-            else:
-                offline.inv_f = sol[None, :, 0].copy()
-                offline.inv_components = comp.copy()
+            parts.append([fold(sol)])
             offline.anchor_positions.append(pos)
             offline.anchor_mus.append(np.array(mu))
         offline.next_position = q_target
+
+    # earlier coordinates are zero on the basis vectors added after them
+    coords = np.zeros((len(parts), offline.basis.shape[1], 1 + n * qa))
+    for m, blocks in enumerate(parts):
+        col = 0
+        for c in blocks:
+            coords[m, : c.shape[0], col : col + c.shape[1]] = c
+            col += c.shape[1]
+    offline.coords = coords
+    offline.n_basis = n
     return offline
-
-
-def _lagrange_weights(model: ReducedModel, coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Convert orthonormal-basis coefficients to snapshot-basis weights.
-
-    The stored upper-triangular change of basis maps snapshot combinations
-    to orthonormal coordinates; inverting its leading block expresses a
-    reduced solution over the first ``n`` raw snapshots.
-    """
-    r = model.snapshot_in_basis[:n, :n]
-    if coeffs.ndim == 1:
-        return scipy.linalg.solve_triangular(r, coeffs[:n], lower=False)
-    return scipy.linalg.solve_triangular(r, coeffs[:, :n].T, lower=False).T
 
 
 def _anchor_weights(
     model: ReducedModel, offline: CdmOfflineData, thetas: np.ndarray, scales: np.ndarray
 ) -> np.ndarray:
-    """Snapshot-basis weights of the anchor-space reduced solves (batch)."""
+    """Snapshot weights of the anchors in the anchor-space reduced solves.
+
+    Solves in the span of the leading snapshots up to the last anchor and
+    inverts the stored upper-triangular change of basis, so that the weights
+    are the solution's coefficients over the raw snapshots (a unit vector at
+    an anchor's own parameter).
+    """
     q_solve = offline.anchor_positions[-1] + 1
     cq = reduced_solve_batch(model, thetas, scales, n=q_solve)
-    beta = _lagrange_weights(model, cq, q_solve)
+    r = model.snapshot_in_basis[:q_solve, :q_solve]
+    beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T
     return beta[:, offline.anchor_positions]
 
 
-def cdm_approx_error(
+def approx_error_coords(
     model: ReducedModel,
     offline: CdmOfflineData,
-    mu,
-    sol: Optional[ReducedSolution] = None,
+    thetas: np.ndarray,
+    scales: np.ndarray,
+    coeffs: np.ndarray,
 ) -> np.ndarray:
-    """Approximate truth error vector at one parameter from cached inverses.
+    """Coordinates in ``offline.basis`` of the approximate truth errors.
 
-    The anchor inverses are blended with the weights of a small reduced
-    solve in the anchor snapshots' span (so the blend is exact at anchor
-    parameters), then applied to the Galerkin residual of the full reduced
-    solution, all without touching a truth-sized solver.
+    Row i approximates the error of the reduced solution ``coeffs[i]`` at
+    the parameter of ``thetas[i]``/``scales[i]`` as a blend of the anchor
+    inverses applied to its Galerkin residual, weighted by an anchor-space
+    reduced solve (so the blend is exact at anchor parameters).  The truth
+    vector is ``offline.basis @ row`` and its X-norm the row's 2-norm.
     """
-    problem = model.problem
-    if offline.q_used == 0:
-        raise ConfigurationError("no anchors cached yet")
-    if sol is None:
-        sol = reduced_solve(model, mu)
-    theta = evaluate_theta(problem, mu)
-    scale = rhs_scale(problem, mu)
-    beta_q = _anchor_weights(model, offline, theta[None, :], np.array([scale]))[0]
-    beta_n = _lagrange_weights(model, sol.coeffs, sol.n)
-    err = scale * (beta_q @ offline.inv_f)
-    err -= np.einsum(
-        "m,k,j,mkjd->d",
-        beta_q,
-        theta,
-        beta_n,
-        offline.inv_components[:, :, : sol.n, :],
-    )
-    model.counters.approx_error_evals += 1
-    return err
+    w = augmented_weights(thetas, scales, coeffs)
+    beta = _anchor_weights(model, offline, thetas, scales)
+    y = np.zeros((w.shape[0], offline.basis.shape[1]))
+    for m in range(offline.q_used):
+        y += beta[:, m, None] * (w @ offline.coords[m, :, : w.shape[1]].T)
+    model.counters.approx_error_evals += w.shape[0]
+    return y
 
 
 def cdm_construct(
@@ -293,28 +274,25 @@ def cdm_construct(
     coeffs: Optional[np.ndarray] = None,
     thetas: Optional[np.ndarray] = None,
     scales: Optional[np.ndarray] = None,
-    memory_cap_bytes: int = 1 << 30,
 ) -> np.ndarray:
     """Pick up to ``budget`` training indices by error-direction pivoting.
 
-    Approximate error vectors for every training point are formed as one
-    weighted combination of the cached inverse columns; points whose error
-    norm falls below the floor are discarded and the survivors' Gramian is
-    pivoted without ever being materialized.  The Gramian keeps the squared
-    error norms on its diagonal, so pivots balance error magnitude against
-    directional novelty, which makes the surrogate domains rich in
-    badly-approximated points.
+    Every training point's approximate error is a short coordinate vector y
+    in the X-orthonormal generator basis, so error norms are ||y|| and the
+    error Gramian is Y Y^T, positive semidefinite by construction.  Points
+    whose error norm falls below the floor are discarded and the survivors'
+    Gramian is pivoted column by column.  It keeps the squared error norms
+    on its diagonal, so pivots balance error magnitude against directional
+    novelty, which makes the surrogate domains rich in badly-approximated
+    points.
 
     Passing the sweep byproducts ``coeffs``, ``thetas`` and ``scales`` skips
-    the reduced re-solves.  When the error block would exceed
-    ``memory_cap_bytes`` it is never formed; Gramian columns then come from
-    the small cross-Gramian of the cached vectors.
+    the reduced re-solves.
     """
     if offline.q_used == 0 or budget == 0:
         return np.zeros(0, dtype=int)
     mus = np.asarray(train_points, dtype=float)
-    b = mus.shape[0]
-    if b == 0:
+    if mus.shape[0] == 0:
         return np.zeros(0, dtype=int)
     if thetas is None:
         thetas = evaluate_theta_batch(problem, mus)
@@ -322,71 +300,16 @@ def cdm_construct(
         scales = rhs_scale_batch(problem, mus)
     if coeffs is None:
         coeffs = reduced_solve_batch(model, thetas, scales)
-    n = coeffs.shape[1]
-    q = offline.q_used
-    qa = problem.n_terms
-    nd = problem.n_dof
 
-    beta_q = _anchor_weights(model, offline, thetas, scales)
-    beta_n = _lagrange_weights(model, coeffs, n)
-    w_f = beta_q * scales[:, None]
-    w_c = -(
-        beta_q[:, :, None, None]
-        * thetas[:, None, :, None]
-        * beta_n[:, None, None, :]
-    ).reshape(b, q * qa * n)
-    weights = np.concatenate([w_f, w_c], axis=1)  # (b, d), d = q(1 + qa n)
-    gen = np.concatenate(
-        [offline.inv_f, offline.inv_components[:, :, :n, :].reshape(q * qa * n, nd)],
-        axis=0,
-    )
-    model.counters.approx_error_evals += b
-
-    disc = problem.discretization
-    # Two ways to reach the Gramian columns: materialize the (nd, b) error
-    # block, or contract through the small cross-Gramian of the generator
-    # rows.  Per training point the block path costs about nd*d plus one
-    # inner-product apply, the contracted path d*d; pick the cheaper one
-    # that fits the memory cap (the contracted path never stores an
-    # (nd, b) array, so it is also the fallback under memory pressure).
-    x_cost = (
-        problem.x_inner.nnz if sp.issparse(problem.x_inner) else nd * nd
-    )
-    d = weights.shape[1]
-    in_memory = (
-        2 * nd * b * 8 <= memory_cap_bytes and nd * d + x_cost < d * d
-    )
-    if in_memory:
-        err_block = gen.T @ weights.T  # (nd, b)
-        x_err = np.asarray(disc.x_apply(err_block))
-        norm_sq = np.maximum(np.einsum("db,db->b", err_block, x_err), 0.0)
-    else:
-        x_gen = np.asarray(disc.x_apply(gen.T)).T
-        gen_gram = gen @ x_gen.T
-        gen_gram = 0.5 * (gen_gram + gen_gram.T)
-        half = weights @ gen_gram  # (b, d)
-        norm_sq = np.maximum(np.einsum("bd,bd->b", half, weights), 0.0)
+    y = approx_error_coords(model, offline, thetas, scales, coeffs)
+    norm_sq = np.einsum("br,br->b", y, y)
     norms = np.sqrt(norm_sq)
     floor = max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * float(norms.max(initial=0.0)))
     admissible = np.flatnonzero(norms > floor)
     if admissible.size == 0:
         return np.zeros(0, dtype=int)
-
-    if in_memory:
-        nb = err_block[:, admissible]
-        xnb = x_err[:, admissible]
-
-        def column(j: int) -> np.ndarray:
-            return nb.T @ xnb[:, j]
-
-    else:
-        wn = weights[admissible]
-        half_n = wn @ gen_gram
-
-        def column(j: int) -> np.ndarray:
-            return half_n @ wn[j]
-
+    ya = y[admissible]
     pivots, _ = pivoted_cholesky(
-        column, norm_sq[admissible], max_steps=budget, counters=model.counters
+        lambda j: ya @ ya[j], norm_sq[admissible], max_steps=budget, counters=model.counters
     )
     return admissible[pivots]

@@ -1,5 +1,12 @@
 """Greedy driver: selection, counting identities, determinism, skip policy."""
 
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -253,6 +260,51 @@ class TestDeterminism:
             [rec.delta_max for rec in a[1].iterations],
             [rec.delta_max for rec in b[1].iterations],
         )
+
+
+# cdm on a symmetric 30x30 grid of the small diffusion problem.  Through a
+# cross-Gramian of the cached vectors its error Gramian lost positive
+# semidefiniteness here (11 warnings per run) and the snapshot sequence moved
+# with the BLAS thread count (N = 25 with one thread, 24 with two).
+def _cdm_grid_indices(**settings):
+    problem = rbx.build_diffusion2d(n_x=15)
+    train = rbx.sample_training_set(problem.box, kind="grid", n_per_dim=30)
+    config = GreedyConfig(eps_tol=1.0, method="cdm", k_damp=10, **settings)
+    model, _ = run_greedy(problem, train, config)
+    return model.snapshot_indices
+
+
+def _cdm_grid_indices_in_subprocess(blas_threads: int):
+    paths = [str(Path(rbx.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    script = "import json, test_greedy; print(json.dumps(test_greedy._cdm_grid_indices()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestCdmGridRun:
+    def test_error_gramian_stays_positive_semidefinite(self):
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "error", message=".*positive semidefinite", category=RuntimeWarning
+            )
+            assert len(_cdm_grid_indices()) > 0
+
+    def test_sequence_independent_of_blas_threads_workers_and_chunk(self):
+        reference = _cdm_grid_indices(workers=1, sweep_chunk=4096)
+        assert _cdm_grid_indices(workers=1, sweep_chunk=64) == reference
+        assert _cdm_grid_indices(workers=2, sweep_chunk=64) == reference
+        one_thread = _cdm_grid_indices_in_subprocess(blas_threads=1)
+        assert _cdm_grid_indices_in_subprocess(blas_threads=2) == one_thread == reference
 
 
 class TestEnhancedLoop:

@@ -8,6 +8,7 @@ import pytest
 import rbx.harness as harness
 from rbx.cli import main as cli_main
 from rbx.errors import ConfigurationError, ResourceError
+from rbx.greedy import GreedyConfig
 from rbx.harness import ExperimentConfig, run_experiment, verify
 
 
@@ -65,6 +66,12 @@ class TestConfigParsing:
                 tiny_config_dict(greedy={"eps_tol": 1.0, "cdm": {"anchors": 2}})
             )
 
+    def test_removed_cdm_memory_cap_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown greedy keys"):
+            ExperimentConfig.from_dict(
+                tiny_config_dict(greedy={"eps_tol": 1.0, "cdm_memory_cap_bytes": 1 << 30})
+            )
+
     def test_repetitions_and_workers_positive(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(tiny_config_dict(repetitions=0))
@@ -95,6 +102,10 @@ class TestGreedyConfigMerge:
         assert smm.k_damp == 1 and cdm.k_damp == 10
         assert smm.budget(1) == 4 and cdm.budget(1) == 40
         assert config.greedy_config("classical").m_schedule is None
+
+    def test_library_and_harness_run_the_same_cdm(self):
+        harness_cdm = ExperimentConfig.from_dict({"problem": "thermalblock"}).greedy_config("cdm")
+        assert GreedyConfig(eps_tol=1.0, method="cdm").k_damp == harness_cdm.k_damp
 
     def test_common_and_method_overrides(self):
         raw = tiny_config_dict(

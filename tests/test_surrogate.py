@@ -7,11 +7,11 @@ import pytest
 import scipy.linalg
 
 import rbx
-from rbx.affine import evaluate_theta, rhs_scale
+from rbx.affine import assemble_operator, evaluate_theta_batch, rhs_scale_batch
 from rbx.errors import ConfigurationError, NumericalFailureError
-from rbx.reduced import reconstruct, reduced_solve
+from rbx.reduced import reduced_solve, reduced_solve_batch
 from rbx.surrogate import (
-    cdm_approx_error,
+    approx_error_coords,
     cdm_build_offline,
     cdm_construct,
     pivoted_cholesky,
@@ -206,39 +206,63 @@ def thermal_setup(thermal_small, thermal_train_small):
     return thermal_small, thermal_train_small, model, offline
 
 
-def naive_blend_error(model, offline, problem, mu, sol):
-    """Loop reimplementation of the cached-inverse error formula."""
-    theta = evaluate_theta(problem, mu)
-    scale = rhs_scale(problem, mu)
-    r = model.snapshot_in_basis
+def dense(a):
+    return a.toarray() if hasattr(a, "toarray") else np.asarray(a)
+
+
+def batch_inputs(model, problem, points):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    thetas = evaluate_theta_batch(problem, points)
+    scales = rhs_scale_batch(problem, points)
+    return thetas, scales, reduced_solve_batch(model, thetas, scales)
+
+
+def kernel_errors(model, offline, problem, points, n=None):
+    """Truth-space approximate errors (columns) through the cdm kernel."""
+    thetas, scales, coeffs = batch_inputs(model, problem, points)
+    coeffs = coeffs if n is None else reduced_solve_batch(model, thetas, scales, n=n)
+    y = approx_error_coords(model, offline, thetas, scales, coeffs)
+    return offline.basis @ y.T
+
+
+def explicit_error_block(model, offline, problem, points):
+    """(n_dof, b) blend errors from dense anchor inverses and truth residuals.
+
+    e(mu) = sum_m beta_m(mu) A(mu_m)^-1 (s(mu) f - A(mu) u_N(mu)), with
+    beta the snapshot weights of the anchor-space reduced solve.
+    """
+    thetas, scales, coeffs = batch_inputs(model, problem, points)
     q_solve = offline.anchor_positions[-1] + 1
-    cq = reduced_solve(model, mu, n=q_solve).coeffs
-    beta_all = scipy.linalg.solve_triangular(r[:q_solve, :q_solve], cq, lower=False)
-    beta_q = beta_all[offline.anchor_positions]
-    beta_n = scipy.linalg.solve_triangular(r[: sol.n, : sol.n], sol.coeffs, lower=False)
-    err = scale * sum(beta_q[m] * offline.inv_f[m] for m in range(beta_q.size))
-    for m in range(beta_q.size):
-        for k in range(problem.n_terms):
-            for j in range(sol.n):
-                err = err - beta_q[m] * theta[k] * beta_n[j] * offline.inv_components[m, k, j]
-    return err
+    cq = reduced_solve_batch(model, thetas, scales, n=q_solve)
+    r = model.snapshot_in_basis[:q_solve, :q_solve]
+    beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T[:, offline.anchor_positions]
+    inverses = [np.linalg.inv(dense(assemble_operator(problem, mu))) for mu in offline.anchor_mus]
+    cols = []
+    for i, mu in enumerate(np.atleast_2d(points)):
+        a = dense(assemble_operator(problem, mu))
+        res = scales[i] * problem.rhs - a @ (model.basis @ coeffs[i])
+        cols.append(sum(beta[i, m] * (inv @ res) for m, inv in enumerate(inverses)))
+    return np.column_stack(cols)
 
 
 class TestCachedInverseOffline:
     def test_inverse_columns_satisfy_their_systems(self, thermal_setup):
         problem, _, model, offline = thermal_setup
-        from rbx.affine import assemble_operator
-
+        v = offline.basis
+        x = dense(problem.x_inner)
+        np.testing.assert_allclose(v.T @ x @ v, np.eye(v.shape[1]), atol=1e-12)
+        qa = problem.n_terms
+        assert offline.coords.shape == (offline.q_used, v.shape[1], 1 + model.n * qa)
         for m, mu in enumerate(offline.anchor_mus):
-            a = assemble_operator(problem, mu)
+            a = dense(assemble_operator(problem, mu))
+            gen = v @ offline.coords[m]
             np.testing.assert_allclose(
-                a @ offline.inv_f[m], problem.rhs, atol=1e-9 * np.abs(problem.rhs).max()
+                a @ gen[:, 0], problem.rhs, atol=1e-9 * np.abs(problem.rhs).max()
             )
-            raw = model.basis @ model.snapshot_in_basis
-            for k in range(problem.n_terms):
-                for j in range(model.n):
-                    target = problem.components[k] @ raw[:, j]
-                    got = a @ offline.inv_components[m, k, j]
+            for j in range(model.n):
+                for k in range(problem.n_terms):
+                    target = -(problem.components[k] @ model.basis[:, j])
+                    got = a @ gen[:, 1 + j * qa + k]
                     np.testing.assert_allclose(
                         got, target, atol=1e-9 * max(1.0, np.abs(target).max())
                     )
@@ -252,8 +276,11 @@ class TestCachedInverseOffline:
         grown = cdm_build_offline(model2, thermal_small, q_cap=3, offline=grown)
         fresh = cdm_build_offline(model2, thermal_small, q_cap=3)
         assert grown.anchor_positions == fresh.anchor_positions
-        np.testing.assert_allclose(grown.inv_f, fresh.inv_f, atol=1e-11)
-        np.testing.assert_allclose(grown.inv_components, fresh.inv_components, atol=1e-11)
+        assert grown.n_basis == fresh.n_basis == 4
+        for m in range(fresh.q_used):
+            np.testing.assert_allclose(
+                grown.basis @ grown.coords[m], fresh.basis @ fresh.coords[m], atol=1e-11
+            )
 
     def test_truth_solve_counting(self, diffusion_small, diffusion_train_small):
         from rbx.reduced import extend_basis
@@ -302,12 +329,10 @@ class TestCachedInverseError:
     def test_matches_naive_formula(self, thermal_setup):
         problem, _, model, offline = thermal_setup
         rng = np.random.default_rng(31)
-        for _ in range(5):
-            mu = 0.1 + rng.random(9) * 9.9
-            sol = reduced_solve(model, mu)
-            fast = cdm_approx_error(model, offline, mu, sol=sol)
-            slow = naive_blend_error(model, offline, problem, mu, sol)
-            np.testing.assert_allclose(fast, slow, atol=1e-12 * max(1.0, np.abs(slow).max()))
+        points = 0.1 + rng.random((5, 9)) * 9.9
+        fast = kernel_errors(model, offline, problem, points)
+        slow = explicit_error_block(model, offline, problem, points)
+        np.testing.assert_allclose(fast, slow, atol=1e-10 * np.abs(slow).max())
 
     def test_exact_at_anchor_for_truncated_solution(self, thermal_setup):
         # with the reduced solution truncated below an anchor position the
@@ -315,8 +340,8 @@ class TestCachedInverseError:
         # equals the exact error of the truncated solution
         problem, _, model, offline = thermal_setup
         mu = model.snapshot_params[2]
+        approx = kernel_errors(model, offline, problem, mu, n=2)[:, 0]
         sol = reduced_solve(model, mu, n=2)
-        approx = cdm_approx_error(model, offline, mu, sol=sol)
         truth = truth_solve(problem, mu).coefficients
         exact = truth - model.basis[:, :2] @ sol.coeffs
         np.testing.assert_allclose(approx, exact, atol=1e-8 * np.abs(exact).max())
@@ -324,25 +349,22 @@ class TestCachedInverseError:
     def test_vanishes_at_snapshot_parameters(self, thermal_setup):
         problem, _, model, offline = thermal_setup
         rng = np.random.default_rng(32)
-        scale = np.linalg.norm(
-            cdm_approx_error(model, offline, 0.1 + rng.random(9) * 9.9)
-        )
-        for mu in model.snapshot_params:
-            err = cdm_approx_error(model, offline, mu)
-            assert np.linalg.norm(err) <= 1e-8 * max(scale, 1e-30)
+        scale = np.linalg.norm(kernel_errors(model, offline, problem, 0.1 + rng.random(9) * 9.9))
+        errs = kernel_errors(model, offline, problem, np.array(model.snapshot_params))
+        assert np.linalg.norm(errs, axis=0).max() <= 1e-8 * max(scale, 1e-30)
 
-    def test_needs_anchors(self, thermal_small):
-        from rbx.surrogate import CdmOfflineData
-
-        model = rbx.ReducedModel(thermal_small)
-        with pytest.raises(ConfigurationError):
-            cdm_approx_error(model, CdmOfflineData(q_cap=2), np.full(9, 1.0))
+    def test_needs_anchors(self, thermal_small, thermal_train_small):
+        model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
+        offline = cdm_build_offline(model, thermal_small, q_cap=2)
+        offline.anchor_positions.clear()
+        picked = cdm_construct(model, thermal_small, offline, thermal_train_small.points, 4)
+        assert picked.size == 0
 
     def test_counter(self, thermal_setup):
         problem, _, model, offline = thermal_setup
         base = problem.counters.approx_error_evals
-        cdm_approx_error(model, offline, np.full(9, 2.0))
-        assert problem.counters.approx_error_evals == base + 1
+        kernel_errors(model, offline, problem, np.full((3, 9), 2.0))
+        assert problem.counters.approx_error_evals == base + 3
 
 
 class TestCachedInverseConstruct:
@@ -353,15 +375,27 @@ class TestCachedInverseConstruct:
         assert len(set(picked.tolist())) == picked.size
         assert np.all((picked >= 0) & (picked < train.n_train))
 
-    def test_block_and_contracted_paths_agree(self, thermal_setup):
+    def test_factor_path_matches_explicit_error_block(self, thermal_setup):
         problem, train, model, offline = thermal_setup
-        block = cdm_construct(
-            model, problem, offline, train.points, budget=6, memory_cap_bytes=1 << 34
-        )
-        contracted = cdm_construct(
-            model, problem, offline, train.points, budget=6, memory_cap_bytes=1
-        )
-        np.testing.assert_array_equal(block, contracted)
+        thetas, scales, coeffs = batch_inputs(model, problem, train.points)
+        y = approx_error_coords(model, offline, thetas, scales, coeffs)
+        block = explicit_error_block(model, offline, problem, train.points)
+        gram = block.T @ dense(problem.x_inner) @ block
+        norms = np.sqrt(np.diag(gram))
+        # the snapshot parameters carry round-off errors only and drop out
+        adm = np.flatnonzero(norms > 1e-10 * norms.max())
+        assert train.n_train - adm.size == len(model.snapshot_indices)
+        got = np.linalg.norm(y, axis=1)
+        np.testing.assert_allclose(got[adm], norms[adm], rtol=1e-10)
+        np.testing.assert_allclose(got, norms, rtol=0, atol=1e-10 * norms.max())
+        for j in (adm[0], adm[17], int(np.argmax(norms))):
+            np.testing.assert_allclose(
+                y @ y[j], gram[:, j], rtol=0, atol=1e-10 * norms.max() ** 2
+            )
+        picked = cdm_construct(model, problem, offline, train.points, budget=6)
+        sub = gram[np.ix_(adm, adm)]
+        explicit, _ = pivoted_cholesky(lambda j: sub[:, j], np.diag(sub), max_steps=6)
+        np.testing.assert_array_equal(picked, adm[explicit])
 
     def test_ordering_opens_with_the_worst_error(self, thermal_setup):
         problem, train, model, offline = thermal_setup
@@ -371,12 +405,8 @@ class TestCachedInverseConstruct:
         # measured in the discretization's inner-product norm
         from rbx.truth import x_norm
 
-        deltas = np.array(
-            [
-                x_norm(problem.discretization, cdm_approx_error(model, offline, mu))
-                for mu in train.points
-            ]
-        )
+        errs = kernel_errors(model, offline, problem, train.points)
+        deltas = np.array([x_norm(problem.discretization, e) for e in errs.T])
         assert weighted[0] == int(np.argmax(deltas))
 
     def test_zero_budget(self, thermal_setup):
