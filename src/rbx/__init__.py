@@ -15,8 +15,6 @@ from .affine import (
     ParameterBox,
     TrainingSet,
     assemble_operator,
-    evaluate_theta,
-    rhs_scale,
     sample_training_set,
 )
 from .bounds import ConstantBound, MinThetaBound
@@ -44,7 +42,6 @@ from .harness import (
     PROBLEMS,
     run_experiment,
     run_methods,
-    verify,
 )
 from .reduced import (
     ReducedModel,
@@ -82,8 +79,6 @@ __all__ = [
     "ParameterBox",
     "TrainingSet",
     "assemble_operator",
-    "evaluate_theta",
-    "rhs_scale",
     "sample_training_set",
     "ConstantBound",
     "MinThetaBound",
@@ -106,7 +101,6 @@ __all__ = [
     "run_experiment",
     "run_methods",
     "MethodResult",
-    "verify",
     "ReducedModel",
     "ReducedSolution",
     "coercivity_lower_bound",

@@ -9,7 +9,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -43,12 +43,6 @@ class ParameterBox:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, mu) -> bool:
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.dim,):
-            return False
-        return bool(np.all(mu >= self.lower) and np.all(mu <= self.upper))
-
     def validate(self, mu) -> np.ndarray:
         """Return ``mu`` as a float vector, raising if it is not admissible."""
         mu = np.asarray(mu, dtype=float)
@@ -59,6 +53,19 @@ class ParameterBox:
         if not (np.all(mu >= self.lower) and np.all(mu <= self.upper)):
             raise InvalidParameterError(f"parameter {mu} lies outside the box")
         return mu
+
+    def validate_rows(self, mus) -> np.ndarray:
+        """``validate`` for parameter rows, naming the first inadmissible row."""
+        mus = np.asarray(mus, dtype=float)
+        if mus.ndim != 2 or mus.shape[1] != self.dim:
+            raise InvalidParameterError(
+                f"parameter rows have shape {mus.shape}, expected (b, {self.dim})"
+            )
+        inside = np.all((mus >= self.lower) & (mus <= self.upper), axis=1)
+        if not inside.all():
+            j = int(np.argmin(inside))
+            raise InvalidParameterError(f"parameter {mus[j]} at row {j} lies outside the box")
+        return mus
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,10 @@ class AffineProblem:
 
     components hold the truth-space matrices restricted to free degrees of
     freedom; they are dense ndarrays or CSR matrices depending on the
-    discretization.  ``rhs_theta`` scales the load vector (identity when the
-    load does not depend on the parameter).  ``coercivity`` is the strategy
+    discretization.  ``theta`` maps parameter rows (b, p) to coefficient rows
+    (b, Q); ``rhs_theta`` maps them to the (b,) load scales and may be
+    omitted when the load does not depend on the parameter.  A single
+    parameter is a batch of one.  ``coercivity`` is the strategy
     object consumed by the error estimator; see ``rbx.reduced``.
     The training sweeps of ``symmetric`` problems grow Cholesky factors.
     """
@@ -111,9 +120,7 @@ class AffineProblem:
     x_inner: object
     output: np.ndarray
     name: str = "problem"
-    rhs_theta: Optional[Callable[[np.ndarray], float]] = None
-    theta_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    rhs_theta_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    rhs_theta: Optional[Callable[[np.ndarray], np.ndarray]] = None
     coercivity: object = None
     discretization: object = None
 
@@ -152,9 +159,6 @@ class AffineProblem:
     def counters(self):
         return None if self.discretization is None else self.discretization.counters
 
-    def is_sparse(self) -> bool:
-        return sp.issparse(self.components[0])
-
 
 def _equals_transpose(a) -> bool:
     if sp.issparse(a):
@@ -162,45 +166,28 @@ def _equals_transpose(a) -> bool:
     return bool(np.array_equal(a, a.T))
 
 
-def evaluate_theta(problem: AffineProblem, mu) -> np.ndarray:
-    """Evaluate all affine coefficients at one admissible parameter."""
-    mu = problem.box.validate(mu)
-    theta = np.asarray(problem.theta(mu), dtype=float)
-    if theta.shape != (problem.n_terms,):
-        raise InvalidParameterError(
-            f"theta returned shape {theta.shape}, expected ({problem.n_terms},)"
-        )
-    return theta
-
-
 def evaluate_theta_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
-    """Vectorized coefficient evaluation; rows of ``mus`` are parameters."""
+    """Coefficient rows (b, Q) of the parameter rows ``mus`` (b, p)."""
     mus = np.asarray(mus, dtype=float)
-    if problem.theta_batch is not None:
-        out = np.asarray(problem.theta_batch(mus), dtype=float)
-    else:
-        out = np.stack([np.asarray(problem.theta(m), dtype=float) for m in mus])
+    out = np.asarray(problem.theta(mus), dtype=float)
     if out.shape != (mus.shape[0], problem.n_terms):
-        raise InvalidParameterError("theta_batch returned a wrong shape")
+        raise InvalidParameterError(
+            f"theta returned shape {out.shape}, expected ({mus.shape[0]}, {problem.n_terms})"
+        )
     return out
 
 
-def rhs_scale(problem: AffineProblem, mu) -> float:
-    return 1.0 if problem.rhs_theta is None else float(problem.rhs_theta(mu))
-
-
 def rhs_scale_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
+    """Load scales (b,) of the parameter rows ``mus``; ones without ``rhs_theta``."""
     mus = np.asarray(mus, dtype=float)
     if problem.rhs_theta is None:
         return np.ones(mus.shape[0])
-    if problem.rhs_theta_batch is not None:
-        return np.asarray(problem.rhs_theta_batch(mus), dtype=float)
-    return np.array([float(problem.rhs_theta(m)) for m in mus])
+    return np.asarray(problem.rhs_theta(mus), dtype=float)
 
 
 def assemble_operator(problem: AffineProblem, mu):
     """Form ``A(mu)`` explicitly.  Sparse problems return a CSR matrix."""
-    theta = evaluate_theta(problem, mu)
+    theta = evaluate_theta_batch(problem, problem.box.validate(mu)[None, :])[0]
     acc = problem.components[0] * theta[0]
     for q in range(1, problem.n_terms):
         acc = acc + theta[q] * problem.components[q]

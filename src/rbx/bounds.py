@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .affine import evaluate_theta, evaluate_theta_batch
+from .affine import assemble_operator, evaluate_theta_batch
 from .errors import BoundStrategyError
 
 
@@ -63,13 +63,12 @@ class MinThetaBound:
 
     def _ensure_anchor(self, problem):
         if self._anchor_theta is None:
-            theta = evaluate_theta(problem, self.anchor_mu)
+            mu = problem.box.validate(self.anchor_mu)
+            theta = evaluate_theta_batch(problem, mu[None, :])[0]
             if np.any(theta <= 0):
                 raise BoundStrategyError("anchor coefficients must be positive")
             self._anchor_theta = theta
         if self.anchor_alpha is None:
-            from .affine import assemble_operator
-
             a = assemble_operator(problem, self.anchor_mu)
             alpha = _smallest_generalized_eigenvalue(a, problem.x_inner)
             if not alpha > 0:

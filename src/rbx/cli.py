@@ -2,13 +2,11 @@
 
 ``rbx run --config FILE [--out DIR] [--workers K]``
     Run the configured experiment and write artifacts.
-``rbx verify [--quick]``
-    Run the built-in small-scale correctness checks.
 ``rbx problems``
     List the built-in problems with their defaults.
 
-Exit codes: 0 on success, 1 when verification fails, 2 on configuration
-errors (bad JSON, unknown fields, invalid values).
+Exit codes: 0 on success, 2 on configuration errors (bad JSON, unknown
+fields, invalid values).
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import sys
 
 from . import __version__
 from .errors import ConfigurationError, InvalidParameterError
-from .harness import PROBLEMS, ExperimentConfig, run_experiment, verify
+from .harness import PROBLEMS, ExperimentConfig, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,11 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None, help="threads for estimator sweeps"
     )
 
-    ver_p = sub.add_parser("verify", help="run built-in correctness checks")
-    ver_p.add_argument(
-        "--quick", action="store_true", help="smaller sample sizes, faster"
-    )
-
     sub.add_parser("problems", help="list built-in problems")
     return parser
 
@@ -50,21 +43,6 @@ def _cmd_run(args) -> int:
         raise ConfigurationError("--workers must be at least 1")
     target = run_experiment(config, out_dir=args.out, workers=args.workers)
     print(f"artifacts written to {target}")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    report = verify(quick=args.quick)
-    failed = 0
-    for name, ok, detail in report:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        if not ok:
-            failed += 1
-    if failed:
-        print(f"{failed} of {len(report)} checks failed")
-        return 1
-    print(f"all {len(report)} checks passed")
     return 0
 
 
@@ -85,8 +63,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
         if args.command == "problems":
             return _cmd_problems(args)
     except (ConfigurationError, InvalidParameterError) as exc:

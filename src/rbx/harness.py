@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, runs, artifacts, self-checks.
+"""Experiment orchestration: configs, runs, artifacts.
 
 A run takes one JSON config, builds the named problem and training set,
 executes every requested greedy method on a fresh problem instance
@@ -20,7 +20,6 @@ round-trip exactly.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .affine import AffineProblem, TrainingSet, sample_training_set
-from .errors import ConfigurationError, RbxError, ResourceError
+from .errors import ConfigurationError, ResourceError
 from .greedy import _METHODS, GreedyConfig, GreedyTrace, run_greedy
 from .reduced import ReducedModel
 from .truth import build_diffusion2d, build_thermal_block
@@ -62,6 +61,14 @@ _GREEDY_KEYS = ({f.name for f in fields(GreedyConfig)} - {"method", "m_schedule"
     "m_growth",
     "m_fixed",
 }
+_TRAINING_KEYS = {"kind", "n_per_dim", "count", "seed"}
+
+
+def _integer(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}") from None
 
 
 def _fmt(x) -> str:
@@ -119,10 +126,18 @@ class ExperimentConfig:
         if bad:
             raise ConfigurationError(f"unknown problem parameters: {sorted(bad)}")
 
-        training = dict(entry["default_training"])
-        training.update(raw.get("training", {}) or {})
+        training_raw = raw.get("training") or {}
+        if not isinstance(training_raw, dict):
+            raise ConfigurationError("training must be a JSON object")
+        bad = set(training_raw) - _TRAINING_KEYS
+        if bad:
+            raise ConfigurationError(f"unknown training keys: {sorted(bad)}")
+        training = {**entry["default_training"], **training_raw}
         if training.get("kind") not in ("grid", "random"):
             raise ConfigurationError("training.kind must be 'grid' or 'random'")
+        for key in ("n_per_dim", "count", "seed"):
+            if key in training:
+                training[key] = _integer(training[key], f"training.{key}")
 
         methods = raw.get("methods", ["classical", "smm", "cdm"])
         if not isinstance(methods, list) or not methods:
@@ -146,10 +161,10 @@ class ExperimentConfig:
         greedy_common = dict(greedy_raw)
         greedy_common.setdefault("eps_tol", entry["default_eps_tol"])
 
-        repetitions = int(raw.get("repetitions", 1))
+        repetitions = _integer(raw.get("repetitions", 1), "repetitions")
         if repetitions < 1:
             raise ConfigurationError("repetitions must be at least 1")
-        workers = int(raw.get("workers", 1))
+        workers = _integer(raw.get("workers", 1), "workers")
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
 
@@ -193,13 +208,13 @@ class ExperimentConfig:
 
     def build_training(self, box) -> TrainingSet:
         t = self.training
-        seed = int(t.get("seed", 0))
+        seed = t.get("seed", 0)
         if t["kind"] == "grid":
             return sample_training_set(
-                box, kind="grid", n_per_dim=int(t.get("n_per_dim", 10)), seed=seed
+                box, kind="grid", n_per_dim=t.get("n_per_dim", 10), seed=seed
             )
         return sample_training_set(
-            box, kind="random", count=int(t.get("count", 1000)), seed=seed
+            box, kind="random", count=t.get("count", 1000), seed=seed
         )
 
     def greedy_config(self, method: str) -> GreedyConfig:
@@ -217,10 +232,10 @@ class ExperimentConfig:
         m_fixed = merged.pop("m_fixed", None)
         schedule = None
         if m_growth is not None:
-            g = int(m_growth)
+            g = _integer(m_growth, "m_growth")
             schedule = lambda ell: g * (ell + 1)  # noqa: E731
         elif m_fixed is not None:
-            m = int(m_fixed)
+            m = _integer(m_fixed, "m_fixed")
             schedule = lambda ell: m  # noqa: E731
         merged.setdefault("workers", self.workers)
         try:
@@ -411,142 +426,3 @@ def run_experiment(
             pass
         raise ResourceError(f"failed to write artifacts into {target}: {exc}")
     return target
-
-
-# ---------------------------------------------------------------------------
-# self-checks
-
-
-def _check_residual_equivalence(quick: bool) -> tuple[bool, str]:
-    from .affine import evaluate_theta, rhs_scale
-    from .reduced import reconstruct, reduced_solve, residual_dual_norm_sq
-    from .truth import riesz_solve, x_norm
-
-    problem = build_diffusion2d(n_x=10)
-    train = sample_training_set(problem.box, kind="grid", n_per_dim=6, seed=0)
-    model, _ = run_greedy(
-        problem, train, GreedyConfig(eps_tol=1e-12, n_max=4, seed=1)
-    )
-    rng = np.random.default_rng(7)
-    n_checks = 5 if quick else 20
-    worst = 0.0
-    for _ in range(n_checks):
-        mu = problem.box.lower + rng.random(problem.dim) * (
-            problem.box.upper - problem.box.lower
-        )
-        sol = reduced_solve(model, mu)
-        fast = residual_dual_norm_sq(model, mu, sol)
-        theta = evaluate_theta(problem, mu)
-        lifted = reconstruct(model, sol)
-        residual = rhs_scale(problem, mu) * problem.rhs - sum(
-            t * (aq @ lifted) for t, aq in zip(theta, problem.components)
-        )
-        direct = x_norm(problem.discretization, riesz_solve(problem.discretization, residual)) ** 2
-        rel = abs(fast - direct) / max(direct, 1e-300)
-        worst = max(worst, rel)
-    return worst <= 1e-6, f"worst relative gap {worst:.3e} over {n_checks} parameters"
-
-
-def _check_pivoted_cholesky(quick: bool) -> tuple[bool, str]:
-    from .surrogate import pivoted_cholesky
-
-    rng = np.random.default_rng(3)
-    n = 12 if quick else 25
-    a = rng.standard_normal((n, n))
-    g = a @ a.T
-    pivots, l_mat = pivoted_cholesky(lambda j: g[:, j], np.diag(g).copy(), max_steps=n)
-    recon = float(np.linalg.norm(l_mat @ l_mat.T - g))
-    # brute-force greedy pivot order on explicit Schur complements
-    s = g.copy()
-    expected = []
-    for _ in range(n):
-        j = int(np.argmax(np.diag(s)))
-        if s[j, j] <= 1e-12 * g.max():
-            break
-        expected.append(j)
-        s = s - np.outer(s[:, j], s[j, :]) / s[j, j]
-    ok = list(pivots) == expected and recon <= 1e-10 * max(1.0, float(np.linalg.norm(g)))
-    return ok, f"pivot match {list(pivots) == expected}, reconstruction {recon:.3e}"
-
-
-def _check_certified_bound(quick: bool) -> tuple[bool, str]:
-    from .reduced import error_estimate, reconstruct, reduced_solve
-    from .truth import truth_solve, x_norm
-
-    problem = build_thermal_block(nodes_per_side=7)
-    train = sample_training_set(problem.box, kind="random", count=150, seed=5)
-    model, _ = run_greedy(
-        problem, train, GreedyConfig(eps_tol=1e-12, n_max=5, seed=2)
-    )
-    rng = np.random.default_rng(11)
-    n_checks = 10 if quick else 40
-    violations = 0
-    for _ in range(n_checks):
-        mu = problem.box.lower + rng.random(problem.dim) * (
-            problem.box.upper - problem.box.lower
-        )
-        sol = reduced_solve(model, mu)
-        delta = error_estimate(problem=problem, model=model, mu=mu, sol=sol)
-        err = x_norm(
-            problem.discretization,
-            truth_solve(problem, mu).coefficients - reconstruct(model, sol),
-        )
-        if delta < err:
-            violations += 1
-    return violations == 0, f"{violations} bound violations over {n_checks} parameters"
-
-
-def _check_reproduction(quick: bool) -> tuple[bool, str]:
-    from .reduced import (
-        ReducedSolution,
-        coercivity_lower_bound,
-        error_estimate,
-        residual_dual_norm_sq,
-    )
-
-    worst = 0.0
-    builders = [
-        lambda: (build_diffusion2d(n_x=10), "grid", 6),
-        lambda: (build_thermal_block(nodes_per_side=7), "random", 150),
-    ]
-    for make in builders:
-        problem, kind, size = make()
-        train = sample_training_set(
-            problem.box,
-            kind=kind,
-            n_per_dim=size if kind == "grid" else None,
-            count=size if kind == "random" else None,
-            seed=4,
-        )
-        model, _ = run_greedy(
-            problem, train, GreedyConfig(eps_tol=1e-12, n_max=3 if quick else 5, seed=3)
-        )
-        for mu in model.snapshot_params:
-            top = error_estimate(model, problem, mu)
-            empty = ReducedSolution(mu=np.asarray(mu, dtype=float), coeffs=np.zeros(0))
-            delta0 = float(
-                np.sqrt(residual_dual_norm_sq(model, mu, empty))
-                / coercivity_lower_bound(problem, mu)
-            )
-            worst = max(worst, top / delta0 if delta0 > 0 else np.inf)
-    return worst <= 1e-8, f"worst snapshot estimate ratio {worst:.3e}"
-
-
-def verify(quick: bool = False) -> list[tuple[str, bool, str]]:
-    """Small-scale oracle checks; returns (name, passed, detail) rows."""
-    checks = [
-        ("residual-equivalence", _check_residual_equivalence),
-        ("pivoted-cholesky", _check_pivoted_cholesky),
-        ("certified-bound", _check_certified_bound),
-        ("reproduction", _check_reproduction),
-    ]
-    report = []
-    for name, fn in checks:
-        start = time.perf_counter()
-        try:
-            ok, detail = fn(quick)
-        except RbxError as exc:
-            ok, detail = False, f"failed with {type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        report.append((name, ok, f"{detail} ({elapsed:.1f}s)"))
-    return report

@@ -413,7 +413,8 @@ class TrainingSystems:
     A greedy run evaluates the coefficient functions, load scales and
     coercivity bounds of its training set once, in ``evaluate``, and shares
     them between its full sweeps, surrogate sweeps (``restrict``) and
-    ``cdm_construct``.  On symmetric problems ``evaluate`` with a positive
+    ``cdm_construct``; ``evaluate`` first rejects points outside the
+    problem's box.  On symmetric problems ``evaluate`` with a positive
     ``capacity`` (the largest basis a full sweep will see) also keeps a
     ``CholeskyRows`` factor of every point's reduced matrix, which
     ``estimate_batch`` borders by the rows the basis gained since its
@@ -431,7 +432,7 @@ class TrainingSystems:
     def evaluate(
         cls, problem: AffineProblem, points: np.ndarray, capacity: int = 0
     ) -> "TrainingSystems":
-        points = np.asarray(points, dtype=float)
+        points = problem.box.validate_rows(points)
         factor = None
         if capacity > 0 and problem.symmetric:
             factor = CholeskyRows(points.shape[0], min(capacity, problem.n_dof))

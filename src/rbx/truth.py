@@ -11,6 +11,7 @@ Dirichlet data on the top edge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .affine import AffineProblem, ParameterBox, assemble_operator, rhs_scale
+from .affine import AffineProblem, ParameterBox, assemble_operator, rhs_scale_batch
 from .bounds import ConstantBound, MinThetaBound
 from .counters import Counters
 from .errors import ConfigurationError, NumericalFailureError
@@ -78,40 +79,18 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
 
 
 class Factorization:
-    """Uniform solve interface over dense LU and sparse LU handles."""
+    """``solve`` through sparse LU, or dense Cholesky (``spd``) or LU."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, spd: bool = False):
         if sp.issparse(matrix):
-            self._handle = spla.splu(matrix.tocsc())
-            self._dense = None
-        else:
-            self._handle = None
-            self._dense = sla.lu_factor(matrix)
-
-    def solve(self, b):
-        if self._dense is not None:
-            return sla.lu_solve(self._dense, b)
-        return self._handle.solve(b)
-
-
-class SpdFactorization:
-    """Cholesky (dense) or LU (sparse) handle for the inner-product matrix."""
-
-    def __init__(self, matrix):
-        if sp.issparse(matrix):
-            self._handle = spla.splu(matrix.tocsc())
-            self._dense = None
-        else:
+            self.solve = spla.splu(matrix.tocsc()).solve
+        elif spd:
             try:
-                self._dense = sla.cho_factor(matrix)
+                self.solve = partial(sla.cho_solve, sla.cho_factor(matrix))
             except sla.LinAlgError as exc:
-                raise NumericalFailureError(f"inner-product matrix is not SPD: {exc}")
-            self._handle = None
-
-    def solve(self, b):
-        if self._dense is not None:
-            return sla.cho_solve(self._dense, b)
-        return self._handle.solve(b)
+                raise NumericalFailureError(f"matrix is not SPD: {exc}")
+        else:
+            self.solve = partial(sla.lu_solve, sla.lu_factor(matrix))
 
 
 def _condition_estimate(a) -> float:
@@ -147,11 +126,11 @@ class TruthDiscretization:
     label: str
     counters: Counters = field(default_factory=Counters)
     operator_cache: dict = field(default_factory=dict)
-    _x_fact: Optional[SpdFactorization] = field(default=None, repr=False)
+    _x_fact: Optional[Factorization] = field(default=None, repr=False)
 
-    def x_factorization(self) -> SpdFactorization:
+    def x_factorization(self) -> Factorization:
         if self._x_fact is None:
-            self._x_fact = SpdFactorization(self.x_inner)
+            self._x_fact = Factorization(self.x_inner, spd=True)
         return self._x_fact
 
     def x_apply(self, v):
@@ -168,10 +147,6 @@ def x_norm(disc: TruthDiscretization, v: np.ndarray) -> float:
     """Norm induced by the discretization's inner-product matrix."""
     val = float(np.dot(v, disc.x_apply(v)))
     return float(np.sqrt(max(val, 0.0)))
-
-
-def x_inner_product(disc: TruthDiscretization, v: np.ndarray, w: np.ndarray) -> float:
-    return float(np.dot(v, disc.x_apply(w)))
 
 
 def riesz_solve(disc: TruthDiscretization, functional: np.ndarray) -> np.ndarray:
@@ -212,9 +187,7 @@ def apply_operator_inverse(
     return fact.solve(rhs_block)
 
 
-def truth_solve(
-    problem: AffineProblem, mu, cache_key=None, keep_factorization: bool = False
-) -> TruthSolution:
+def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     """Direct solve of the truth system at one parameter.
 
     The relative algebraic residual is checked against ``SOLVE_RTOL``; a
@@ -223,8 +196,8 @@ def truth_solve(
     mu = problem.box.validate(mu)
     disc = problem.discretization
     a = assemble_operator(problem, mu)
-    fact = operator_factorization(problem, mu, cache_key, keep=keep_factorization, operator=a)
-    b = rhs_scale(problem, mu) * problem.rhs
+    fact = operator_factorization(problem, mu, operator=a)
+    b = rhs_scale_batch(problem, mu[None, :])[0] * problem.rhs
     u = fact.solve(b)
     disc.counters.truth_solves += 1
     denom = np.linalg.norm(b)
@@ -299,8 +272,7 @@ def build_diffusion2d(n_x: int = 35):
     )
     problem = AffineProblem(
         box=box,
-        theta=lambda mu: np.array([1.0, mu[0], mu[1]]),
-        theta_batch=lambda mus: np.column_stack([np.ones(len(mus)), mus]),
+        theta=lambda mus: np.column_stack([np.ones(len(mus)), mus]),
         components=components,
         rhs=rhs,
         x_inner=xmat,
@@ -412,8 +384,7 @@ def build_thermal_block(nodes_per_side: int = 19):
     )
     problem = AffineProblem(
         box=box,
-        theta=lambda mu: np.asarray(mu, dtype=float).copy(),
-        theta_batch=lambda mus: np.asarray(mus, dtype=float).copy(),
+        theta=lambda mus: np.asarray(mus, dtype=float).copy(),
         components=components,
         rhs=rhs,
         x_inner=xmat,

@@ -122,11 +122,11 @@ def direct_residual_dual_norm_sq(model, problem, mu, sol):
     Independent of the model's stored residual machinery: assembles the
     residual vector and solves with the inner-product factorization.
     """
-    from rbx.affine import assemble_operator, rhs_scale
+    from rbx.affine import assemble_operator, rhs_scale_batch
 
     lifted = model.basis[:, : sol.n] @ sol.coeffs
     a = assemble_operator(problem, mu)
-    r = rhs_scale(problem, mu) * problem.rhs - a @ lifted
+    r = rhs_scale_batch(problem, np.atleast_2d(mu))[0] * problem.rhs - a @ lifted
     rep = problem.discretization.x_factorization().solve(r)
     return float(np.dot(rep, r))
 

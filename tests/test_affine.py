@@ -9,9 +9,7 @@ from rbx.affine import (
     ParameterBox,
     TrainingSet,
     assemble_operator,
-    evaluate_theta,
     evaluate_theta_batch,
-    rhs_scale,
     rhs_scale_batch,
     sample_training_set,
 )
@@ -22,9 +20,11 @@ class TestParameterBox:
     def test_dim_and_contains(self):
         box = ParameterBox([0.0, -1.0], [1.0, 2.0])
         assert box.dim == 2
-        assert box.contains([0.5, 0.0])
-        assert not box.contains([1.5, 0.0])
-        assert not box.contains([0.5])
+        box.validate([0.5, 0.0])
+        with pytest.raises(InvalidParameterError):
+            box.validate([1.5, 0.0])
+        with pytest.raises(InvalidParameterError):
+            box.validate([0.5])
 
     def test_validate_passes_through_interior_point(self):
         box = ParameterBox([0.0], [1.0])
@@ -125,24 +125,24 @@ class TestAffineProblem:
     def test_theta_evaluation_and_batch_agree(self, diffusion_small):
         mus = np.array([[0.3, -0.4], [0.0, 0.9], [-0.98, 0.01]])
         batch = evaluate_theta_batch(diffusion_small, mus)
-        rows = np.stack([evaluate_theta(diffusion_small, m) for m in mus])
+        rows = np.concatenate([evaluate_theta_batch(diffusion_small, m[None, :]) for m in mus])
         np.testing.assert_allclose(batch, rows)
         np.testing.assert_allclose(batch[:, 0], 1.0)
         np.testing.assert_allclose(batch[:, 1:], mus)
 
     def test_theta_shape_error(self, diffusion_small):
-        diffusion_small.theta = lambda mu: np.array([1.0, mu[0]])  # one term short
+        diffusion_small.theta = lambda mus: mus  # one term short
+        with pytest.raises(InvalidParameterError, match="theta returned shape"):
+            evaluate_theta_batch(diffusion_small, [[0.1, 0.1]])
         with pytest.raises(InvalidParameterError):
-            evaluate_theta(diffusion_small, [0.1, 0.1])
+            assemble_operator(diffusion_small, [0.1, 0.1])
 
     def test_rhs_scale_defaults_to_one(self, diffusion_small):
-        assert rhs_scale(diffusion_small, [0.2, 0.2]) == 1.0
         mus = np.zeros((4, 2))
         np.testing.assert_array_equal(rhs_scale_batch(diffusion_small, mus), np.ones(4))
 
     def test_rhs_scale_custom(self, diffusion_small):
-        diffusion_small.rhs_theta = lambda mu: 2.0 * mu[0]
-        assert rhs_scale(diffusion_small, [0.25, 0.0]) == 0.5
+        diffusion_small.rhs_theta = lambda mus: 2.0 * mus[:, 0]
         mus = np.array([[0.1, 0.0], [0.5, 0.0]])
         np.testing.assert_allclose(rhs_scale_batch(diffusion_small, mus), [0.2, 1.0])
 
@@ -164,10 +164,6 @@ class TestAffineProblem:
         assert sp.issparse(a)
         total = sum(c.toarray() for c in thermal_small.components)
         np.testing.assert_allclose(a.toarray(), 2.5 * total, atol=1e-12)
-
-    def test_is_sparse_flags(self, diffusion_small, thermal_small):
-        assert not diffusion_small.is_sparse()
-        assert thermal_small.is_sparse()
 
     def test_symmetry_flag(self, diffusion_small, thermal_small):
         # exact equality with the transpose, decided once at construction

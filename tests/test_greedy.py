@@ -11,7 +11,12 @@ import numpy as np
 import pytest
 
 import rbx
-from rbx.errors import BasisRejectionError, ConfigurationError, NumericalFailureError
+from rbx.errors import (
+    BasisRejectionError,
+    ConfigurationError,
+    InvalidParameterError,
+    NumericalFailureError,
+)
 from rbx.greedy import (
     GreedyConfig,
     argmax_sweep,
@@ -100,16 +105,45 @@ class TestArgmaxSelection:
             )
 
 
+class TestTrainingSetMustFitTheBox:
+    # a bad training point fails the run before its first truth solve
+
+    @pytest.mark.parametrize("value", [20.0, 0.01])
+    @pytest.mark.parametrize("method", ["classical", "cdm"])
+    def test_point_outside_the_box(self, thermal_small, thermal_train_small, value, method):
+        points = thermal_train_small.points.copy()
+        points[37, 4] = value
+        train = rbx.TrainingSet(points, "manual")
+        with pytest.raises(InvalidParameterError, match=r"at row 37 lies outside the box"):
+            run_greedy(thermal_small, train, GreedyConfig(eps_tol=1e-6, method=method))
+        assert thermal_small.counters.truth_solves == 0
+
+    def test_wrong_dimension(self, diffusion_small):
+        train = rbx.TrainingSet(np.zeros((20, 9)), "manual")
+        with pytest.raises(InvalidParameterError, match=r"shape \(20, 9\), expected \(b, 2\)"):
+            run_greedy(diffusion_small, train, GreedyConfig(eps_tol=1e-6))
+        assert diffusion_small.counters.truth_solves == 0
+
+    def test_batches_validate_like_single_points(self, thermal_small):
+        model = rbx.ReducedModel(thermal_small)
+        mus = np.full((5, 9), 1.0)
+        mus[3, 0] = 0.01
+        with pytest.raises(InvalidParameterError, match="at row 3"):
+            rbx.estimate_batch(model, thermal_small, mus)
+        with pytest.raises(InvalidParameterError):
+            rbx.error_estimate(model, thermal_small, mus[3])
+
+
 def _poison_theta(problem, point, monkeypatch, value=np.nan):
     """Make the middle coefficient function return ``value`` at one parameter."""
-    real = problem.theta_batch
+    real = problem.theta
 
     def poisoned(mus):
         out = real(mus)
         out[np.all(mus == point, axis=1), out.shape[1] // 2] = value
         return out
 
-    monkeypatch.setattr(problem, "theta_batch", poisoned)
+    monkeypatch.setattr(problem, "theta", poisoned)
 
 
 class TestNonFiniteEstimates:

@@ -1,15 +1,16 @@
-"""Experiment harness: config handling, artifacts, self-checks, CLI."""
+"""Experiment harness: config handling, artifacts, CLI, public surface."""
 
 import json
 
 import numpy as np
 import pytest
 
+import rbx
 import rbx.harness as harness
 from rbx.cli import main as cli_main
 from rbx.errors import ConfigurationError, ResourceError
 from rbx.greedy import GreedyConfig
-from rbx.harness import ExperimentConfig, run_experiment, verify
+from rbx.harness import ExperimentConfig, run_experiment
 
 
 def tiny_config_dict(**overrides):
@@ -78,6 +79,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             ExperimentConfig.from_dict(tiny_config_dict(workers=0))
 
+    def test_training_keys_checked(self):
+        raw = {"problem": "thermalblock", "training": {"kind": "random", "cuont": 50}}
+        with pytest.raises(ConfigurationError, match=r"unknown training keys: \['cuont'\]"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"repetitions": "two"}, "repetitions"),
+            ({"workers": "two"}, "workers"),
+            ({"training": {"kind": "random", "count": "two"}}, "training.count"),
+            ({"training": {"kind": "grid", "n_per_dim": "two"}}, "training.n_per_dim"),
+            ({"training": {"kind": "grid", "n_per_dim": 4, "seed": None}}, "training.seed"),
+        ],
+    )
+    def test_non_integer_values_rejected(self, overrides, key):
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer"):
+            ExperimentConfig.from_dict(tiny_config_dict(**overrides))
+
     def test_from_file_errors(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):
             ExperimentConfig.from_file(tmp_path / "missing.json")
@@ -95,6 +115,12 @@ class TestConfigParsing:
 
 
 class TestGreedyConfigMerge:
+    @pytest.mark.parametrize("key", ["m_growth", "m_fixed"])
+    def test_non_integer_schedule_rejected(self, key):
+        config = ExperimentConfig.from_dict(tiny_config_dict(greedy={"eps_tol": 1.0, key: "two"}))
+        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer"):
+            config.greedy_config("smm")
+
     def test_method_defaults_applied(self):
         config = ExperimentConfig.from_dict(tiny_config_dict())
         smm = config.greedy_config("smm")
@@ -261,14 +287,6 @@ class TestRunExperiment:
         }
 
 
-class TestVerify:
-    def test_quick_checks_pass(self):
-        report = verify(quick=True)
-        assert len(report) == 4
-        for name, ok, detail in report:
-            assert ok, f"{name}: {detail}"
-
-
 class TestCli:
     def test_problems_listing(self, capsys):
         assert cli_main(["problems"]) == 0
@@ -294,7 +312,44 @@ class TestCli:
         assert (out / "summary.json").is_file()
         assert str(out) in capsys.readouterr().out
 
-    def test_verify_quick_exits_0(self, capsys):
-        assert cli_main(["verify", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"training": {"kind": "grid", "cuont": 4}}, {"repetitions": "two"}],
+    )
+    def test_run_with_bad_config_value_exits_2(self, tmp_path, capsys, overrides):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config_dict(**overrides)), encoding="utf-8")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+PUBLIC_NAMES = [
+    "AffineProblem", "BasisRejectionError", "BoundStrategyError", "CdmOfflineData",
+    "ConfigurationError", "ConstantBound", "Counters", "ExperimentConfig",
+    "GreedyConfig", "GreedyTrace", "InvalidParameterError", "IterationRecord",
+    "MethodResult", "MinThetaBound", "NumericalFailureError", "OuterLoopRecord",
+    "PROBLEMS", "ParameterBox", "RbxError", "ReducedModel", "ReducedSolution",
+    "ResourceError", "TrainingSet", "TruthDiscretization", "TruthSolution",
+    "__version__", "argmax_sweep", "assemble_operator", "build_diffusion2d",
+    "build_thermal_block", "cdm_build_offline", "cdm_construct",
+    "coercivity_lower_bound", "error_estimate", "estimate_batch", "extend_basis",
+    "pivoted_cholesky", "reconstruct", "reduced_output", "reduced_solve",
+    "residual_dual_norm_sq", "riesz_solve", "run_experiment", "run_greedy",
+    "run_methods", "sample_training_set", "smm_construct", "truth_output",
+    "truth_solve", "x_norm",
+]
+
+
+class TestPublicSurface:
+    # a change to the package's public names or subcommands shows up here
+    def test_all_names(self):
+        assert sorted(rbx.__all__) == PUBLIC_NAMES
+        for name in rbx.__all__:
+            assert getattr(rbx, name) is not None
+
+    def test_cli_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["--help"])
+        assert exit_info.value.code == 0
+        assert "{run,problems}" in capsys.readouterr().out

@@ -9,7 +9,6 @@ from rbx.affine import assemble_operator
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.truth import (
     Factorization,
-    SpdFactorization,
     apply_operator_inverse,
     chebyshev_diff_matrix,
     chebyshev_lobatto_nodes,
@@ -17,7 +16,6 @@ from rbx.truth import (
     riesz_solve,
     truth_output,
     truth_solve,
-    x_inner_product,
     x_norm,
 )
 
@@ -73,12 +71,12 @@ class TestFactorizations:
         f = rng.standard_normal((10, 10))
         a = f @ f.T + 10.0 * np.eye(10)
         b = rng.standard_normal(10)
-        np.testing.assert_allclose(a @ SpdFactorization(a).solve(b), b, rtol=1e-10)
+        np.testing.assert_allclose(a @ Factorization(a, spd=True).solve(b), b, rtol=1e-10)
 
     def test_spd_rejects_indefinite_dense(self):
         bad = np.diag([1.0, -1.0])
         with pytest.raises(NumericalFailureError):
-            SpdFactorization(bad)
+            Factorization(bad, spd=True)
 
 
 class TestDiffusionProblem:
@@ -159,10 +157,15 @@ class TestDiffusionProblem:
 
     def test_factorization_cache_reused(self, diffusion_small):
         counters = diffusion_small.counters
-        truth_solve(diffusion_small, [0.1, 0.2], cache_key="k", keep_factorization=True)
+        rhs = diffusion_small.rhs
+        first = apply_operator_inverse(diffusion_small, [0.1, 0.2], rhs, cache_key="k", keep=True)
         n_fact = counters.truth_factorizations
-        truth_solve(diffusion_small, [0.1, 0.2], cache_key="k")
+        again = apply_operator_inverse(diffusion_small, [0.1, 0.2], rhs, cache_key="k")
         assert counters.truth_factorizations == n_fact
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_allclose(
+            again, truth_solve(diffusion_small, [0.1, 0.2]).coefficients, rtol=1e-10
+        )
 
     def test_minimum_size_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -248,6 +251,6 @@ class TestRieszMachinery:
         disc = thermal_small.discretization
         v = rng.standard_normal(thermal_small.n_dof)
         w = rng.standard_normal(thermal_small.n_dof)
-        assert abs(x_inner_product(disc, v, w) - x_inner_product(disc, w, v)) < 1e-10
+        assert abs(v @ disc.x_apply(w) - w @ disc.x_apply(v)) < 1e-10
         assert x_norm(disc, v) > 0
 
