@@ -5,8 +5,9 @@
 ``rbx problems``
     List the built-in problems with their defaults.
 
-Exit codes: 0 on success, 2 on configuration errors (bad JSON, unknown
-fields, invalid values).
+Exit codes: 0 on success, 1 when a run fails (a failed truth solve, an
+inapplicable coercivity bound, artifact writing), 2 on configuration errors
+(bad JSON, unknown fields, invalid values).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import ConfigurationError, InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError, RbxError
 from .harness import PROBLEMS, ExperimentConfig, run_experiment
 
 
@@ -68,6 +69,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, InvalidParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RbxError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return 1
     parser.error(f"unknown command {args.command!r}")
     return 2
 

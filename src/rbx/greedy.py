@@ -20,6 +20,7 @@ evaluation at the chosen parameter, recorded in its own counter bucket.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -67,22 +68,20 @@ class GreedyConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not self.eps_tol > 0:
-            raise ConfigurationError(f"eps_tol must be positive, got {self.eps_tol}")
-        if self.n_max < 1:
-            raise ConfigurationError(f"n_max must be at least 1, got {self.n_max}")
         if self.method not in _METHODS:
             raise ConfigurationError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.k_damp is None:
             self.k_damp = DEFAULT_CDM_K_DAMP if self.method == "cdm" else 1
-        if self.k_damp < 1:
-            raise ConfigurationError(f"k_damp must be at least 1, got {self.k_damp}")
-        if self.cdm_q_cap < 1:
-            raise ConfigurationError(f"cdm_q_cap must be at least 1, got {self.cdm_q_cap}")
-        if self.sweep_chunk < 1:
-            raise ConfigurationError(f"sweep_chunk must be at least 1, got {self.sweep_chunk}")
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be at least 1, got {self.workers}")
+        if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
+            raise ConfigurationError(f"eps_tol must be a number, got {self.eps_tol!r}")
+        if not self.eps_tol > 0:
+            raise ConfigurationError(f"eps_tol must be positive, got {self.eps_tol}")
+        for name in ("n_max", "k_damp", "seed", "cdm_q_cap", "sweep_chunk", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ConfigurationError(f"{name} must be at least 1, got {value}")
 
     def budget(self, ell: int) -> int:
         if self.m_schedule is not None:

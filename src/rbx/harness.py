@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .affine import AffineProblem, TrainingSet, sample_training_set
-from .errors import ConfigurationError, ResourceError
+from .errors import ConfigurationError, RbxError, ResourceError
 from .greedy import _METHODS, GreedyConfig, GreedyTrace, run_greedy
 from .reduced import ReducedModel
 from .truth import build_diffusion2d, build_thermal_block
@@ -168,7 +168,7 @@ class ExperimentConfig:
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
 
-        return cls(
+        config = cls(
             problem_name=name,
             problem_params=params,
             training=training,
@@ -179,6 +179,9 @@ class ExperimentConfig:
             repetitions=repetitions,
             workers=workers,
         )
+        for m in config.methods:
+            config.greedy_config(m)
+        return config
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -240,8 +243,8 @@ class ExperimentConfig:
         merged.setdefault("workers", self.workers)
         try:
             return GreedyConfig(method=method, m_schedule=schedule, **merged)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad greedy settings for {method}: {exc}")
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"bad greedy settings for {method}: {exc}") from None
 
 
 @dataclass
@@ -345,20 +348,39 @@ def _summarize(
     return out
 
 
+def _mark_incomplete(marker: Path, reason: str) -> None:
+    try:
+        marker.write_text(reason + "\n", encoding="utf-8")
+    except OSError:
+        pass
+
+
 def run_experiment(
     config: ExperimentConfig, out_dir: Optional[str] = None, workers: Optional[int] = None
 ) -> Path:
-    """Run all configured methods and write the artifact directory."""
+    """Run all configured methods and write the artifact directory.
+
+    A run that raises an ``RbxError`` (a failed truth solve, an inapplicable
+    coercivity bound) or fails to write its artifacts leaves an ``INCOMPLETE``
+    marker naming the error and re-raises; a marker left in the directory by
+    an earlier run is removed first.
+    """
     if workers is not None:
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
         config.workers = int(workers)
     target = Path(out_dir or config.output_dir or "rbx_results")
     target.mkdir(parents=True, exist_ok=True)
+    marker = target / "INCOMPLETE"
+    marker.unlink(missing_ok=True)
 
     probe = config.build_problem()
     train = config.build_training(probe.box)
-    results = run_methods(config)
+    try:
+        results = run_methods(config)
+    except RbxError as exc:
+        _mark_incomplete(marker, f"run failed: {type(exc).__name__}: {exc}")
+        raise
     headers = _csv_header_lines(config)
 
     try:
@@ -418,11 +440,6 @@ def run_experiment(
             json.dump(summary, fh, indent=2, default=str)
             fh.write("\n")
     except OSError as exc:
-        try:
-            (target / "INCOMPLETE").write_text(
-                f"artifact writing failed: {exc}\n", encoding="utf-8"
-            )
-        except OSError:
-            pass
+        _mark_incomplete(marker, f"artifact writing failed: {exc}")
         raise ResourceError(f"failed to write artifacts into {target}: {exc}")
     return target

@@ -8,7 +8,7 @@ import pytest
 import rbx
 import rbx.harness as harness
 from rbx.cli import main as cli_main
-from rbx.errors import ConfigurationError, ResourceError
+from rbx.errors import ConfigurationError, NumericalFailureError, ResourceError
 from rbx.greedy import GreedyConfig
 from rbx.harness import ExperimentConfig, run_experiment
 
@@ -117,9 +117,9 @@ class TestConfigParsing:
 class TestGreedyConfigMerge:
     @pytest.mark.parametrize("key", ["m_growth", "m_fixed"])
     def test_non_integer_schedule_rejected(self, key):
-        config = ExperimentConfig.from_dict(tiny_config_dict(greedy={"eps_tol": 1.0, key: "two"}))
+        raw = tiny_config_dict(greedy={"eps_tol": 1.0, key: "two"})
         with pytest.raises(ConfigurationError, match=f"^{key} must be an integer"):
-            config.greedy_config("smm")
+            ExperimentConfig.from_dict(raw)
 
     def test_method_defaults_applied(self):
         config = ExperimentConfig.from_dict(tiny_config_dict())
@@ -149,15 +149,29 @@ class TestGreedyConfigMerge:
 
     def test_growth_and_fixed_conflict(self):
         raw = tiny_config_dict(greedy={"eps_tol": 1.0, "m_growth": 2, "m_fixed": 5})
-        config = ExperimentConfig.from_dict(raw)
         with pytest.raises(ConfigurationError, match="not both"):
-            config.greedy_config("smm")
+            ExperimentConfig.from_dict(raw)
 
     def test_bad_value_surfaces_as_configuration_error(self):
         raw = tiny_config_dict(greedy={"eps_tol": "high"})
-        config = ExperimentConfig.from_dict(raw)
-        with pytest.raises((ConfigurationError, TypeError)):
-            config.greedy_config("classical")
+        with pytest.raises(ConfigurationError, match="eps_tol must be a number"):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "greedy, field",
+        [
+            ({"n_max": "four"}, "n_max"),
+            ({"n_max": 4.0}, "n_max"),
+            ({"smm": {"k_damp": True}}, "k_damp"),
+            ({"seed": None}, "seed"),
+            ({"cdm": {"sweep_chunk": 1.5}}, "sweep_chunk"),
+            ({"workers": "2"}, "workers"),
+        ],
+    )
+    def test_greedy_fields_type_checked_at_parse_time(self, greedy, field):
+        raw = tiny_config_dict(greedy={"eps_tol": 1.0, **greedy})
+        with pytest.raises(ConfigurationError, match=f"{field} must be an integer"):
+            ExperimentConfig.from_dict(raw)
 
 
 @pytest.fixture(scope="module")
@@ -322,6 +336,43 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_run_with_mistyped_greedy_field_exits_2_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        raw = tiny_config_dict(greedy={"eps_tol": 1e-9, "n_max": "four"})
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_max" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failing_truth_solve_exits_1_and_leaves_marker(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config_dict(methods=["classical"])), encoding="utf-8")
+        out = tmp_path / "out"
+        real = rbx.greedy.truth_solve
+        calls = []
+
+        def failing(problem, mu):
+            calls.append(mu)
+            if len(calls) == 3:
+                raise NumericalFailureError("injected truth-solve failure")
+            return real(problem, mu)
+
+        monkeypatch.setattr(rbx.greedy, "truth_solve", failing)
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and "injected truth-solve failure" in err
+        assert len(err.strip().splitlines()) == 1
+        marker = out / "INCOMPLETE"
+        assert "NumericalFailureError" in marker.read_text()
+        assert "injected truth-solve failure" in marker.read_text()
+        assert not (out / "summary.json").exists()
+
+        # a later successful run into the same directory clears the marker
+        monkeypatch.setattr(rbx.greedy, "truth_solve", real)
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "summary.json").is_file() and not marker.exists()
 
 
 PUBLIC_NAMES = [
