@@ -64,7 +64,6 @@ class GreedyConfig:
     m_schedule: Optional[Callable[[int], int]] = None
     seed: int = 0
     cdm_q_cap: int = 5
-    sweep_chunk: int = 4096
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -76,7 +75,7 @@ class GreedyConfig:
             raise ConfigurationError(f"eps_tol must be a number, got {self.eps_tol!r}")
         if not self.eps_tol > 0:
             raise ConfigurationError(f"eps_tol must be positive, got {self.eps_tol}")
-        for name in ("n_max", "k_damp", "seed", "cdm_q_cap", "sweep_chunk", "workers"):
+        for name in ("n_max", "k_damp", "seed", "cdm_q_cap", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
@@ -153,9 +152,7 @@ class GreedyTrace:
 @dataclass
 class SweepResult:
     delta_max: float  # maximum over everything swept
-    deltas: np.ndarray  # estimates in domain order
     field: np.ndarray  # estimates over the training set, -inf off the domain
-    weights: Optional[np.ndarray]  # Galerkin-residual weights, when kept
 
 
 def _argmax_excluding(values: np.ndarray, excluded: set[int]) -> Optional[int]:
@@ -177,17 +174,15 @@ def argmax_sweep(
     train: TrainingSet,
     domain: Optional[np.ndarray] = None,
     kind: str = "other",
-    chunk: int = 4096,
     workers: int = 1,
     systems: Optional[TrainingSystems] = None,
-    keep_weights: bool = False,
 ) -> SweepResult:
     """Estimate over a sweep domain.
 
     ``domain`` is a list of training indices (the whole set when omitted).
     ``systems`` is the run's evaluated training set; without it, this sweep
-    evaluates one.  ``keep_weights`` keeps the Galerkin-residual weights of
-    every swept point for ``cdm_construct``.  ``delta_max`` is the maximum
+    evaluates one.  A full sweep leaves its reduced solutions on
+    ``systems.coeffs`` for ``cdm_construct``.  ``delta_max`` is the maximum
     over the whole swept domain, which is what a termination certificate
     needs; ``field`` scatters the estimates over the training set for
     selection.  A non-finite estimate raises ``NumericalFailureError``
@@ -201,17 +196,7 @@ def argmax_sweep(
     points = systems.points
     if points.shape[0] == 0:
         raise ConfigurationError("cannot sweep an empty domain")
-    out = estimate_batch(
-        model,
-        problem,
-        points,
-        chunk=chunk,
-        kind=kind,
-        return_weights=keep_weights,
-        workers=workers,
-        systems=systems,
-    )
-    deltas, weights = out if keep_weights else (out, None)
+    deltas = estimate_batch(model, problem, points, kind=kind, workers=workers, systems=systems)
     bad = np.flatnonzero(~np.isfinite(deltas))
     if bad.size:
         j = int(bad[0])
@@ -224,7 +209,7 @@ def argmax_sweep(
     else:
         field = np.full(train.n_train, -np.inf)
         field[domain] = deltas
-    return SweepResult(delta_max=float(deltas.max()), deltas=deltas, field=field, weights=weights)
+    return SweepResult(delta_max=float(deltas.max()), field=field)
 
 
 class _RunState:
@@ -267,10 +252,8 @@ class _RunState:
             self.train,
             domain=domain,
             kind=kind,
-            chunk=self.config.sweep_chunk,
             workers=self.config.workers,
             systems=self.systems,
-            keep_weights=domain is None and self.config.method == "cdm",
         )
         record = IterationRecord(
             n=model.n,
@@ -291,21 +274,12 @@ class _RunState:
         start = time.perf_counter()
         config = self.config
         if config.method == "smm":
-            picked = smm_construct(sweep.deltas, config.eps_tol, budget)
+            picked = smm_construct(sweep.field, config.eps_tol, budget)
         else:
             self.offline = cdm_build_offline(
                 model, self.problem, q_cap=config.cdm_q_cap, offline=self.offline
             )
-            picked = cdm_construct(
-                model,
-                self.problem,
-                self.offline,
-                self.systems.points,
-                budget,
-                weights=sweep.weights,
-                thetas=self.systems.thetas,
-                scales=self.systems.scales,
-            )
+            picked = cdm_construct(model, self.offline, self.systems, budget)
         self.surrogate_seconds += time.perf_counter() - start
         return [int(i) for i in picked if int(i) not in self.excluded]
 

@@ -14,12 +14,14 @@ artifacts into the output directory:
 
 Every CSV starts with two comment lines carrying the resolved config and
 the seeds, and floats are written with 17 significant digits so the files
-round-trip exactly.
+round-trip exactly.  Each artifact is written to ``<name>.tmp`` and renamed
+into place, so it is either complete or absent.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -290,13 +292,20 @@ def _csv_header_lines(config: ExperimentConfig) -> list[str]:
     return [f"# config: {cfg_line}", f"# seeds: {seeds}"]
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``<name>.tmp`` and rename it over ``path``, so that
+    ``path`` is either complete or untouched; the temporary never stays."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    lines = header_lines + [",".join(columns)] + [",".join(row) for row in rows]
+    _write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def _summarize(
@@ -436,9 +445,7 @@ def run_experiment(
         )
 
         summary = _summarize(config, results, train)
-        with open(target / "summary.json", "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, default=str)
-            fh.write("\n")
+        _write_atomic(target / "summary.json", json.dumps(summary, indent=2, default=str) + "\n")
     except OSError as exc:
         _mark_incomplete(marker, f"artifact writing failed: {exc}")
         raise ResourceError(f"failed to write artifacts into {target}: {exc}")

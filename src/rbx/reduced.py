@@ -8,24 +8,31 @@ That costs O((N Q_a)^2) per parameter and stays accurate down to
 machine-level residuals, where the expanded Gramian quadratic form would
 lose half its digits to cancellation.
 
-All arithmetic is float64.  Single-point calls are a batch of one through
-the chunked sweep kernels.  The full sweeps of a greedy run on a symmetric
-problem instead back-substitute through per-point Cholesky factors that
-``TrainingSystems`` grows with the basis; both agree to 1e-12 of the
-empty-basis estimate.  A single-point solve or estimate that comes out
-non-finite raises ``NumericalFailureError`` naming the parameter.
+All arithmetic is float64.  The sweep kernels run on fixed blocks of
+``DEFAULT_CHUNK`` points, and single-point calls are a batch of one through
+them.  The full sweeps of a greedy run on a symmetric problem instead
+back-substitute through per-point Cholesky factors that ``TrainingSystems``
+grows with the basis; both agree to 1e-12 of the empty-basis estimate.  A
+single-point solve or estimate that comes out non-finite raises
+``NumericalFailureError`` naming the parameter.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .affine import AffineProblem, evaluate_theta_batch, rhs_scale_batch
-from .errors import BasisRejectionError, BoundStrategyError, NumericalFailureError
+from .errors import (
+    BasisRejectionError,
+    BoundStrategyError,
+    InvalidParameterError,
+    NumericalFailureError,
+)
 from .truth import TruthDiscretization, TruthSolution, riesz_solve, x_norm
 
 REJECTION_RTOL = 1e-10
@@ -297,27 +304,20 @@ def reduced_solve_batch(
     return _solve_chunk(model, thetas, scales, n)
 
 
-def augmented_weights(
-    thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
+def augmented_weights(thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Rows [s, c_1 theta, ..., c_n theta]: the weights of the load and of the
-    basis-image terms -A_q xi_j in the Galerkin residual (written to ``out``
-    when given)."""
+    basis-image terms -A_q xi_j in the Galerkin residual."""
     b, n = coeffs.shape
-    w = np.empty((b, 1 + n * thetas.shape[1])) if out is None else out
+    w = np.empty((b, 1 + n * thetas.shape[1]))
     w[:, 0] = scales
     w[:, 1:] = (coeffs[:, :, None] * thetas[:, None, :]).reshape(b, -1)
     return w
 
 
 def residual_norm_sq_batch(
-    model: ReducedModel,
-    thetas: np.ndarray,
-    scales: np.ndarray,
-    coeffs: np.ndarray,
-    weights_out: Optional[np.ndarray] = None,
+    model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
-    w = augmented_weights(thetas, scales, coeffs, weights_out)
+    w = augmented_weights(thetas, scales, coeffs)
     z = w @ model._res_factor[:, : w.shape[1]].T
     return np.einsum("ij,ij->i", z, z)
 
@@ -419,7 +419,8 @@ class TrainingSystems:
     ``CholeskyRows`` factor of every point's reduced matrix, which
     ``estimate_batch`` borders by the rows the basis gained since its
     previous call.  A factor serves the one model it is grown with and holds
-    b N (N + 1) / 2 floats at basis size N.
+    b N (N + 1) / 2 floats at basis size N.  ``coeffs`` holds the reduced
+    solutions (rows: points) of the latest ``estimate_batch`` call.
     """
 
     points: np.ndarray
@@ -427,6 +428,7 @@ class TrainingSystems:
     scales: np.ndarray
     alphas: np.ndarray
     factor: Optional[CholeskyRows] = None
+    coeffs: Optional[np.ndarray] = None
 
     @classmethod
     def evaluate(
@@ -445,7 +447,7 @@ class TrainingSystems:
         )
 
     def restrict(self, domain: np.ndarray) -> "TrainingSystems":
-        """The data of the points ``domain``, without a factor."""
+        """The data of the points ``domain``, without a factor or solutions."""
         return TrainingSystems(
             self.points[domain], self.thetas[domain], self.scales[domain], self.alphas[domain]
         )
@@ -456,39 +458,41 @@ def estimate_batch(
     problem: AffineProblem,
     mus: np.ndarray,
     n: Optional[int] = None,
-    chunk: int = DEFAULT_CHUNK,
     kind: str = "other",
-    return_weights: bool = False,
     workers: int = 1,
     systems: Optional[TrainingSystems] = None,
-):
+) -> np.ndarray:
     """Error estimates for many parameters at once.
 
-    Returns the estimate array, and optionally the Galerkin-residual weights
-    of every point (``augmented_weights``, reused by ``cdm_construct`` to
-    avoid re-solving and re-weighting).  ``systems`` holds the
-    evaluated data of ``mus``; when it keeps a Cholesky factor, the factor
-    is bordered up to size ``n`` and the solves back-substitute through it,
-    otherwise every chunk of ``chunk`` points assembles and solves its
-    systems afresh.  A non-positive or non-finite pivot raises
-    ``NumericalFailureError`` naming the first such point.  ``workers > 1``
-    fans the chunks out over threads; the model is only read, and every
-    chunk writes a disjoint slice of the output and of the factor.
+    ``systems`` holds the evaluated data of ``mus`` (its ``points`` must be
+    ``mus`` or equal it, else ``InvalidParameterError``) and keeps the
+    reduced solutions of every point as ``systems.coeffs``, which
+    ``cdm_construct`` reads.  The points run in blocks of ``DEFAULT_CHUNK``:
+    each block solves its systems, by bordering the Cholesky factor up to
+    size ``n`` and back-substituting when ``systems`` keeps one and by a
+    fresh assembly and solve otherwise, and then forms its residual norms.
+    A non-positive or non-finite pivot raises ``NumericalFailureError``
+    naming the first such point.  ``workers > 1`` fans the blocks out over
+    threads; the model is only read, and every block writes a disjoint
+    slice of the output and of the factor.  The blocks do not move with
+    ``workers``, and so neither does any estimate (OpenBLAS rounds a row of
+    a product differently with the number of rows).
     """
     mus = np.asarray(mus, dtype=float)
     n = model.n if n is None else int(n)
     b = mus.shape[0]
     if systems is None:
         systems = TrainingSystems.evaluate(problem, mus)
+    elif systems.points is not mus and not np.array_equal(systems.points, mus):
+        raise InvalidParameterError("systems were evaluated at other parameters than mus")
     factor = systems.factor
     grow = factor is not None and n > factor.rows
     pivots = np.full(b, np.inf)
-    coeffs = np.empty((b, n))
+    coeffs = systems.coeffs = np.empty((b, n))
     deltas = np.empty(b)
-    weights = np.empty((b, 1 + n * problem.n_terms)) if return_weights else None
 
-    def solve_rows(start: int) -> None:
-        sl = slice(start, min(start + chunk, b))
+    def block(start: int) -> None:
+        sl = slice(start, min(start + DEFAULT_CHUNK, b))
         thetas, scales = systems.thetas[sl], systems.scales[sl]
         if factor is None:
             coeffs[sl] = _solve_chunk(model, thetas, scales, n)
@@ -496,16 +500,15 @@ def estimate_batch(
             if grow:
                 pivots[sl] = factor.border(model, thetas, scales, n, sl)
             coeffs[sl] = factor.solve(n, sl)
-
-    def residual_rows(start: int) -> None:
-        sl = slice(start, min(start + DEFAULT_CHUNK, b))
-        out = None if weights is None else weights[sl]
-        rsq = residual_norm_sq_batch(
-            model, systems.thetas[sl], systems.scales[sl], coeffs[sl], out
-        )
+        rsq = residual_norm_sq_batch(model, thetas, scales, coeffs[sl])
         deltas[sl] = np.sqrt(np.maximum(rsq, 0.0)) / systems.alphas[sl]
 
-    _each(solve_rows, range(0, b, chunk), workers)
+    starts = range(0, b, DEFAULT_CHUNK)
+    if workers > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, starts))
+    else:
+        list(map(block, starts))
     if grow:
         bad = np.flatnonzero(~(pivots > 0))
         if bad.size:
@@ -515,23 +518,6 @@ def estimate_batch(
                 f"mu = {systems.points[j]}"
             )
         factor.rows = n
-    # the residual GEMMs run on fixed blocks: OpenBLAS rounds a row of a
-    # product differently with the number of rows, and a point's estimate
-    # must not depend on chunk or workers
-    _each(residual_rows, range(0, b, DEFAULT_CHUNK), workers)
     model.counters.reduced_solves += b
     model.counters.count_estimates(b, kind)
-    if return_weights:
-        return deltas, weights
     return deltas
-
-
-def _each(task, starts: range, workers: int) -> None:
-    if workers > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(task, starts))
-    else:
-        for start in starts:
-            task(start)

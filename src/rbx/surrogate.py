@@ -24,10 +24,16 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-from .affine import AffineProblem, evaluate_theta_batch, rhs_scale_batch
+from .affine import AffineProblem
 from .counters import Counters
 from .errors import ConfigurationError, NumericalFailureError
-from .reduced import ReducedModel, augmented_weights, orthonormal_fold, reduced_solve_batch
+from .reduced import (
+    ReducedModel,
+    TrainingSystems,
+    augmented_weights,
+    orthonormal_fold,
+    reduced_solve_batch,
+)
 from .truth import apply_operator_inverse
 
 PIVOT_DROP_RTOL = 1e-12
@@ -270,14 +276,7 @@ def approx_error_coords(
 
 
 def cdm_construct(
-    model: ReducedModel,
-    problem: AffineProblem,
-    offline: CdmOfflineData,
-    train_points: np.ndarray,
-    budget: int,
-    weights: Optional[np.ndarray] = None,
-    thetas: Optional[np.ndarray] = None,
-    scales: Optional[np.ndarray] = None,
+    model: ReducedModel, offline: CdmOfflineData, systems: TrainingSystems, budget: int
 ) -> np.ndarray:
     """Pick up to ``budget`` training indices by error-direction pivoting.
 
@@ -290,23 +289,16 @@ def cdm_construct(
     novelty, which makes the surrogate domains rich in badly-approximated
     points.
 
-    Passing the sweep byproducts ``weights`` (the Galerkin-residual weights
-    of the full-sweep solutions), ``thetas`` and ``scales`` skips the
-    reduced re-solves.
+    The errors are those of the reduced solutions that the latest full
+    sweep (``estimate_batch``) left on ``systems.coeffs`` at the model's
+    current basis size.
     """
     if offline.q_used == 0 or budget == 0:
         return np.zeros(0, dtype=int)
-    mus = np.asarray(train_points, dtype=float)
-    if mus.shape[0] == 0:
-        return np.zeros(0, dtype=int)
-    if thetas is None:
-        thetas = evaluate_theta_batch(problem, mus)
-    if scales is None:
-        scales = rhs_scale_batch(problem, mus)
-    if weights is None:
-        weights = augmented_weights(thetas, scales, reduced_solve_batch(model, thetas, scales))
-
-    y = approx_error_coords(model, offline, thetas, scales, weights)
+    if systems.coeffs is None or systems.coeffs.shape[1] != model.n:
+        raise ConfigurationError("cdm_construct needs a full sweep at the current basis size")
+    weights = augmented_weights(systems.thetas, systems.scales, systems.coeffs)
+    y = approx_error_coords(model, offline, systems.thetas, systems.scales, weights)
     norm_sq = np.einsum("br,br->b", y, y)
     norms = np.sqrt(norm_sq)
     floor = max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * float(norms.max(initial=0.0)))

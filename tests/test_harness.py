@@ -164,7 +164,7 @@ class TestGreedyConfigMerge:
             ({"n_max": 4.0}, "n_max"),
             ({"smm": {"k_damp": True}}, "k_damp"),
             ({"seed": None}, "seed"),
-            ({"cdm": {"sweep_chunk": 1.5}}, "sweep_chunk"),
+            ({"cdm": {"cdm_q_cap": 1.5}}, "cdm_q_cap"),
             ({"workers": "2"}, "workers"),
         ],
     )
@@ -264,6 +264,7 @@ class TestRunExperiment:
 
     def test_write_failure_leaves_marker(self, tmp_path, monkeypatch):
         config = ExperimentConfig.from_dict(tiny_config_dict())
+        real_csv, real_replace = harness._write_csv, harness.os.replace
 
         def broken(path, header_lines, columns, rows):
             raise OSError("disk full")
@@ -273,6 +274,22 @@ class TestRunExperiment:
             run_experiment(config, out_dir=tmp_path)
         marker = tmp_path / "INCOMPLETE"
         assert marker.is_file() and "disk full" in marker.read_text()
+
+        # the summary's temporary is complete when its rename fails
+        def replace(src, dst):
+            if str(dst).endswith("summary.json"):
+                raise OSError("rename refused")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(harness, "_write_csv", real_csv)
+        monkeypatch.setattr(harness.os, "replace", replace)
+        out = tmp_path / "summary"
+        with pytest.raises(ResourceError):
+            run_experiment(config, out_dir=out)
+        assert (out / "snapshots.csv").is_file()
+        assert not (out / "summary.json").exists()
+        assert not list(out.glob("*.tmp"))
+        assert "rename refused" in (out / "INCOMPLETE").read_text()
 
     def test_workers_override_validated(self, tmp_path):
         config = ExperimentConfig.from_dict(tiny_config_dict())
@@ -328,7 +345,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"training": {"kind": "grid", "cuont": 4}}, {"repetitions": "two"}],
+        [
+            {"training": {"kind": "grid", "cuont": 4}},
+            {"repetitions": "two"},
+            # the removed block-size knob is an unknown greedy key
+            {"greedy": {"eps_tol": 1e-9, "sweep_chunk": 64}},
+        ],
     )
     def test_run_with_bad_config_value_exits_2(self, tmp_path, capsys, overrides):
         path = tmp_path / "config.json"

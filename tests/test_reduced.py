@@ -5,10 +5,12 @@ import pytest
 
 import rbx
 from rbx.affine import assemble_operator
-from rbx.errors import BasisRejectionError
+from rbx import reduced
+from rbx.errors import BasisRejectionError, InvalidParameterError
 from rbx.reduced import (
     ReducedModel,
     ReducedSolution,
+    TrainingSystems,
     error_estimate,
     estimate_batch,
     extend_basis,
@@ -192,27 +194,63 @@ class TestErrorEstimate:
 
 
 class TestBatchedSweeps:
-    def test_batch_matches_pointwise(self, diffusion_small, diffusion_model):
+    def test_batch_matches_pointwise(self, diffusion_small, diffusion_model, monkeypatch):
+        monkeypatch.setattr(reduced, "DEFAULT_CHUNK", 7)
         rng = np.random.default_rng(14)
         mus = -0.99 + 1.98 * rng.random((40, 2))
-        batch = estimate_batch(diffusion_model, diffusion_small, mus, chunk=7)
+        batch = estimate_batch(diffusion_model, diffusion_small, mus)
         single = np.array(
             [error_estimate(diffusion_model, diffusion_small, mu) for mu in mus]
         )
         np.testing.assert_allclose(batch, single, rtol=1e-9)
 
-    @pytest.mark.parametrize("chunk", [64, 4096])
-    def test_batch_threaded_matches_serial(self, diffusion_small, diffusion_model, chunk):
-        # bitwise invariance in chunk size and worker count
+    @pytest.mark.parametrize("block", [64, 4096])
+    def test_batch_threaded_matches_serial(
+        self, diffusion_small, diffusion_model, block, monkeypatch
+    ):
+        # bitwise invariance in the worker count, at two block sizes
+        monkeypatch.setattr(reduced, "DEFAULT_CHUNK", block)
         rng = np.random.default_rng(15)
         mus = -0.99 + 1.98 * rng.random((2 * 4096 + 100, 2))
-        whole = estimate_batch(diffusion_model, diffusion_small, mus, chunk=len(mus))
-        serial = estimate_batch(diffusion_model, diffusion_small, mus, chunk=chunk)
-        threaded = estimate_batch(
-            diffusion_model, diffusion_small, mus, chunk=chunk, workers=2
+        serial = estimate_batch(diffusion_model, diffusion_small, mus)
+        threaded = estimate_batch(diffusion_model, diffusion_small, mus, workers=2)
+        np.testing.assert_array_equal(threaded, serial)
+
+    def test_grown_factor_threaded_matches_serial(self, thermal_small, thermal_train_small):
+        # the default blocks: three of them, over two successive borders
+        model, _ = build_model(thermal_small, thermal_train_small, n_target=3)
+        rng = np.random.default_rng(18)
+        mus = 0.1 + rng.random((2 * 4096 + 100, 9)) * 9.9
+        runs = {w: TrainingSystems.evaluate(thermal_small, mus, capacity=8) for w in (1, 2)}
+        for border in range(2):
+            if border:
+                for j in (0, 1):
+                    extend_basis(model, truth_solve(thermal_small, mus[j]), j)
+            deltas = {
+                w: estimate_batch(model, thermal_small, mus, workers=w, systems=systems)
+                for w, systems in runs.items()
+            }
+            np.testing.assert_array_equal(deltas[2], deltas[1])
+            one, two = runs[1], runs[2]
+            np.testing.assert_array_equal(two.coeffs, one.coeffs)
+            assert one.factor.rows == two.factor.rows == model.n
+            for k in range(model.n):
+                np.testing.assert_array_equal(two.factor._row(k), one.factor._row(k))
+
+    def test_batch_rejects_systems_of_other_points(self, thermal_small, thermal_model):
+        rng = np.random.default_rng(19)
+        points = 0.1 + rng.random((12, 9)) * 9.9
+        systems = TrainingSystems.evaluate(thermal_small, points)
+        with pytest.raises(InvalidParameterError):
+            estimate_batch(thermal_model, thermal_small, points[:5], systems=systems)
+        with pytest.raises(InvalidParameterError):
+            estimate_batch(thermal_model, thermal_small, points[::-1], systems=systems)
+        # an equal copy is the same parameters
+        copied = estimate_batch(thermal_model, thermal_small, points.copy(), systems=systems)
+        np.testing.assert_array_equal(
+            copied, estimate_batch(thermal_model, thermal_small, points)
         )
-        np.testing.assert_array_equal(serial, whole)
-        np.testing.assert_array_equal(threaded, whole)
+        assert systems.coeffs.shape == (12, thermal_model.n)
 
     def test_batch_residuals_match_quadratic_form(self, thermal_small, thermal_model):
         from rbx.affine import evaluate_theta_batch, rhs_scale_batch
@@ -268,10 +306,12 @@ class TestSinglePointIsBatchOfOne:
         from rbx.affine import evaluate_theta_batch, rhs_scale_batch
         from rbx.reduced import augmented_weights
 
-        _, weights = estimate_batch(model, problem, mus, return_weights=True)
+        systems = TrainingSystems.evaluate(problem, mus)
+        estimate_batch(model, problem, mus, systems=systems)
         single = np.stack([reduced_solve(model, mu).coeffs for mu in mus])
         thetas = evaluate_theta_batch(problem, mus)
         scales = rhs_scale_batch(problem, mus)
+        weights = augmented_weights(thetas, scales, systems.coeffs)
         single_weights = augmented_weights(thetas, scales, single)
         np.testing.assert_allclose(single_weights, weights, rtol=1e-12, atol=1e-14)
 

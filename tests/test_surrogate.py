@@ -9,7 +9,14 @@ import scipy.linalg
 import rbx
 from rbx.affine import assemble_operator, evaluate_theta_batch, rhs_scale_batch
 from rbx.errors import ConfigurationError, NumericalFailureError
-from rbx.reduced import augmented_weights, reduced_solve, reduced_solve_batch
+from rbx.reduced import (
+    TrainingSystems,
+    augmented_weights,
+    estimate_batch,
+    extend_basis,
+    reduced_solve,
+    reduced_solve_batch,
+)
 from rbx.surrogate import (
     approx_error_coords,
     cdm_build_offline,
@@ -217,6 +224,13 @@ def batch_inputs(model, problem, points):
     return thetas, scales, reduced_solve_batch(model, thetas, scales)
 
 
+def swept(model, problem, points):
+    """The evaluated ``points`` with the reduced solutions of a full sweep."""
+    systems = TrainingSystems.evaluate(problem, points)
+    estimate_batch(model, problem, systems.points, systems=systems)
+    return systems
+
+
 def kernel_errors(model, offline, problem, points, n=None):
     """Truth-space approximate errors (columns) through the cdm kernel."""
     thetas, scales, coeffs = batch_inputs(model, problem, points)
@@ -357,7 +371,9 @@ class TestCachedInverseError:
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
         offline = cdm_build_offline(model, thermal_small, q_cap=2)
         offline.anchor_positions.clear()
-        picked = cdm_construct(model, thermal_small, offline, thermal_train_small.points, 4)
+        picked = cdm_construct(
+            model, offline, swept(model, thermal_small, thermal_train_small.points), 4
+        )
         assert picked.size == 0
 
     def test_counter(self, thermal_setup):
@@ -370,7 +386,7 @@ class TestCachedInverseError:
 class TestCachedInverseConstruct:
     def test_returns_admissible_unique_indices(self, thermal_setup):
         problem, train, model, offline = thermal_setup
-        picked = cdm_construct(model, problem, offline, train.points, budget=8)
+        picked = cdm_construct(model, offline, swept(model, problem, train.points), budget=8)
         assert picked.size <= 8
         assert len(set(picked.tolist())) == picked.size
         assert np.all((picked >= 0) & (picked < train.n_train))
@@ -394,14 +410,14 @@ class TestCachedInverseConstruct:
             np.testing.assert_allclose(
                 y @ y[j], gram[:, j], rtol=0, atol=1e-10 * norms.max() ** 2
             )
-        picked = cdm_construct(model, problem, offline, train.points, budget=6)
+        picked = cdm_construct(model, offline, swept(model, problem, train.points), budget=6)
         sub = gram[np.ix_(adm, adm)]
         explicit, _ = pivoted_cholesky(lambda j: sub[:, j], np.diag(sub), max_steps=6)
         np.testing.assert_array_equal(picked, adm[explicit])
 
     def test_ordering_opens_with_the_worst_error(self, thermal_setup):
         problem, train, model, offline = thermal_setup
-        weighted = cdm_construct(model, problem, offline, train.points, budget=6)
+        weighted = cdm_construct(model, offline, swept(model, problem, train.points), budget=6)
         assert weighted.size > 0
         # magnitude ordering must open with the worst approximate error,
         # measured in the discretization's inner-product norm
@@ -413,10 +429,21 @@ class TestCachedInverseConstruct:
 
     def test_zero_budget(self, thermal_setup):
         problem, train, model, offline = thermal_setup
-        assert cdm_construct(model, problem, offline, train.points, budget=0).size == 0
+        systems = swept(model, problem, train.points)
+        assert cdm_construct(model, offline, systems, budget=0).size == 0
+
+    def test_needs_a_sweep_at_the_current_basis_size(self, thermal_setup):
+        problem, train, model, offline = thermal_setup
+        unswept = TrainingSystems.evaluate(problem, train.points)
+        with pytest.raises(ConfigurationError, match="full sweep"):
+            cdm_construct(model, offline, unswept, budget=4)
+        systems = swept(model, problem, train.points)
+        extend_basis(model, truth_solve(problem, train.points[1]), 1)
+        with pytest.raises(ConfigurationError, match="full sweep"):
+            cdm_construct(model, offline, systems, budget=4)
 
     def test_counts_one_eval_per_training_point(self, thermal_setup):
         problem, train, model, offline = thermal_setup
         base = problem.counters.approx_error_evals
-        cdm_construct(model, problem, offline, train.points, budget=4)
+        cdm_construct(model, offline, swept(model, problem, train.points), budget=4)
         assert problem.counters.approx_error_evals == base + train.n_train
