@@ -92,23 +92,25 @@ def pivoted_cholesky(
     ``diag`` is the matrix diagonal; ``column(j)`` returns full column j.
     Pivots maximize the updated diagonal, first index winning ties, and the
     sweep stops at ``max_steps`` or when the largest updated diagonal falls
-    to ``drop_tol`` times the largest initial one.  Returns the pivot order
-    and the computed factor columns (n, k).
+    to ``drop_tol`` times the largest initial one.  Each step updates the
+    new column with one product against the earlier factor rows of a
+    preallocated (max_steps, n) buffer.  Returns the pivot order and the
+    factor columns (n, k), a view of that buffer.
     """
     d = np.array(diag, dtype=float)
     n = d.size
     init_max = float(d.max()) if n else 0.0
     threshold = drop_tol * init_max
     pivots: list[int] = []
-    cols: list[np.ndarray] = []
-    for _ in range(min(max_steps, n)):
+    lbuf = np.empty((min(max_steps, n), n))  # row k: factor column k
+    for k in range(lbuf.shape[0]):
         j = int(np.argmax(d))
         if init_max <= 0.0 or d[j] <= threshold:
             break
-        c = np.array(column(j), dtype=float)
-        for l in cols:
-            c -= l[j] * l
-        l_new = c / np.sqrt(d[j])
+        l_new = lbuf[k]
+        l_new[:] = column(j)
+        l_new -= lbuf[:k, j] @ lbuf[:k]
+        l_new /= np.sqrt(d[j])
         d -= l_new * l_new
         if np.any(d < -threshold):
             warnings.warn(
@@ -119,11 +121,9 @@ def pivoted_cholesky(
         np.maximum(d, 0.0, out=d)
         d[j] = 0.0
         pivots.append(j)
-        cols.append(l_new)
         if counters is not None:
             counters.pivoted_cholesky_steps += 1
-    l_mat = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return np.asarray(pivots, dtype=int), l_mat
+    return np.asarray(pivots, dtype=int), lbuf[: len(pivots)].T
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ class CdmOfflineData:
     ``basis`` is X-orthonormal and ``coords[m]`` holds their coordinates
     (rows: basis vectors).  Columns grow with every extension and anchors up
     to the cap; both updates reuse the cached anchor factorizations and fold
-    the new columns into ``basis`` by two-pass Gram-Schmidt.
+    the new columns into ``basis`` with ``orthonormal_fold``.
     ``anchor_positions`` records which snapshots the surviving anchors
     correspond to (anchors whose operator fails to factorize are dropped
     with a warning).
@@ -291,7 +291,8 @@ def cdm_construct(
 
     The errors are those of the reduced solutions that the latest full
     sweep (``estimate_batch``) left on ``systems.coeffs`` at the model's
-    current basis size.
+    current basis size.  A non-finite error norm raises
+    ``NumericalFailureError`` naming the first such training point.
     """
     if offline.q_used == 0 or budget == 0:
         return np.zeros(0, dtype=int)
@@ -301,6 +302,13 @@ def cdm_construct(
     y = approx_error_coords(model, offline, systems.thetas, systems.scales, weights)
     norm_sq = np.einsum("br,br->b", y, y)
     norms = np.sqrt(norm_sq)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalFailureError(
+            f"non-finite approximate error norm {norms[j]} at training index {j}, "
+            f"mu = {systems.points[j]}"
+        )
     floor = max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * float(norms.max(initial=0.0)))
     admissible = np.flatnonzero(norms > floor)
     if admissible.size == 0:

@@ -1,7 +1,10 @@
 """Reduced model algebra checked against explicit truth-space computations."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import rbx
 from rbx.affine import assemble_operator
@@ -74,6 +77,120 @@ class TestBasis:
         snap = TruthSolution(mu=np.zeros(2), coefficients=np.zeros(diffusion_small.n_dof))
         with pytest.raises(BasisRejectionError):
             extend_basis(model, snap)
+
+
+def per_column_fold(disc, basis, vectors, rtol):
+    """Reference fold: each column by two-pass Gram-Schmidt against the grown basis."""
+    m = vectors.shape[1]
+    coords = np.zeros((basis.shape[1] + m, m))
+    for j in range(m):
+        k = basis.shape[1]
+        v = vectors[:, j].copy()
+        for _ in range(2 if k else 0):
+            h = basis.T @ disc.x_apply(v)
+            v -= basis @ h
+            coords[:k, j] += h
+        nrm = x_norm(disc, v)
+        if nrm > rtol * math.hypot(float(np.linalg.norm(coords[:k, j])), nrm):
+            basis = np.concatenate([basis, (v / nrm)[:, None]], axis=1)
+            coords[k, j] = nrm
+    return basis, coords[: basis.shape[1]]
+
+
+def x_orthonormal_basis(disc, k, seed):
+    """k X-orthonormal columns from a Cholesky factor of X, independent of the fold."""
+    x = disc.x_inner.toarray() if hasattr(disc.x_inner, "toarray") else np.asarray(disc.x_inner)
+    inv_lt = scipy.linalg.solve_triangular(np.linalg.cholesky(x), np.eye(x.shape[0]), lower=True).T
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((x.shape[0], k)))
+    return inv_lt @ q  # (L^-T q)^T X (L^-T q) = q^T q
+
+
+def x_gram(disc, basis):
+    return basis.T @ disc.x_apply(basis)
+
+
+@pytest.fixture(params=["diffusion_small", "thermal_small"])
+def fold_problem(request):
+    """Dense X (diffusion n_x=10) and sparse X (thermal block 7)."""
+    return request.getfixturevalue(request.param)
+
+
+class TestOrthonormalFold:
+    RTOL = reduced.RESIDUAL_BASIS_RTOL
+
+    def test_block_inside_a_full_basis_adds_nothing(self, fold_problem):
+        disc = fold_problem.discretization
+        basis = x_orthonormal_basis(disc, disc.n_dof, seed=0)
+        block = np.random.default_rng(1).standard_normal((disc.n_dof, 5))
+        grown, coords = reduced.orthonormal_fold(disc, basis, block, self.RTOL)
+        assert grown.shape == basis.shape and coords.shape == (disc.n_dof, 5)
+        np.testing.assert_allclose(grown @ coords, block, atol=1e-12 * np.abs(block).max())
+
+    def test_dependent_columns_with_rounding_noise_are_dropped(self, fold_problem):
+        disc = fold_problem.discretization
+        rng = np.random.default_rng(2)
+        basis = x_orthonormal_basis(disc, 4, seed=3)
+        a, b, c = rng.standard_normal((3, disc.n_dof))
+        noise = 1e-14 * rng.standard_normal((2, disc.n_dof))
+        block = np.column_stack(
+            [a, b, a + b + noise[0] * np.abs(a + b).max(), c, 2 * c - a + noise[1] * np.abs(c).max()]
+        )
+        grown, coords = reduced.orthonormal_fold(disc, basis, block, self.RTOL)
+        assert grown.shape[1] == 4 + 3
+        np.testing.assert_allclose(grown[:, :4], basis, rtol=0, atol=0)
+        np.testing.assert_allclose(grown @ coords, block, atol=1e-12 * np.abs(block).max())
+        np.testing.assert_allclose(x_gram(disc, grown), np.eye(7), atol=1e-12)
+
+    def test_small_new_direction_is_kept_orthonormal(self, fold_problem):
+        # the third column keeps only 1e-9 of its norm after the in-block
+        # pass, and the fourth lies mostly along that direction: their
+        # remainders are far from X-orthogonal to the old basis until the
+        # re-orthogonalization, whose Cholesky factor enters the coordinates
+        disc = fold_problem.discretization
+        rng = np.random.default_rng(4)
+        basis = x_orthonormal_basis(disc, 6, seed=5)
+        a, b, d = rng.standard_normal((3, disc.n_dof))
+        block = np.column_stack([a, b, a - 3 * b + 1e-9 * np.abs(a - 3 * b).max() * d, d])
+        grown, coords = reduced.orthonormal_fold(disc, basis, block, self.RTOL)
+        assert grown.shape[1] == 6 + 4
+        np.testing.assert_allclose(x_gram(disc, grown), np.eye(10), atol=1e-12)
+        np.testing.assert_allclose(grown @ coords, block, atol=1e-12 * np.abs(block).max())
+
+    def test_cdm_generator_blocks_match_the_per_column_fold(self, fold_problem, monkeypatch):
+        from rbx import surrogate
+
+        disc = fold_problem.discretization
+        real = surrogate.orthonormal_fold
+        seen, gaps = [], []
+
+        def project(basis, vectors):
+            return basis @ (basis.T @ disc.x_apply(vectors))
+
+        def checked(disc_, basis, vectors, rtol):
+            grown, coords = real(disc_, basis, vectors, rtol)
+            ref, _ = per_column_fold(disc_, basis, vectors, rtol)
+            k0 = basis.shape[1]
+            assert grown.shape[1] == ref.shape[1]
+            # the same space as the block sees it: equal X-projections of its
+            # columns (a direction kept at a remainder near rtol is fixed only
+            # to rounding over rtol, so the bases themselves may differ there)
+            gap = project(grown, vectors) - project(ref, vectors)
+            scale = np.sqrt(np.einsum("ij,ij->j", vectors, disc.x_apply(vectors)))
+            gaps.append(float((np.sqrt(np.einsum("ij,ij->j", gap, disc.x_apply(gap))) / scale).max()))
+            seen.append((vectors.shape[1], grown.shape[1] - k0))
+            return grown, coords
+
+        monkeypatch.setattr(surrogate, "orthonormal_fold", checked)
+        train = rbx.sample_training_set(fold_problem.box, kind="random", count=60, seed=2)
+        model, trace = rbx.run_greedy(
+            fold_problem, train, rbx.GreedyConfig(eps_tol=1e-4, method="cdm")
+        )
+        assert trace.certified
+        assert len(seen) >= 5
+        # each fold leaves out remainders below rtol times their column
+        assert max(gaps) < 10 * self.RTOL
+        # the blocks hold dependent columns, so the rank test is exercised
+        assert sum(m for m, _ in seen) > sum(k for _, k in seen)
 
 
 class TestGalerkinSolve:

@@ -447,3 +447,28 @@ class TestCachedInverseConstruct:
         base = problem.counters.approx_error_evals
         cdm_construct(model, offline, swept(model, problem, train.points), budget=4)
         assert problem.counters.approx_error_evals == base + train.n_train
+
+    def test_non_finite_error_norm_stops_the_cdm_run(
+        self, thermal_small, thermal_train_small, monkeypatch
+    ):
+        # NaN > floor is False, so a NaN row used to leave its point out of
+        # every surrogate domain while the run still ended certified
+        from rbx import surrogate
+
+        bad = 7
+        real = surrogate.approx_error_coords
+
+        def poisoned(*args, **kwargs):
+            y = real(*args, **kwargs)
+            y[bad] = np.nan
+            return y
+
+        monkeypatch.setattr(surrogate, "approx_error_coords", poisoned)
+        mu = np.array2string(thermal_train_small.points[bad])
+        with pytest.raises(NumericalFailureError) as info:
+            rbx.run_greedy(
+                thermal_small, thermal_train_small, rbx.GreedyConfig(eps_tol=1e-4, method="cdm")
+            )
+        assert str(info.value) == (
+            f"non-finite approximate error norm nan at training index {bad}, mu = {mu}"
+        )
