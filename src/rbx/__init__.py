@@ -68,7 +68,6 @@ from .truth import (
     build_diffusion2d,
     build_thermal_block,
     riesz_solve,
-    truth_output,
     truth_solve,
     x_norm,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "build_diffusion2d",
     "build_thermal_block",
     "riesz_solve",
-    "truth_output",
     "truth_solve",
     "x_norm",
 ]

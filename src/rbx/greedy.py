@@ -107,7 +107,6 @@ class IterationRecord:
     delta_max: float
     sweep_size: int
     chosen_index: Optional[int]
-    chosen_mu: Optional[np.ndarray]
     cum_estimator_evals: int
     wall_ms: float
     post_extension_delta: Optional[float] = None
@@ -262,7 +261,6 @@ class _RunState:
             delta_max=result.delta_max,
             sweep_size=self.train.n_train if domain is None else len(domain),
             chosen_index=None,
-            chosen_mu=None,
             cum_estimator_evals=self.problem.counters.estimator_evals,
             wall_ms=self.wall_ms(),
         )
@@ -290,7 +288,7 @@ class _RunState:
 
         Rejected snapshots are excluded and the next-best index is tried
         against the same (still valid) estimates.  On success the sweep's
-        record gets the chosen parameter and its reproduction-check
+        record gets the chosen index and its reproduction-check
         estimate; returns the extended index, or None when every candidate
         is exhausted.
         """
@@ -309,7 +307,6 @@ class _RunState:
             self.excluded.add(idx)
             record.post_extension_delta = error_estimate(model, self.problem, mu, kind="check")
             record.chosen_index = idx
-            record.chosen_mu = np.array(mu)
             record.wall_ms = self.wall_ms()
             record.cum_estimator_evals = self.problem.counters.estimator_evals
             return idx

@@ -34,7 +34,7 @@ from .errors import (
     InvalidParameterError,
     NumericalFailureError,
 )
-from .truth import TruthDiscretization, TruthSolution, riesz_solve, x_norm
+from .truth import TruthDiscretization, TruthSolution, riesz_solve
 
 REJECTION_RTOL = 1e-10
 RESIDUAL_BASIS_RTOL = 1e-12
@@ -97,21 +97,6 @@ class ReducedModel:
         return self.problem.n_terms
 
 
-def _orthonormalize(disc: TruthDiscretization, vec, against, record):
-    """Two-pass Gram-Schmidt of ``vec`` against the X-orthonormal ``against``.
-
-    Coefficients are accumulated into ``record`` (length = #columns).
-    Returns the orthogonal remainder and its X-norm.
-    """
-    v = vec.copy()
-    for _ in range(2):
-        if against.shape[1]:
-            h = against.T @ disc.x_apply(v)
-            v -= against @ h
-            record += h
-    return v, x_norm(disc, v)
-
-
 def orthonormal_fold(disc: TruthDiscretization, basis, vectors, rtol: float):
     """Fold the columns of ``vectors`` as one block into an X-orthonormal basis.
 
@@ -165,9 +150,10 @@ def orthonormal_fold(disc: TruthDiscretization, basis, vectors, rtol: float):
 def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None) -> ReducedModel:
     """Append one snapshot to the basis, updating every reduced quantity.
 
-    Raises ``BasisRejectionError`` when the snapshot is numerically
-    dependent on the current basis (post-orthogonalization norm below
-    ``REJECTION_RTOL`` times the snapshot norm).
+    The snapshot is folded into the basis as a block of one by
+    ``orthonormal_fold``.  Raises ``BasisRejectionError`` when the fold
+    drops it as numerically dependent on the current basis (remainder norm
+    at most ``REJECTION_RTOL`` times the snapshot norm).
     """
     problem = model.problem
     disc = model.disc
@@ -175,37 +161,30 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     q = model.n_terms
 
     u = np.asarray(snapshot.coefficients, dtype=float)
-    pre_norm = x_norm(disc, u)
-    if pre_norm <= 0.0:
-        raise BasisRejectionError("zero snapshot cannot extend the basis")
-    coeffs_in_basis = np.zeros(n_old)
-    v, new_norm = _orthonormalize(disc, u, model.basis, coeffs_in_basis)
-    if new_norm < REJECTION_RTOL * pre_norm:
-        raise BasisRejectionError(
-            f"snapshot is dependent on the basis (norm ratio {new_norm / pre_norm:.2e})"
-        )
-    xi = v / new_norm
+    basis_new, coords = orthonormal_fold(disc, model.basis, u[:, None], REJECTION_RTOL)
+    if basis_new.shape[1] == n_old:
+        raise BasisRejectionError("snapshot is zero or numerically dependent on the basis")
+    xi = np.ascontiguousarray(basis_new[:, n_old])
 
-    # snapshot coordinates: u = basis[:, :n_old] @ c + new_norm * xi
+    # snapshot coordinates: u = basis_new @ coords
     r_new = np.zeros((n_old + 1, n_old + 1))
     r_new[:n_old, :n_old] = model.snapshot_in_basis
-    r_new[:n_old, n_old] = coeffs_in_basis
-    r_new[n_old, n_old] = new_norm
+    r_new[:, n_old] = coords[:, 0]
     model.snapshot_in_basis = r_new
     model.snapshot_params.append(np.asarray(snapshot.mu, dtype=float))
     model.snapshot_indices.append(train_index)
 
-    basis_new = np.concatenate([model.basis, xi[:, None]], axis=1)
-
-    # Galerkin blocks; nonsymmetric components need both A xi and A^T xi.
+    # Galerkin blocks; nonsymmetric components also need A^T xi for the new row.
     comps = np.zeros((q, n_old + 1, n_old + 1))
     comps[:, :n_old, :n_old] = model.reduced_components
     a_xi = np.empty((q, model.problem.n_dof))
     for k, aq in enumerate(problem.components):
         av = aq @ xi
-        atv = aq.T @ xi
         comps[k, :, n_old] = basis_new.T @ av
-        comps[k, n_old, :] = basis_new.T @ atv
+        if problem.symmetric:
+            comps[k, n_old, :] = comps[k, :, n_old]
+        else:
+            comps[k, n_old, :] = basis_new.T @ (aq.T @ xi)
         comps[k, n_old, n_old] = float(np.dot(xi, av))
         a_xi[k] = av
     model.reduced_components = comps
@@ -234,19 +213,16 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
 
 
 def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSolution:
-    """Galerkin solve in the leading ``n``-dimensional reduced space."""
+    """Galerkin solve in the leading ``n``-dimensional reduced space, as a batch of one."""
     mu = model.problem.box.validate(mu)
     n = model.n if n is None else int(n)
     if not 0 <= n <= model.n:
         raise ValueError(f"truncation size {n} out of range")
-    model.counters.reduced_solves += 1
-    if n == 0:
-        return ReducedSolution(mu=mu, coeffs=np.zeros(0))
     mus = mu[None, :]
     thetas = evaluate_theta_batch(model.problem, mus)
     scales = rhs_scale_batch(model.problem, mus)
     try:
-        coeffs = _solve_chunk(model, thetas, scales, n)[0]
+        coeffs = reduced_solve_batch(model, thetas, scales, n)[0]
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"{exc} at mu = {mu}", exc.condition_estimate) from exc
     if not np.isfinite(coeffs).all():

@@ -4,8 +4,8 @@ Two constructors are provided.  The slow-margin constructor picks, for each
 of a ladder of error levels between the tolerance and the current worst
 estimate, the training point whose estimate sits closest above that level.
 The pivoting constructor builds a cheap approximation of the truth error
-vector at every training point out of a few cached operator inverses, as a
-short coordinate vector in an X-orthonormal basis of the cached vectors,
+vector at every training point out of a few anchor operator inverses, as a
+short coordinate vector in an X-orthonormal basis of those inverses' columns,
 and runs a pivoted Cholesky factorization of the error Gramian so that the
 pivots enumerate training points whose errors are large and mutually
 independent.
@@ -34,7 +34,7 @@ from .reduced import (
     orthonormal_fold,
     reduced_solve_batch,
 )
-from .truth import apply_operator_inverse
+from .truth import Factorization, apply_operator_inverse, operator_factorization
 
 PIVOT_DROP_RTOL = 1e-12
 GENERATOR_RTOL = 1e-12
@@ -127,43 +127,36 @@ def pivoted_cholesky(
 
 
 # ---------------------------------------------------------------------------
-# cached-inverse error approximation
+# anchor-inverse error approximation
 
 
 @dataclass
 class CdmOfflineData:
-    """X-orthonormal factor of the cached anchor-operator inverses.
+    """X-orthonormal factor of the anchor-operator inverses.
 
     For anchor m the generator columns are A_m^-1 f followed, for every
     basis vector xi_j and component k (j-major), by -A_m^-1 A_k xi_j: the
     anchor inverse applied to the load and to the basis-image terms of the
     Galerkin residual.  They are stored as ``basis @ coords[m]``, where
     ``basis`` is X-orthonormal and ``coords[m]`` holds their coordinates
-    (rows: basis vectors).  Columns grow with every extension and anchors up
-    to the cap; both updates reuse the cached anchor factorizations and fold
-    the new columns into ``basis`` with ``orthonormal_fold``.
-    ``anchor_positions`` records which snapshots the surviving anchors
-    correspond to (anchors whose operator fails to factorize are dropped
-    with a warning).
+    (rows: basis vectors).  Anchor m sits at snapshot
+    ``anchor_positions[m]`` and keeps the factorization of its operator in
+    ``factorizations[m]``; anchors whose operator fails to factorize are
+    dropped with a warning.  The data belongs to one run and is grown by
+    ``cdm_build_offline`` only.
     """
 
     q_cap: int
     basis: np.ndarray
     coords: np.ndarray
     anchor_positions: list[int] = field(default_factory=list)
-    anchor_mus: list[np.ndarray] = field(default_factory=list)
+    factorizations: list[Factorization] = field(default_factory=list)
     n_basis: int = 0
     next_position: int = 0
 
     @property
     def q_used(self) -> int:
         return len(self.anchor_positions)
-
-
-def _component_images(problem: AffineProblem, vectors: np.ndarray) -> np.ndarray:
-    """Columns -A_k v_j for all block columns j and components k, j-major."""
-    images = np.stack([np.asarray(aq @ vectors) for aq in problem.components], axis=2)
-    return -images.reshape(problem.n_dof, -1)
 
 
 def cdm_build_offline(
@@ -175,37 +168,46 @@ def cdm_build_offline(
     """Create or incrementally grow the generator factor.
 
     Anchor candidates are the first ``min(q_cap, n)`` snapshots in selection
-    order.  A basis extension costs one multi-column backsolve per surviving
-    anchor; a new anchor costs one factorization plus its full column block.
+    order.  One loop visits the existing anchors and then the new ones; each
+    solves, through its own factorization, only the generator columns it
+    lacks (a new anchor all of them, an existing one those of the basis
+    vectors added since the last call) and folds them into ``basis`` with
+    ``orthonormal_fold``.
     """
-    disc = problem.discretization
     qa = problem.n_terms
     n = model.n
     if offline is None:
         offline = CdmOfflineData(
             q_cap=q_cap, basis=np.zeros((problem.n_dof, 0)), coords=np.zeros((0, 0, 1))
         )
+    # (snapshot position, factorization, basis vectors already seen)
+    anchors = [
+        (pos, fact, offline.n_basis)
+        for pos, fact in zip(offline.anchor_positions, offline.factorizations)
+    ]
+    new = range(offline.next_position, min(offline.q_cap, n))
+    anchors += [(pos, None, 0) for pos in new]
+    offline.next_position = max(offline.next_position, new.stop)
 
-    def fold(columns: np.ndarray) -> np.ndarray:
-        offline.basis, coords = orthonormal_fold(disc, offline.basis, columns, GENERATOR_RTOL)
-        return coords
+    blocks: dict[int, np.ndarray] = {}
 
-    parts = [[c] for c in offline.coords]
-    if offline.q_used and n > offline.n_basis:
-        images = _component_images(problem, model.basis[:, offline.n_basis : n])
-        for m, (pos, mu) in enumerate(zip(offline.anchor_positions, offline.anchor_mus)):
-            sol = apply_operator_inverse(problem, mu, images, cache_key=("cdm", pos), keep=True)
-            parts[m].append(fold(sol))
+    def generator_columns(seen: int) -> np.ndarray:
+        """f (when ``seen`` is 0), then -A_k xi_j for j >= ``seen`` and every k, j-major."""
+        if seen not in blocks:
+            images = np.stack(
+                [np.asarray(aq @ model.basis[:, seen:n]) for aq in problem.components], axis=2
+            )
+            images = -images.reshape(problem.n_dof, -1)
+            if seen == 0:
+                images = np.concatenate([problem.rhs[:, None], images], axis=1)
+            blocks[seen] = images
+        return blocks[seen]
 
-    q_target = min(offline.q_cap, n)
-    if q_target > offline.next_position:
-        block = np.concatenate(
-            [problem.rhs[:, None], _component_images(problem, model.basis[:, :n])], axis=1
-        )
-        for pos in range(offline.next_position, q_target):
-            mu = model.snapshot_params[pos]
+    folded = []  # (anchor, first generator column, coordinates)
+    for pos, fact, seen in anchors:
+        if fact is None:
             try:
-                sol = apply_operator_inverse(problem, mu, block, cache_key=("cdm", pos), keep=True)
+                fact = operator_factorization(problem, model.snapshot_params[pos])
             except NumericalFailureError as exc:
                 warnings.warn(
                     f"anchor operator at snapshot {pos} failed to factorize "
@@ -213,18 +215,21 @@ def cdm_build_offline(
                     RuntimeWarning,
                 )
                 continue
-            parts.append([fold(sol)])
             offline.anchor_positions.append(pos)
-            offline.anchor_mus.append(np.array(mu))
-        offline.next_position = q_target
+            offline.factorizations.append(fact)
+        if seen < n:
+            sol = apply_operator_inverse(problem, fact, generator_columns(seen))
+            offline.basis, c = orthonormal_fold(
+                problem.discretization, offline.basis, sol, GENERATOR_RTOL
+            )
+            folded.append((offline.anchor_positions.index(pos), 1 + seen * qa if seen else 0, c))
 
     # earlier coordinates are zero on the basis vectors added after them
-    coords = np.zeros((len(parts), offline.basis.shape[1], 1 + n * qa))
-    for m, blocks in enumerate(parts):
-        col = 0
-        for c in blocks:
-            coords[m, : c.shape[0], col : col + c.shape[1]] = c
-            col += c.shape[1]
+    coords = np.zeros((offline.q_used, offline.basis.shape[1], 1 + n * qa))
+    old = offline.coords
+    coords[: old.shape[0], : old.shape[1], : old.shape[2]] = old
+    for m, col, c in folded:
+        coords[m, : c.shape[0], col : col + c.shape[1]] = c
     offline.coords = coords
     offline.n_basis = n
     return offline

@@ -125,7 +125,6 @@ class TruthDiscretization:
     node_coords: np.ndarray
     label: str
     counters: Counters = field(default_factory=Counters)
-    operator_cache: dict = field(default_factory=dict)
     _x_fact: Optional[Factorization] = field(default=None, repr=False)
 
     def x_factorization(self) -> Factorization:
@@ -156,13 +155,8 @@ def riesz_solve(disc: TruthDiscretization, functional: np.ndarray) -> np.ndarray
     return disc.x_factorization().solve(functional)
 
 
-def operator_factorization(
-    problem: AffineProblem, mu, cache_key=None, keep: bool = False, operator=None
-) -> Factorization:
-    """Factorize ``A(mu)`` (``operator`` if given), optionally caching under ``cache_key``."""
-    disc = problem.discretization
-    if cache_key is not None and cache_key in disc.operator_cache:
-        return disc.operator_cache[cache_key]
+def operator_factorization(problem: AffineProblem, mu, operator=None) -> Factorization:
+    """Factorize ``A(mu)`` (``operator`` if given), counting the factorization."""
     a = assemble_operator(problem, mu) if operator is None else operator
     try:
         fact = Factorization(a)
@@ -171,17 +165,17 @@ def operator_factorization(
             f"factorization of A(mu) failed: {exc}",
             condition_estimate=_condition_estimate(a),
         )
-    disc.counters.truth_factorizations += 1
-    if keep and cache_key is not None:
-        disc.operator_cache[cache_key] = fact
+    problem.discretization.counters.truth_factorizations += 1
     return fact
 
 
 def apply_operator_inverse(
-    problem: AffineProblem, mu, rhs_block: np.ndarray, cache_key=None, keep: bool = False
+    problem: AffineProblem, fact: Factorization, rhs_block: np.ndarray
 ) -> np.ndarray:
-    """Solve ``A(mu) X = rhs_block`` reusing a cached factorization if present."""
-    fact = operator_factorization(problem, mu, cache_key=cache_key, keep=keep)
+    """Solve ``A(mu) X = rhs_block`` through ``fact``, a factorization of ``A(mu)``.
+
+    Counts one truth solve per right-hand side.
+    """
     n_rhs = 1 if rhs_block.ndim == 1 else rhs_block.shape[1]
     problem.discretization.counters.truth_solves += n_rhs
     return fact.solve(rhs_block)
@@ -194,12 +188,9 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     violation raises ``NumericalFailureError`` carrying a condition estimate.
     """
     mu = problem.box.validate(mu)
-    disc = problem.discretization
     a = assemble_operator(problem, mu)
-    fact = operator_factorization(problem, mu, operator=a)
     b = rhs_scale_batch(problem, mu[None, :])[0] * problem.rhs
-    u = fact.solve(b)
-    disc.counters.truth_solves += 1
+    u = apply_operator_inverse(problem, operator_factorization(problem, mu, operator=a), b)
     denom = np.linalg.norm(b)
     resid = np.linalg.norm(a @ u - b)
     if resid > SOLVE_RTOL * max(denom, 1e-300):
@@ -394,8 +385,4 @@ def build_thermal_block(nodes_per_side: int = 19):
         discretization=disc,
     )
     return problem
-
-
-def truth_output(problem: AffineProblem, solution: TruthSolution) -> float:
-    return float(np.dot(problem.output, solution.coefficients))
 

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
 Small problem instances are rebuilt per test because runs mutate the
-attached counters and operator caches.  The two full-scale experiment
+attached counters.  The two full-scale experiment
 fixtures are expensive (tens of seconds each) and therefore session-scoped;
 every consumer treats their contents as read-only.
 """

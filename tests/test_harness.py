@@ -409,8 +409,8 @@ PUBLIC_NAMES = [
     "coercivity_lower_bound", "error_estimate", "estimate_batch", "extend_basis",
     "pivoted_cholesky", "reconstruct", "reduced_output", "reduced_solve",
     "residual_dual_norm_sq", "riesz_solve", "run_experiment", "run_greedy",
-    "run_methods", "sample_training_set", "smm_construct", "truth_output",
-    "truth_solve", "x_norm",
+    "run_methods", "sample_training_set", "smm_construct", "truth_solve",
+    "x_norm",
 ]
 
 

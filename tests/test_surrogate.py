@@ -250,7 +250,10 @@ def explicit_error_block(model, offline, problem, points):
     cq = reduced_solve_batch(model, thetas, scales, n=q_solve)
     r = model.snapshot_in_basis[:q_solve, :q_solve]
     beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T[:, offline.anchor_positions]
-    inverses = [np.linalg.inv(dense(assemble_operator(problem, mu))) for mu in offline.anchor_mus]
+    inverses = [
+        np.linalg.inv(dense(assemble_operator(problem, model.snapshot_params[pos])))
+        for pos in offline.anchor_positions
+    ]
     cols = []
     for i, mu in enumerate(np.atleast_2d(points)):
         a = dense(assemble_operator(problem, mu))
@@ -267,8 +270,8 @@ class TestCachedInverseOffline:
         np.testing.assert_allclose(v.T @ x @ v, np.eye(v.shape[1]), atol=1e-12)
         qa = problem.n_terms
         assert offline.coords.shape == (offline.q_used, v.shape[1], 1 + model.n * qa)
-        for m, mu in enumerate(offline.anchor_mus):
-            a = dense(assemble_operator(problem, mu))
+        for m, pos in enumerate(offline.anchor_positions):
+            a = dense(assemble_operator(problem, model.snapshot_params[pos]))
             gen = v @ offline.coords[m]
             np.testing.assert_allclose(
                 a @ gen[:, 0], problem.rhs, atol=1e-9 * np.abs(problem.rhs).max()
@@ -286,7 +289,7 @@ class TestCachedInverseOffline:
         grown = cdm_build_offline(model, thermal_small, q_cap=3)
         config = rbx.GreedyConfig(eps_tol=1e-300, n_max=4, seed=0)
         model2, _ = rbx.run_greedy(thermal_small, thermal_train_small, config)
-        # same greedy path, so snapshots 1..2 coincide; grow the cache
+        # same greedy path, so snapshots 1..2 coincide; grow the factor
         grown = cdm_build_offline(model2, thermal_small, q_cap=3, offline=grown)
         fresh = cdm_build_offline(model2, thermal_small, q_cap=3)
         assert grown.anchor_positions == fresh.anchor_positions
@@ -309,7 +312,7 @@ class TestCachedInverseOffline:
         assert after["truth_solves"] - base["truth_solves"] == 1 + qa * model.n
         assert after["truth_factorizations"] - base["truth_factorizations"] == 1
         # extending the basis costs one backsolve per new image column and
-        # reuses the cached anchor factorization
+        # reuses the anchor's own factorization
         snap = truth_solve(diffusion_small, [0.9, 0.9])
         extend_basis(model, snap)
         mid = counters.snapshot()
@@ -325,18 +328,34 @@ class TestCachedInverseOffline:
         model, _ = build_model(thermal_small, thermal_train_small, n_target=3)
         import rbx.surrogate as surrogate_module
 
-        real = surrogate_module.apply_operator_inverse
+        real = surrogate_module.operator_factorization
 
-        def flaky(problem, mu, block, cache_key=None, keep=False):
-            if cache_key == ("cdm", 1):
+        def flaky(problem, mu, operator=None):
+            if np.array_equal(mu, model.snapshot_params[1]):
                 raise NumericalFailureError("synthetic failure")
-            return real(problem, mu, block, cache_key=cache_key, keep=keep)
+            return real(problem, mu, operator)
 
-        monkeypatch.setattr(surrogate_module, "apply_operator_inverse", flaky)
+        monkeypatch.setattr(surrogate_module, "operator_factorization", flaky)
         with pytest.warns(RuntimeWarning, match="anchor"):
             offline = cdm_build_offline(model, thermal_small, q_cap=3)
         assert offline.anchor_positions == [0, 2]
-        assert offline.q_used == 2
+        assert offline.q_used == len(offline.factorizations) == 2
+
+    def test_cdm_run_does_not_depend_on_earlier_runs(self):
+        # anchor factorizations belong to one run: a run on a problem that
+        # already ran another seed must match the same run on a fresh problem
+        def cdm_run(problem, seed):
+            train = rbx.sample_training_set(problem.box, kind="random", count=300, seed=0)
+            config = rbx.GreedyConfig(eps_tol=1e-4, n_max=30, method="cdm", seed=seed)
+            model, trace = rbx.run_greedy(problem, train, config)
+            return model.snapshot_indices, trace.counters
+
+        reused = rbx.build_thermal_block(nodes_per_side=7)
+        cdm_run(reused, seed=0)
+        indices, counters = cdm_run(reused, seed=1)
+        fresh_indices, fresh_counters = cdm_run(rbx.build_thermal_block(nodes_per_side=7), seed=1)
+        assert indices == fresh_indices
+        assert counters == fresh_counters
 
 
 class TestCachedInverseError:
