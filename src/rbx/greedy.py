@@ -23,7 +23,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,11 +37,12 @@ from .reduced import (
     extend_basis,
 )
 from .surrogate import CdmOfflineData, cdm_build_offline, cdm_construct, smm_construct
-from .truth import truth_solve
+from .truth import Factorization, TruthSolution, truth_solve
 
 DEFAULT_SMM_BUDGET_GROWTH = 2
 DEFAULT_CDM_BUDGET_GROWTH = 20
 DEFAULT_CDM_K_DAMP = 10
+CDM_ANCHORS = 5
 _METHODS = ("classical", "smm", "cdm")
 
 
@@ -49,21 +50,19 @@ _METHODS = ("classical", "smm", "cdm")
 class GreedyConfig:
     """Knobs for one greedy run.
 
-    ``m_schedule`` maps the outer-loop count to the surrogate budget; when
-    omitted, the budget grows linearly with the loop count at a per-method
-    default rate.  ``k_damp`` scales how far below the full-sweep maximum
-    the inner loop must push the surrogate estimates before handing control
-    back to the next full sweep; when omitted it is 10 for cdm and 1
-    otherwise.
+    The surrogate budget of outer loop ``ell`` is ``m_growth * (ell + 1)``;
+    when omitted, ``m_growth`` is 2 for smm and 20 otherwise.  ``k_damp``
+    scales how far below the full-sweep maximum the inner loop must push the
+    surrogate estimates before handing control back to the next full sweep;
+    when omitted it is 10 for cdm and 1 otherwise.
     """
 
     eps_tol: float
     n_max: int = 100
     method: str = "classical"
     k_damp: Optional[int] = None
-    m_schedule: Optional[Callable[[int], int]] = None
+    m_growth: Optional[int] = None
     seed: int = 0
-    cdm_q_cap: int = 5
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -71,11 +70,15 @@ class GreedyConfig:
             raise ConfigurationError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.k_damp is None:
             self.k_damp = DEFAULT_CDM_K_DAMP if self.method == "cdm" else 1
+        if self.m_growth is None:
+            self.m_growth = (
+                DEFAULT_SMM_BUDGET_GROWTH if self.method == "smm" else DEFAULT_CDM_BUDGET_GROWTH
+            )
         if isinstance(self.eps_tol, bool) or not isinstance(self.eps_tol, numbers.Real):
             raise ConfigurationError(f"eps_tol must be a number, got {self.eps_tol!r}")
         if not self.eps_tol > 0:
             raise ConfigurationError(f"eps_tol must be positive, got {self.eps_tol}")
-        for name in ("n_max", "k_damp", "seed", "cdm_q_cap", "workers"):
+        for name in ("n_max", "k_damp", "m_growth", "seed", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
@@ -83,18 +86,7 @@ class GreedyConfig:
                 raise ConfigurationError(f"{name} must be at least 1, got {value}")
 
     def budget(self, ell: int) -> int:
-        if self.m_schedule is not None:
-            m = int(self.m_schedule(ell))
-        else:
-            growth = (
-                DEFAULT_SMM_BUDGET_GROWTH
-                if self.method == "smm"
-                else DEFAULT_CDM_BUDGET_GROWTH
-            )
-            m = growth * (ell + 1)
-        if m < 1:
-            raise ConfigurationError(f"surrogate budget schedule returned {m} at loop {ell}")
-        return m
+        return self.m_growth * (ell + 1)
 
 
 @dataclass
@@ -223,6 +215,7 @@ class _RunState:
         self.excluded: set[int] = set()
         self.skipped: list[int] = []
         self.offline: Optional[CdmOfflineData] = None
+        self.anchors: list[Factorization] = []
         self.systems = TrainingSystems.evaluate(problem, train.points, capacity=config.n_max)
         self.truth_seconds = 0.0
         self.surrogate_seconds = 0.0
@@ -230,11 +223,18 @@ class _RunState:
     def wall_ms(self) -> float:
         return (time.perf_counter() - self.t0) * 1000.0
 
-    def solve_snapshot(self, mu: np.ndarray):
+    def solve_snapshot(self, mu: np.ndarray) -> TruthSolution:
         start = time.perf_counter()
         snap = truth_solve(self.problem, mu)
         self.truth_seconds += time.perf_counter() - start
         return snap
+
+    def accept(self, model: ReducedModel, snap: TruthSolution, idx: int) -> None:
+        """Extend the basis with ``snap``; a cdm run keeps the factorizations
+        of its first ``CDM_ANCHORS`` accepted snapshots as anchors."""
+        extend_basis(model, snap, idx)
+        if self.config.method == "cdm" and len(self.anchors) < CDM_ANCHORS:
+            self.anchors.append(snap.factorization)
 
     def sweep(
         self,
@@ -274,9 +274,7 @@ class _RunState:
         if config.method == "smm":
             picked = smm_construct(sweep.field, config.eps_tol, budget)
         else:
-            self.offline = cdm_build_offline(
-                model, self.problem, q_cap=config.cdm_q_cap, offline=self.offline
-            )
+            self.offline = cdm_build_offline(model, self.problem, self.anchors, self.offline)
             picked = cdm_construct(model, self.offline, self.systems, budget)
         self.surrogate_seconds += time.perf_counter() - start
         return [int(i) for i in picked if int(i) not in self.excluded]
@@ -298,13 +296,12 @@ class _RunState:
                 return None
             mu = self.train.points[idx]
             snap = self.solve_snapshot(mu)
+            self.excluded.add(idx)
             try:
-                extend_basis(model, snap, idx)
+                self.accept(model, snap, idx)
             except BasisRejectionError:
-                self.excluded.add(idx)
                 self.skipped.append(idx)
                 continue
-            self.excluded.add(idx)
             record.post_extension_delta = error_estimate(model, self.problem, mu, kind="check")
             record.chosen_index = idx
             record.wall_ms = self.wall_ms()
@@ -327,7 +324,7 @@ def _seed_model(state: _RunState) -> tuple[ReducedModel, GreedyTrace]:
     rng = np.random.default_rng(config.seed)
     first = int(rng.integers(state.train.n_train))
     snap = state.solve_snapshot(state.train.points[first])
-    extend_basis(model, snap, first)
+    state.accept(model, snap, first)
     state.excluded.add(first)
     trace = GreedyTrace(
         method=config.method, seed=config.seed, eps_tol=config.eps_tol, seed_index=first

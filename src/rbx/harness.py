@@ -38,7 +38,7 @@ from .truth import build_diffusion2d, build_thermal_block
 
 PROBLEMS: dict[str, dict] = {
     "diffusion2d": {
-        "build": lambda params: build_diffusion2d(n_x=int(params.get("n_x", 35))),
+        "build": lambda params: build_diffusion2d(**params),
         "params": ("n_x",),
         "default_training": {"kind": "grid", "n_per_dim": 160, "seed": 0},
         "default_eps_tol": 1e-6,
@@ -46,9 +46,7 @@ PROBLEMS: dict[str, dict] = {
         "(n_x nodes per direction), two parameters",
     },
     "thermalblock": {
-        "build": lambda params: build_thermal_block(
-            nodes_per_side=int(params.get("nodes_per_side", 19))
-        ),
+        "build": lambda params: build_thermal_block(**params),
         "params": ("nodes_per_side",),
         "default_training": {"kind": "random", "count": 20000, "seed": 0},
         "default_eps_tol": 1e-5,
@@ -57,13 +55,19 @@ PROBLEMS: dict[str, dict] = {
     },
 }
 
-# keys of a greedy config block: the GreedyConfig knobs, with the budget
-# schedule given as m_growth or m_fixed and the method taken from the block
-_GREEDY_KEYS = ({f.name for f in fields(GreedyConfig)} - {"method", "m_schedule"}) | {
-    "m_growth",
-    "m_fixed",
-}
+# keys of a greedy config block: the GreedyConfig knobs, with the method taken
+# from the block and the workers from the experiment
+_GREEDY_KEYS = {f.name for f in fields(GreedyConfig)} - {"method", "workers"}
 _TRAINING_KEYS = {"kind", "n_per_dim", "count", "seed"}
+
+
+def _object(value, key: str) -> dict:
+    """A copy of an optional JSON-object block (empty when absent or null)."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+    return dict(value)
 
 
 def _integer(value, key: str) -> int:
@@ -118,7 +122,7 @@ class ExperimentConfig:
         if not isinstance(prob, dict) or "name" not in prob:
             raise ConfigurationError("config needs a problem name")
         name = prob["name"]
-        if name not in PROBLEMS:
+        if not isinstance(name, str) or name not in PROBLEMS:
             raise ConfigurationError(
                 f"unknown problem {name!r}; available: {sorted(PROBLEMS)}"
             )
@@ -127,10 +131,9 @@ class ExperimentConfig:
         bad = set(params) - set(entry["params"])
         if bad:
             raise ConfigurationError(f"unknown problem parameters: {sorted(bad)}")
+        params = {k: _integer(v, f"problem.{k}") for k, v in params.items()}
 
-        training_raw = raw.get("training") or {}
-        if not isinstance(training_raw, dict):
-            raise ConfigurationError("training must be a JSON object")
+        training_raw = _object(raw.get("training"), "training")
         bad = set(training_raw) - _TRAINING_KEYS
         if bad:
             raise ConfigurationError(f"unknown training keys: {sorted(bad)}")
@@ -150,17 +153,14 @@ class ExperimentConfig:
         if len(set(methods)) != len(methods):
             raise ConfigurationError("methods must be distinct")
 
-        greedy_raw = dict(raw.get("greedy", {}) or {})
-        overrides = {}
-        for m in _METHODS:
-            overrides[m] = dict(greedy_raw.pop(m, {}) or {})
-        for block_name, block in [("greedy", greedy_raw)] + [
+        greedy_common = _object(raw.get("greedy"), "greedy")
+        overrides = {m: _object(greedy_common.pop(m, None), f"greedy.{m}") for m in _METHODS}
+        for block_name, block in [("greedy", greedy_common)] + [
             (f"greedy.{m}", overrides[m]) for m in _METHODS
         ]:
             bad = set(block) - _GREEDY_KEYS
             if bad:
                 raise ConfigurationError(f"unknown {block_name} keys: {sorted(bad)}")
-        greedy_common = dict(greedy_raw)
         greedy_common.setdefault("eps_tol", entry["default_eps_tol"])
 
         repetitions = _integer(raw.get("repetitions", 1), "repetitions")
@@ -169,6 +169,9 @@ class ExperimentConfig:
         workers = _integer(raw.get("workers", 1), "workers")
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
+        output_dir = raw.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigurationError(f"output_dir must be a string, got {output_dir!r}")
 
         config = cls(
             problem_name=name,
@@ -177,7 +180,7 @@ class ExperimentConfig:
             methods=list(methods),
             greedy_common=greedy_common,
             greedy_overrides=overrides,
-            output_dir=raw.get("output_dir"),
+            output_dir=output_dir,
             repetitions=repetitions,
             workers=workers,
         )
@@ -223,28 +226,10 @@ class ExperimentConfig:
         )
 
     def greedy_config(self, method: str) -> GreedyConfig:
-        # later layers win; a layer that picks a budget schedule displaces
-        # whichever schedule kind the earlier layers chose
-        merged: dict = {}
-        for layer in (self.greedy_common, self.greedy_overrides.get(method, {})):
-            if "m_growth" in layer and "m_fixed" in layer:
-                raise ConfigurationError("give m_growth or m_fixed, not both")
-            if "m_growth" in layer or "m_fixed" in layer:
-                merged.pop("m_growth", None)
-                merged.pop("m_fixed", None)
-            merged.update(layer)
-        m_growth = merged.pop("m_growth", None)
-        m_fixed = merged.pop("m_fixed", None)
-        schedule = None
-        if m_growth is not None:
-            g = _integer(m_growth, "m_growth")
-            schedule = lambda ell: g * (ell + 1)  # noqa: E731
-        elif m_fixed is not None:
-            m = _integer(m_fixed, "m_fixed")
-            schedule = lambda ell: m  # noqa: E731
-        merged.setdefault("workers", self.workers)
+        """The common greedy block overridden by the method's own block."""
+        merged = {**self.greedy_common, **self.greedy_overrides.get(method, {})}
         try:
-            return GreedyConfig(method=method, m_schedule=schedule, **merged)
+            return GreedyConfig(method=method, workers=self.workers, **merged)
         except ConfigurationError as exc:
             raise ConfigurationError(f"bad greedy settings for {method}: {exc}") from None
 
@@ -378,13 +363,13 @@ def run_experiment(
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
         config.workers = int(workers)
+    # a bad problem or training setting fails here, before any output exists
+    probe = config.build_problem()
+    train = config.build_training(probe.box)
     target = Path(out_dir or config.output_dir or "rbx_results")
     target.mkdir(parents=True, exist_ok=True)
     marker = target / "INCOMPLETE"
     marker.unlink(missing_ok=True)
-
-    probe = config.build_problem()
-    train = config.build_training(probe.box)
     try:
         results = run_methods(config)
     except RbxError as exc:

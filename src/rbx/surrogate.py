@@ -34,7 +34,7 @@ from .reduced import (
     orthonormal_fold,
     reduced_solve_batch,
 )
-from .truth import Factorization, apply_operator_inverse, operator_factorization
+from .truth import Factorization, apply_operator_inverse
 
 PIVOT_DROP_RTOL = 1e-12
 GENERATOR_RTOL = 1e-12
@@ -134,60 +134,48 @@ def pivoted_cholesky(
 class CdmOfflineData:
     """X-orthonormal factor of the anchor-operator inverses.
 
-    For anchor m the generator columns are A_m^-1 f followed, for every
-    basis vector xi_j and component k (j-major), by -A_m^-1 A_k xi_j: the
-    anchor inverse applied to the load and to the basis-image terms of the
-    Galerkin residual.  They are stored as ``basis @ coords[m]``, where
+    Anchor m sits at snapshot m, and ``factorizations[m]`` factorizes its
+    operator.  The generator columns of anchor m are A_m^-1 f followed, for
+    every basis vector xi_j and component k (j-major), by -A_m^-1 A_k xi_j:
+    the anchor inverse applied to the load and to the basis-image terms of
+    the Galerkin residual.  They are stored as ``basis @ coords[m]``, where
     ``basis`` is X-orthonormal and ``coords[m]`` holds their coordinates
-    (rows: basis vectors).  Anchor m sits at snapshot
-    ``anchor_positions[m]`` and keeps the factorization of its operator in
-    ``factorizations[m]``; anchors whose operator fails to factorize are
-    dropped with a warning.  The data belongs to one run and is grown by
+    (rows: basis vectors).  The data belongs to one run and is grown by
     ``cdm_build_offline`` only.
     """
 
-    q_cap: int
     basis: np.ndarray
     coords: np.ndarray
-    anchor_positions: list[int] = field(default_factory=list)
     factorizations: list[Factorization] = field(default_factory=list)
     n_basis: int = 0
-    next_position: int = 0
 
     @property
     def q_used(self) -> int:
-        return len(self.anchor_positions)
+        return len(self.factorizations)
 
 
 def cdm_build_offline(
     model: ReducedModel,
     problem: AffineProblem,
-    q_cap: int = 5,
+    factorizations: list[Factorization],
     offline: Optional[CdmOfflineData] = None,
 ) -> CdmOfflineData:
     """Create or incrementally grow the generator factor.
 
-    Anchor candidates are the first ``min(q_cap, n)`` snapshots in selection
-    order.  One loop visits the existing anchors and then the new ones; each
-    solves, through its own factorization, only the generator columns it
-    lacks (a new anchor all of them, an existing one those of the basis
-    vectors added since the last call) and folds them into ``basis`` with
-    ``orthonormal_fold``.
+    ``factorizations[m]`` factorizes the operator at snapshot m, as
+    ``truth_solve`` returned it; the list extends the anchors ``offline``
+    already holds and has at most ``model.n`` entries.  One loop visits the
+    anchors in order; each solves, through its factorization, only the
+    generator columns it lacks (a new anchor all of them, an existing one
+    those of the basis vectors added since the last call) and folds them
+    into ``basis`` with ``orthonormal_fold``.
     """
     qa = problem.n_terms
     n = model.n
     if offline is None:
-        offline = CdmOfflineData(
-            q_cap=q_cap, basis=np.zeros((problem.n_dof, 0)), coords=np.zeros((0, 0, 1))
-        )
-    # (snapshot position, factorization, basis vectors already seen)
-    anchors = [
-        (pos, fact, offline.n_basis)
-        for pos, fact in zip(offline.anchor_positions, offline.factorizations)
-    ]
-    new = range(offline.next_position, min(offline.q_cap, n))
-    anchors += [(pos, None, 0) for pos in new]
-    offline.next_position = max(offline.next_position, new.stop)
+        offline = CdmOfflineData(basis=np.zeros((problem.n_dof, 0)), coords=np.zeros((0, 0, 1)))
+    q_old = offline.q_used
+    offline.factorizations = list(factorizations)
 
     blocks: dict[int, np.ndarray] = {}
 
@@ -204,25 +192,14 @@ def cdm_build_offline(
         return blocks[seen]
 
     folded = []  # (anchor, first generator column, coordinates)
-    for pos, fact, seen in anchors:
-        if fact is None:
-            try:
-                fact = operator_factorization(problem, model.snapshot_params[pos])
-            except NumericalFailureError as exc:
-                warnings.warn(
-                    f"anchor operator at snapshot {pos} failed to factorize "
-                    f"({exc}); continuing with fewer anchors",
-                    RuntimeWarning,
-                )
-                continue
-            offline.anchor_positions.append(pos)
-            offline.factorizations.append(fact)
+    for m, fact in enumerate(offline.factorizations):
+        seen = offline.n_basis if m < q_old else 0
         if seen < n:
             sol = apply_operator_inverse(problem, fact, generator_columns(seen))
             offline.basis, c = orthonormal_fold(
                 problem.discretization, offline.basis, sol, GENERATOR_RTOL
             )
-            folded.append((offline.anchor_positions.index(pos), 1 + seen * qa if seen else 0, c))
+            folded.append((m, 1 + seen * qa if seen else 0, c))
 
     # earlier coordinates are zero on the basis vectors added after them
     coords = np.zeros((offline.q_used, offline.basis.shape[1], 1 + n * qa))
@@ -240,16 +217,15 @@ def _anchor_weights(
 ) -> np.ndarray:
     """Snapshot weights of the anchors in the anchor-space reduced solves.
 
-    Solves in the span of the leading snapshots up to the last anchor and
-    inverts the stored upper-triangular change of basis, so that the weights
-    are the solution's coefficients over the raw snapshots (a unit vector at
-    an anchor's own parameter).
+    Solves in the span of the anchors' snapshots (the leading ``q_used``)
+    and inverts the stored upper-triangular change of basis, so that the
+    weights are the solution's coefficients over the raw snapshots (a unit
+    vector at an anchor's own parameter).
     """
-    q_solve = offline.anchor_positions[-1] + 1
-    cq = reduced_solve_batch(model, thetas, scales, n=q_solve)
-    r = model.snapshot_in_basis[:q_solve, :q_solve]
-    beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T
-    return beta[:, offline.anchor_positions]
+    q = offline.q_used
+    cq = reduced_solve_batch(model, thetas, scales, n=q)
+    r = model.snapshot_in_basis[:q, :q]
+    return scipy.linalg.solve_triangular(r, cq.T, lower=False).T
 
 
 def approx_error_coords(

@@ -138,8 +138,11 @@ class TruthDiscretization:
 
 @dataclass
 class TruthSolution:
+    """A truth solution with the factorization of its operator A(mu)."""
+
     mu: np.ndarray
     coefficients: np.ndarray
+    factorization: Factorization
 
 
 def x_norm(disc: TruthDiscretization, v: np.ndarray) -> float:
@@ -153,20 +156,6 @@ def riesz_solve(disc: TruthDiscretization, functional: np.ndarray) -> np.ndarray
     n_rhs = 1 if functional.ndim == 1 else functional.shape[1]
     disc.counters.riesz_solves += n_rhs
     return disc.x_factorization().solve(functional)
-
-
-def operator_factorization(problem: AffineProblem, mu, operator=None) -> Factorization:
-    """Factorize ``A(mu)`` (``operator`` if given), counting the factorization."""
-    a = assemble_operator(problem, mu) if operator is None else operator
-    try:
-        fact = Factorization(a)
-    except Exception as exc:
-        raise NumericalFailureError(
-            f"factorization of A(mu) failed: {exc}",
-            condition_estimate=_condition_estimate(a),
-        )
-    problem.discretization.counters.truth_factorizations += 1
-    return fact
 
 
 def apply_operator_inverse(
@@ -184,13 +173,23 @@ def apply_operator_inverse(
 def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     """Direct solve of the truth system at one parameter.
 
-    The relative algebraic residual is checked against ``SOLVE_RTOL``; a
-    violation raises ``NumericalFailureError`` carrying a condition estimate.
+    This is the package's only factorization of ``A(mu)``; it is counted and
+    returned on the solution.  A failed factorization, or a relative
+    algebraic residual above ``SOLVE_RTOL``, raises
+    ``NumericalFailureError`` carrying a condition estimate.
     """
     mu = problem.box.validate(mu)
     a = assemble_operator(problem, mu)
+    try:
+        fact = Factorization(a)
+    except Exception as exc:
+        raise NumericalFailureError(
+            f"factorization of A(mu) failed: {exc}",
+            condition_estimate=_condition_estimate(a),
+        )
+    problem.discretization.counters.truth_factorizations += 1
     b = rhs_scale_batch(problem, mu[None, :])[0] * problem.rhs
-    u = apply_operator_inverse(problem, operator_factorization(problem, mu, operator=a), b)
+    u = apply_operator_inverse(problem, fact, b)
     denom = np.linalg.norm(b)
     resid = np.linalg.norm(a @ u - b)
     if resid > SOLVE_RTOL * max(denom, 1e-300):
@@ -198,7 +197,7 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
             f"truth solve residual {resid:.3e} exceeds {SOLVE_RTOL:.1e} * ||b||",
             condition_estimate=_condition_estimate(a),
         )
-    return TruthSolution(mu=mu, coefficients=u)
+    return TruthSolution(mu=mu, coefficients=u, factorization=fact)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ EXPECTED = {
         "n_final": 29,
         "certified": True,
         "counters": {
-            "truth_solves": 454, "truth_factorizations": 34, "riesz_solves": 88,
+            "truth_solves": 454, "truth_factorizations": 29, "riesz_solves": 88,
             "reduced_solves": 1476, "estimator_evals": 1116, "sweep_evals_global": 420,
             "sweep_evals_surrogate": 668, "reproduction_checks": 28,
             "approx_error_evals": 360, "pivoted_cholesky_steps": 163,
@@ -106,7 +106,7 @@ EXPECTED = {
         "n_final": 25,
         "certified": True,
         "counters": {
-            "truth_solves": 1020, "truth_factorizations": 30, "riesz_solves": 226,
+            "truth_solves": 1020, "truth_factorizations": 25, "riesz_solves": 226,
             "reduced_solves": 2030, "estimator_evals": 1280, "sweep_evals_global": 900,
             "sweep_evals_surrogate": 356, "reproduction_checks": 24,
             "approx_error_evals": 750, "pivoted_cholesky_steps": 95,

@@ -45,11 +45,11 @@ class TestConfig:
         assert [cdm.budget(ell) for ell in (1, 2, 3)] == [40, 60, 80]
 
     def test_custom_schedule_wins_and_is_checked(self):
-        config = GreedyConfig(eps_tol=1.0, method="smm", m_schedule=lambda ell: 7)
-        assert config.budget(5) == 7
-        bad = GreedyConfig(eps_tol=1.0, method="smm", m_schedule=lambda ell: 0)
-        with pytest.raises(ConfigurationError):
-            bad.budget(1)
+        config = GreedyConfig(eps_tol=1.0, method="smm", m_growth=7)
+        assert config.budget(5) == 42
+        for bad in (0, 2.0, True):
+            with pytest.raises(ConfigurationError, match="m_growth"):
+                GreedyConfig(eps_tol=1.0, method="smm", m_growth=bad)
 
     def test_empty_training_set_rejected(self, diffusion_small):
         from rbx.affine import TrainingSet
@@ -520,6 +520,59 @@ class TestEnhancedLoop:
         for rec in trace.iterations:
             if rec.sweep_kind == "surrogate" and rec.chosen_index is not None:
                 assert rec.chosen_index < config.budget(rec.outer_loop)
+
+
+class TestOneFactorizationPerSnapshot:
+    @pytest.fixture(params=["thermal", "diffusion"])
+    def small_setup(self, request, thermal_small, thermal_train_small):
+        if request.param == "thermal":
+            return thermal_small, thermal_train_small, 1e-3
+        problem = rbx.build_diffusion2d(n_x=10)
+        train = rbx.sample_training_set(problem.box, kind="random", count=60, seed=2)
+        return problem, train, 1e-2
+
+    def test_every_method_factorizes_once_per_truth_solve(self, small_setup):
+        # cdm anchors solve through their snapshots' truth-solve factorizations
+        problem, train, eps_tol = small_setup
+        for method in ("classical", "smm", "cdm"):
+            config = GreedyConfig(eps_tol=eps_tol, n_max=30, seed=0, method=method)
+            _, trace = run_greedy(problem, train, config)
+            assert trace.counters["truth_factorizations"] == trace.n_final + len(
+                trace.skipped_indices
+            ), method
+
+    def test_cdm_anchors_are_the_first_accepted_snapshots(
+        self, thermal_small, thermal_train_small, monkeypatch
+    ):
+        import rbx.greedy as greedy_module
+        from rbx.affine import assemble_operator
+
+        real_extend = greedy_module.extend_basis
+        real_build = greedy_module.cdm_build_offline
+        victims, anchor_counts = [], []
+
+        def rejecting(model, snapshot, train_index=None):
+            if model.n == 2 and not victims:
+                victims.append(train_index)
+                raise BasisRejectionError("synthetic dependence")
+            return real_extend(model, snapshot, train_index)
+
+        def checked(model, problem, factorizations, offline=None):
+            v = np.linspace(1.0, 2.0, problem.n_dof)
+            for m, fact in enumerate(factorizations):
+                a = assemble_operator(problem, model.snapshot_params[m])
+                np.testing.assert_allclose(fact.solve(a @ v), v, rtol=1e-8)
+            anchor_counts.append(len(factorizations))
+            return real_build(model, problem, factorizations, offline)
+
+        monkeypatch.setattr(greedy_module, "extend_basis", rejecting)
+        monkeypatch.setattr(greedy_module, "cdm_build_offline", checked)
+        config = GreedyConfig(eps_tol=1e-3, n_max=30, seed=0, method="cdm")
+        model, trace = run_greedy(thermal_small, thermal_train_small, config)
+        assert trace.skipped_indices == victims
+        assert victims[0] not in model.snapshot_indices
+        assert anchor_counts[0] == 1 and anchor_counts[-1] == greedy_module.CDM_ANCHORS
+        assert trace.counters["truth_factorizations"] == model.n + 1
 
 
 class TestSkipPolicy:

@@ -115,10 +115,10 @@ class TestConfigParsing:
 
 
 class TestGreedyConfigMerge:
-    @pytest.mark.parametrize("key", ["m_growth", "m_fixed"])
+    @pytest.mark.parametrize("key", ["m_growth"])
     def test_non_integer_schedule_rejected(self, key):
         raw = tiny_config_dict(greedy={"eps_tol": 1.0, key: "two"})
-        with pytest.raises(ConfigurationError, match=f"^{key} must be an integer"):
+        with pytest.raises(ConfigurationError, match=f"{key} must be an integer"):
             ExperimentConfig.from_dict(raw)
 
     def test_method_defaults_applied(self):
@@ -127,7 +127,7 @@ class TestGreedyConfigMerge:
         cdm = config.greedy_config("cdm")
         assert smm.k_damp == 1 and cdm.k_damp == 10
         assert smm.budget(1) == 4 and cdm.budget(1) == 40
-        assert config.greedy_config("classical").m_schedule is None
+        assert smm.m_growth == 2 and cdm.m_growth == 20
 
     def test_library_and_harness_run_the_same_cdm(self):
         harness_cdm = ExperimentConfig.from_dict({"problem": "thermalblock"}).greedy_config("cdm")
@@ -138,19 +138,16 @@ class TestGreedyConfigMerge:
             greedy={
                 "eps_tol": 1e-2,
                 "k_damp": 5,
-                "cdm": {"k_damp": 7, "m_fixed": 13},
+                "m_growth": 3,
+                "cdm": {"k_damp": 7, "m_growth": 13},
             }
         )
         config = ExperimentConfig.from_dict(raw)
-        assert config.greedy_config("smm").k_damp == 5
+        smm = config.greedy_config("smm")
+        assert smm.k_damp == 5 and smm.budget(1) == 6
         cdm = config.greedy_config("cdm")
         assert cdm.k_damp == 7
-        assert cdm.m_schedule(1) == 13 and cdm.m_schedule(9) == 13
-
-    def test_growth_and_fixed_conflict(self):
-        raw = tiny_config_dict(greedy={"eps_tol": 1.0, "m_growth": 2, "m_fixed": 5})
-        with pytest.raises(ConfigurationError, match="not both"):
-            ExperimentConfig.from_dict(raw)
+        assert cdm.budget(1) == 26 and cdm.budget(9) == 130
 
     def test_bad_value_surfaces_as_configuration_error(self):
         raw = tiny_config_dict(greedy={"eps_tol": "high"})
@@ -164,8 +161,7 @@ class TestGreedyConfigMerge:
             ({"n_max": 4.0}, "n_max"),
             ({"smm": {"k_damp": True}}, "k_damp"),
             ({"seed": None}, "seed"),
-            ({"cdm": {"cdm_q_cap": 1.5}}, "cdm_q_cap"),
-            ({"workers": "2"}, "workers"),
+            ({"cdm": {"m_growth": 1.5}}, "m_growth"),
         ],
     )
     def test_greedy_fields_type_checked_at_parse_time(self, greedy, field):
@@ -367,6 +363,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and "n_max" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(tiny_config_dict(greedy=[1, 2]), id="greedy-list"),
+            pytest.param(tiny_config_dict(greedy="abc"), id="greedy-string"),
+            pytest.param(tiny_config_dict(greedy={"cdm": [1]}), id="method-block-list"),
+            pytest.param(tiny_config_dict(problem={"name": ["x"]}), id="problem-name-list"),
+            pytest.param(
+                {"problem": {"name": "thermalblock", "nodes_per_side": "abc"}},
+                id="nodes-per-side-string",
+            ),
+            pytest.param(
+                {"problem": {"name": "thermalblock", "nodes_per_side": 5}}, id="nodes-per-side-5"
+            ),
+            pytest.param(
+                {"problem": "thermalblock", "training": {"kind": "random", "count": 0}},
+                id="training-count-0",
+            ),
+            pytest.param(tiny_config_dict(output_dir=5), id="output-dir-number"),
+            pytest.param(
+                tiny_config_dict(greedy={"eps_tol": 1e-9, "m_fixed": 5}), id="removed-m_fixed"
+            ),
+            pytest.param(
+                tiny_config_dict(greedy={"cdm": {"cdm_q_cap": 3}}), id="removed-cdm_q_cap"
+            ),
+            pytest.param(tiny_config_dict(greedy={"workers": 2}), id="removed-workers"),
+        ],
+    )
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        assert cli_main(["run", "--config", "config.json"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_failing_truth_solve_exits_1_and_leaves_marker(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "config.json"

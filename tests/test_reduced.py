@@ -74,7 +74,9 @@ class TestBasis:
         from rbx.truth import TruthSolution
 
         model = ReducedModel(diffusion_small)
-        snap = TruthSolution(mu=np.zeros(2), coefficients=np.zeros(diffusion_small.n_dof))
+        snap = TruthSolution(
+            mu=np.zeros(2), coefficients=np.zeros(diffusion_small.n_dof), factorization=None
+        )
         with pytest.raises(BasisRejectionError):
             extend_basis(model, snap)
 

@@ -1,7 +1,5 @@
 """Surrogate-domain constructors checked against hand cases and brute force."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -206,10 +204,16 @@ class TestPivotedCholesky:
 # cached-inverse error approximation
 
 
+def anchor_factorizations(problem, model, q):
+    """The operator factorizations at the model's first ``q`` snapshots."""
+    return [truth_solve(problem, mu).factorization for mu in model.snapshot_params[:q]]
+
+
 @pytest.fixture
 def thermal_setup(thermal_small, thermal_train_small):
     model, _ = build_model(thermal_small, thermal_train_small, n_target=4)
-    offline = cdm_build_offline(model, thermal_small, q_cap=3)
+    facts = anchor_factorizations(thermal_small, model, 3)
+    offline = cdm_build_offline(model, thermal_small, facts)
     return thermal_small, thermal_train_small, model, offline
 
 
@@ -246,13 +250,12 @@ def explicit_error_block(model, offline, problem, points):
     beta the snapshot weights of the anchor-space reduced solve.
     """
     thetas, scales, coeffs = batch_inputs(model, problem, points)
-    q_solve = offline.anchor_positions[-1] + 1
-    cq = reduced_solve_batch(model, thetas, scales, n=q_solve)
-    r = model.snapshot_in_basis[:q_solve, :q_solve]
-    beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T[:, offline.anchor_positions]
+    q = offline.q_used
+    cq = reduced_solve_batch(model, thetas, scales, n=q)
+    r = model.snapshot_in_basis[:q, :q]
+    beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T
     inverses = [
-        np.linalg.inv(dense(assemble_operator(problem, model.snapshot_params[pos])))
-        for pos in offline.anchor_positions
+        np.linalg.inv(dense(assemble_operator(problem, mu))) for mu in model.snapshot_params[:q]
     ]
     cols = []
     for i, mu in enumerate(np.atleast_2d(points)):
@@ -270,8 +273,8 @@ class TestCachedInverseOffline:
         np.testing.assert_allclose(v.T @ x @ v, np.eye(v.shape[1]), atol=1e-12)
         qa = problem.n_terms
         assert offline.coords.shape == (offline.q_used, v.shape[1], 1 + model.n * qa)
-        for m, pos in enumerate(offline.anchor_positions):
-            a = dense(assemble_operator(problem, model.snapshot_params[pos]))
+        for m in range(offline.q_used):
+            a = dense(assemble_operator(problem, model.snapshot_params[m]))
             gen = v @ offline.coords[m]
             np.testing.assert_allclose(
                 a @ gen[:, 0], problem.rhs, atol=1e-9 * np.abs(problem.rhs).max()
@@ -286,13 +289,17 @@ class TestCachedInverseOffline:
 
     def test_incremental_growth_matches_fresh_build(self, thermal_small, thermal_train_small):
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
-        grown = cdm_build_offline(model, thermal_small, q_cap=3)
+        grown = cdm_build_offline(
+            model, thermal_small, anchor_factorizations(thermal_small, model, 2)
+        )
         config = rbx.GreedyConfig(eps_tol=1e-300, n_max=4, seed=0)
         model2, _ = rbx.run_greedy(thermal_small, thermal_train_small, config)
-        # same greedy path, so snapshots 1..2 coincide; grow the factor
-        grown = cdm_build_offline(model2, thermal_small, q_cap=3, offline=grown)
-        fresh = cdm_build_offline(model2, thermal_small, q_cap=3)
-        assert grown.anchor_positions == fresh.anchor_positions
+        # same greedy path, so snapshots 1..2 coincide; grow the factor by
+        # the basis vectors 3..4 and the anchor at snapshot 3
+        facts = anchor_factorizations(thermal_small, model2, 3)
+        grown = cdm_build_offline(model2, thermal_small, grown.factorizations + facts[2:], grown)
+        fresh = cdm_build_offline(model2, thermal_small, facts)
+        assert grown.q_used == fresh.q_used == 3
         assert grown.n_basis == fresh.n_basis == 4
         for m in range(fresh.q_used):
             np.testing.assert_allclose(
@@ -304,42 +311,25 @@ class TestCachedInverseOffline:
 
         model, _ = build_model(diffusion_small, diffusion_train_small, n_target=2)
         counters = diffusion_small.counters
+        facts = anchor_factorizations(diffusion_small, model, 1)
         base = counters.snapshot()
-        offline = cdm_build_offline(model, diffusion_small, q_cap=1)
+        offline = cdm_build_offline(model, diffusion_small, facts)
         after = counters.snapshot()
-        # one anchor: the load column plus one image column per term and snapshot
+        # one anchor: the load column plus one image column per term and
+        # snapshot, solved through the truth solve's own factorization
         qa = diffusion_small.n_terms
         assert after["truth_solves"] - base["truth_solves"] == 1 + qa * model.n
-        assert after["truth_factorizations"] - base["truth_factorizations"] == 1
+        assert after["truth_factorizations"] == base["truth_factorizations"]
         # extending the basis costs one backsolve per new image column and
         # reuses the anchor's own factorization
         snap = truth_solve(diffusion_small, [0.9, 0.9])
         extend_basis(model, snap)
         mid = counters.snapshot()
-        offline = cdm_build_offline(model, diffusion_small, q_cap=1, offline=offline)
+        offline = cdm_build_offline(model, diffusion_small, facts, offline)
         growth = counters.snapshot()
         assert growth["truth_solves"] - mid["truth_solves"] == qa
         assert growth["truth_factorizations"] - mid["truth_factorizations"] == 0
         assert offline.n_basis == model.n
-
-    def test_anchor_factorization_failure_skips_that_anchor(
-        self, thermal_small, thermal_train_small, monkeypatch
-    ):
-        model, _ = build_model(thermal_small, thermal_train_small, n_target=3)
-        import rbx.surrogate as surrogate_module
-
-        real = surrogate_module.operator_factorization
-
-        def flaky(problem, mu, operator=None):
-            if np.array_equal(mu, model.snapshot_params[1]):
-                raise NumericalFailureError("synthetic failure")
-            return real(problem, mu, operator)
-
-        monkeypatch.setattr(surrogate_module, "operator_factorization", flaky)
-        with pytest.warns(RuntimeWarning, match="anchor"):
-            offline = cdm_build_offline(model, thermal_small, q_cap=3)
-        assert offline.anchor_positions == [0, 2]
-        assert offline.q_used == len(offline.factorizations) == 2
 
     def test_cdm_run_does_not_depend_on_earlier_runs(self):
         # anchor factorizations belong to one run: a run on a problem that
@@ -388,8 +378,8 @@ class TestCachedInverseError:
 
     def test_needs_anchors(self, thermal_small, thermal_train_small):
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
-        offline = cdm_build_offline(model, thermal_small, q_cap=2)
-        offline.anchor_positions.clear()
+        offline = cdm_build_offline(model, thermal_small, [])
+        assert offline.q_used == 0
         picked = cdm_construct(
             model, offline, swept(model, thermal_small, thermal_train_small.points), 4
         )
