@@ -21,6 +21,7 @@ into place, so it is either complete or absent.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -71,10 +72,9 @@ def _object(value, key: str) -> dict:
 
 
 def _integer(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _fmt(x) -> str:

@@ -314,10 +314,10 @@ def reduced_solve_batch(
 def augmented_weights(thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Rows [s, c_1 theta, ..., c_n theta]: the weights of the load and of the
     basis-image terms -A_q xi_j in the Galerkin residual."""
-    b, n = coeffs.shape
-    w = np.empty((b, 1 + n * thetas.shape[1]))
+    (b, n), q = coeffs.shape, thetas.shape[1]
+    w = np.empty((b, 1 + n * q))
     w[:, 0] = scales
-    w[:, 1:] = (coeffs[:, :, None] * thetas[:, None, :]).reshape(b, -1)
+    np.multiply(coeffs[:, :, None], thetas[:, None, :], out=w[:, 1:].reshape(b, n, q))
     return w
 
 
@@ -337,9 +337,9 @@ class CholeskyRows:
     so the rows a basis extension adds are appended and the buffer's
     unwritten rows cost no resident memory.  ``z`` keeps the forward-
     substituted loads L_i^{-1} s_i f, so a solve only back-substitutes.
-    Every kernel is a fixed sequence of elementwise operations over the
-    points, so a point's factor does not depend on how the points are
-    chunked or threaded, nor on the BLAS.
+    Every kernel works point by point, with elementwise operations and
+    per-point contractions, so a point's factor does not depend on how the
+    points are chunked or threaded, nor on the BLAS.
     """
 
     def __init__(self, n_points: int, capacity: int):
@@ -361,29 +361,28 @@ class CholeskyRows:
         M minus the dot products with row j, divided by L[j, j].  Below the
         old rows that is one forward substitution with every new column as a
         right-hand side; on the new rows it is the Cholesky factorization of
-        the Schur complement.  Pivots are the squared diagonal entries; the
-        rows are only valid where every pivot is positive.
+        the Schur complement, each column in two per-point contractions
+        (``einsum``).  Pivots are the squared diagonal entries; the rows are
+        only valid where every pivot is positive.
         """
-        k0, p = self.rows, n - self.rows
+        k0, p, b = self.rows, n - self.rows, thetas.shape[0]
         comps = model.reduced_components
-        th = np.ascontiguousarray(thetas.T)
-        # x[l, m] = L[k0 + m, l]; acc[m] collects the load of new row k0 + m
-        x = np.empty((n, p, th.shape[1]))
+        # th[q] = theta_q and x[l, m] = L[k0 + m, l]; acc[m] collects the load
+        # of new row k0 + m.  A spare point keeps the q and l strides off one
+        # element, where einsum sums in another order (a block of one point).
+        th = np.empty((thetas.shape[1], b + 1))[:, :b]
+        th[:] = thetas.T
+        x = np.empty((n, p, b + 1))[:, :, :b]
         acc = scales * model.reduced_rhs[k0:n, None]
-        tmp = np.empty((p, th.shape[1]))
-        pivots = np.full(th.shape[1], np.inf)
+        tmp = np.empty((p, b))
+        pivots = np.full(b, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             for j in range(n):
                 m0 = max(0, j - k0)
-                col, t = x[j, m0:], tmp[: p - m0]
-                np.multiply(comps[0, j, k0 + m0 : n, None], th[0], out=col)
-                for q in range(1, th.shape[0]):
-                    np.multiply(comps[q, j, k0 + m0 : n, None], th[q], out=t)
-                    col += t
+                col = x[j, m0:]
+                np.einsum("qm,qb->mb", comps[:, j, k0 + m0 : n], th, out=col)
                 row_j = self._row(j)[:, sl] if j < k0 else x[: j + 1, j - k0]
-                for l in range(j):
-                    np.multiply(x[l, m0:], row_j[l], out=t)
-                    col -= t
+                col -= np.einsum("lmb,lb->mb", x[:j, m0:], row_j[:j])
                 if j < k0:
                     col /= row_j[j]
                     z_j = self._z[j, sl]

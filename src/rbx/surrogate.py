@@ -37,7 +37,7 @@ from .reduced import (
 from .truth import Factorization, apply_operator_inverse
 
 PIVOT_DROP_RTOL = 1e-12
-GENERATOR_RTOL = 1e-12
+GENERATOR_RTOL = 1e-9
 NORM_FLOOR_ABS = 1e-14
 NORM_FLOOR_RTOL = 1e-10
 

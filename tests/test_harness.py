@@ -92,6 +92,13 @@ class TestConfigParsing:
             ({"training": {"kind": "random", "count": "two"}}, "training.count"),
             ({"training": {"kind": "grid", "n_per_dim": "two"}}, "training.n_per_dim"),
             ({"training": {"kind": "grid", "n_per_dim": 4, "seed": None}}, "training.seed"),
+            # wrong types are rejected, not truncated or coerced
+            (
+                {"problem": {"name": "thermalblock", "nodes_per_side": 7.9}},
+                "problem.nodes_per_side",
+            ),
+            ({"training": {"kind": "random", "count": "300"}}, "training.count"),
+            ({"training": {"kind": "grid", "n_per_dim": 4, "seed": True}}, "training.seed"),
         ],
     )
     def test_non_integer_values_rejected(self, overrides, key):

@@ -14,6 +14,7 @@ from rbx.reduced import (
     ReducedModel,
     ReducedSolution,
     TrainingSystems,
+    augmented_weights,
     error_estimate,
     estimate_batch,
     extend_basis,
@@ -355,6 +356,50 @@ class TestBatchedSweeps:
             assert one.factor.rows == two.factor.rows == model.n
             for k in range(model.n):
                 np.testing.assert_array_equal(two.factor._row(k), one.factor._row(k))
+
+    def test_factor_does_not_depend_on_the_border_schedule(self, thermal_small, monkeypatch):
+        # cdm borders all rows a round added in one call, classical one row
+        # per call; the factor and the estimates must not tell them apart,
+        # nor the worker count
+        train = rbx.sample_training_set(thermal_small.box, kind="random", count=5000, seed=5)
+        model, _ = build_model(thermal_small, train, n_target=12)
+
+        def grown(model, schedule, workers=1, chunk=4096, b=5000):
+            monkeypatch.setattr(reduced, "DEFAULT_CHUNK", chunk)
+            points, cap = train.points[:b], model.n
+            systems = TrainingSystems.evaluate(thermal_small, points, capacity=cap)
+            for n in schedule:
+                deltas = estimate_batch(
+                    model, thermal_small, points, n=n, workers=workers, systems=systems
+                )
+            written = systems.factor._buf[: b * cap * (cap + 1) // 2]
+            return written, systems.coeffs, deltas
+
+        cdm = grown(model, [12])
+        classical = range(1, 13)
+        for run in (grown(model, classical), grown(model, [12], 2), grown(model, classical, 2)):
+            for got, expected in zip(run, cdm):
+                np.testing.assert_array_equal(got, expected)
+        # a block of one point sums like a wider block, also at basis size one
+        one, _ = build_model(thermal_small, train, n_target=1)
+        for m in (model, one):
+            wide = grown(m, [m.n], b=40)
+            for schedule in ([m.n], range(1, m.n + 1)):
+                single = grown(m, schedule, chunk=1, b=40)
+                np.testing.assert_array_equal(single[0], wide[0])
+                np.testing.assert_array_equal(single[1], wide[1])
+
+    def test_augmented_weights_are_the_broadcast_products(self):
+        rng = np.random.default_rng(20)
+        for b, n, q in [(1, 1, 1), (5, 0, 9), (7, 67, 9), (300, 12, 4)]:
+            thetas = rng.random((b, q))
+            scales = rng.random(b)
+            coeffs = rng.standard_normal((b, n))
+            w = augmented_weights(thetas, scales, coeffs)
+            expected = np.column_stack(
+                [scales, (coeffs[:, :, None] * thetas[:, None, :]).reshape(b, -1)]
+            )
+            np.testing.assert_array_equal(w, expected)
 
     def test_batch_rejects_systems_of_other_points(self, thermal_small, thermal_model):
         rng = np.random.default_rng(19)

@@ -331,6 +331,30 @@ class TestCachedInverseOffline:
         assert growth["truth_factorizations"] - mid["truth_factorizations"] == 0
         assert offline.n_basis == model.n
 
+    def test_generators_fold_at_their_numerical_rank(self, thermal_small, monkeypatch):
+        # the anchors of a cdm round at basis size 20: the generator rule
+        # drops the round-off directions that 1e-12 keeps, and the blend's
+        # error norms do not move beyond that round-off
+        from rbx import surrogate
+        from rbx.greedy import CDM_ANCHORS
+
+        train = rbx.sample_training_set(thermal_small.box, kind="random", count=300, seed=0)
+        model, _ = build_model(thermal_small, train, n_target=20)
+        facts = anchor_factorizations(thermal_small, model, CDM_ANCHORS)
+        systems = swept(model, thermal_small, train.points)
+        weights = augmented_weights(systems.thetas, systems.scales, systems.coeffs)
+
+        def round_at(rtol):
+            monkeypatch.setattr(surrogate, "GENERATOR_RTOL", rtol)
+            offline = cdm_build_offline(model, thermal_small, facts)
+            y = approx_error_coords(model, offline, systems.thetas, systems.scales, weights)
+            return offline.basis.shape[1], np.linalg.norm(y, axis=1)
+
+        rank, norms = round_at(surrogate.GENERATOR_RTOL)
+        full_rank, full_norms = round_at(1e-12)
+        assert rank < full_rank
+        np.testing.assert_allclose(norms, full_norms, rtol=1e-6, atol=1e-6 * full_norms.max())
+
     def test_cdm_run_does_not_depend_on_earlier_runs(self):
         # anchor factorizations belong to one run: a run on a problem that
         # already ran another seed must match the same run on a fresh problem
