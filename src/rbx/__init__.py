@@ -33,7 +33,6 @@ from .greedy import (
     GreedyTrace,
     IterationRecord,
     OuterLoopRecord,
-    argmax_sweep,
     run_greedy,
 )
 from .harness import (
@@ -56,8 +55,6 @@ from .reduced import (
     residual_dual_norm_sq,
 )
 from .surrogate import (
-    CdmOfflineData,
-    cdm_build_offline,
     cdm_construct,
     pivoted_cholesky,
     smm_construct,
@@ -93,7 +90,6 @@ __all__ = [
     "GreedyTrace",
     "IterationRecord",
     "OuterLoopRecord",
-    "argmax_sweep",
     "run_greedy",
     "ExperimentConfig",
     "PROBLEMS",
@@ -110,8 +106,6 @@ __all__ = [
     "reduced_output",
     "reduced_solve",
     "residual_dual_norm_sq",
-    "CdmOfflineData",
-    "cdm_build_offline",
     "cdm_construct",
     "pivoted_cholesky",
     "smm_construct",

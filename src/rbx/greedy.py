@@ -1,21 +1,23 @@
 """Offline greedy driver.
 
-``run_greedy`` repeats rounds of one certifying full training-set sweep
-followed by one basis extension at the worst-estimated parameter, until the
-estimate field drops below the tolerance everywhere or the basis cap is
-reached.  The classical method does nothing else.  The smm and cdm methods
-also build a small surrogate subset of the training set from each round's
-sweep (before the extension) and then keep extending inside that subset
-while the worst surrogate estimate stays above both the tolerance and a
-shrinking fraction of the round's full-sweep maximum.  Termination is
-decided only by full sweeps, so the certificate always covers the whole
-training set.
+``run_greedy`` repeats one round for every method: a certifying full
+training-set sweep, a surrogate domain built from that sweep (before the
+extension, on the pre-extension model), one basis extension at the
+worst-estimated parameter, and an inner loop that keeps extending inside
+the surrogate domain while its worst estimate stays above both the
+tolerance and a shrinking fraction of the round's full-sweep maximum.  The
+methods differ only in the surrogate domain: smm and cdm build one, and
+classical is the case whose domain is empty, so its inner loop never runs.
+The run stops when the full-sweep maximum drops below the tolerance or the
+basis cap is reached.  Termination is decided only by full sweeps, so the
+certificate always covers the whole training set.
 
 Counting conventions: every full sweep evaluates the estimator at every
 training point (selection skips previously chosen or rejected indices, the
 evaluation does not); surrogate sweeps evaluate exactly their current
-domain; each post-seed extension is followed by one reproduction-check
-evaluation at the chosen parameter, recorded in its own counter bucket.
+domain, which never holds a chosen or rejected index; each post-seed
+extension is followed by one reproduction-check evaluation at the chosen
+parameter, recorded in its own counter bucket.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .reduced import (
     extend_basis,
 )
 from .surrogate import CdmOfflineData, cdm_build_offline, cdm_construct, smm_construct
-from .truth import Factorization, TruthSolution, truth_solve
+from .truth import TruthSolution, truth_solve
 
 DEFAULT_SMM_BUDGET_GROWTH = 2
 DEFAULT_CDM_BUDGET_GROWTH = 20
@@ -113,7 +115,6 @@ class OuterLoopRecord:
     m_budget: int
     surrogate_size: int
     n_added_inner: int
-    basis_size_after: int
 
     @property
     def sar(self) -> float:
@@ -140,12 +141,6 @@ class GreedyTrace:
     skipped_indices: list[int] = field(default_factory=list)
 
 
-@dataclass
-class SweepResult:
-    delta_max: float  # maximum over everything swept
-    field: np.ndarray  # estimates over the training set, -inf off the domain
-
-
 def _argmax_excluding(values: np.ndarray, excluded: set[int]) -> Optional[int]:
     """First position of the maximum among non-excluded finite entries."""
     if excluded:
@@ -162,32 +157,29 @@ def _argmax_excluding(values: np.ndarray, excluded: set[int]) -> Optional[int]:
 def argmax_sweep(
     model: ReducedModel,
     problem: AffineProblem,
-    train: TrainingSet,
+    systems: TrainingSystems,
     domain: Optional[np.ndarray] = None,
     kind: str = "other",
     workers: int = 1,
-    systems: Optional[TrainingSystems] = None,
-) -> SweepResult:
-    """Estimate over a sweep domain.
+) -> np.ndarray:
+    """Estimate field of one sweep over the training set ``systems``.
 
     ``domain`` is a list of training indices (the whole set when omitted).
-    ``systems`` is the run's evaluated training set; without it, this sweep
-    evaluates one.  A full sweep leaves its reduced solutions on
-    ``systems.coeffs`` for ``cdm_construct``.  ``delta_max`` is the maximum
-    over the whole swept domain, which is what a termination certificate
-    needs; ``field`` scatters the estimates over the training set for
-    selection.  A non-finite estimate raises ``NumericalFailureError``
-    naming the first such parameter.
+    Returns the estimates scattered over the training set, -inf off the
+    domain, so that the field's maximum is the maximum over the swept domain
+    (what a termination certificate needs) and its argmax a selection.  A
+    full sweep leaves its reduced solutions on ``systems.coeffs`` for
+    ``cdm_construct``.  A non-finite estimate raises
+    ``NumericalFailureError`` naming the first such parameter.
     """
-    if systems is None:
-        systems = TrainingSystems.evaluate(problem, train.points, capacity=model.n)
+    swept = systems
     if domain is not None:
         domain = np.asarray(domain, dtype=int)
-        systems = systems.restrict(domain)
-    points = systems.points
+        swept = systems.restrict(domain)
+    points = swept.points
     if points.shape[0] == 0:
         raise ConfigurationError("cannot sweep an empty domain")
-    deltas = estimate_batch(model, problem, points, kind=kind, workers=workers, systems=systems)
+    deltas = estimate_batch(model, problem, points, kind=kind, workers=workers, systems=swept)
     bad = np.flatnonzero(~np.isfinite(deltas))
     if bad.size:
         j = int(bad[0])
@@ -196,15 +188,16 @@ def argmax_sweep(
             f"non-finite estimate {deltas[j]} at training index {index}, mu = {points[j]}"
         )
     if domain is None:
-        field = deltas
-    else:
-        field = np.full(train.n_train, -np.inf)
-        field[domain] = deltas
-    return SweepResult(delta_max=float(deltas.max()), field=field)
+        return deltas
+    field = np.full(systems.points.shape[0], -np.inf)
+    field[domain] = deltas
+    return field
 
 
-class _RunState:
-    """Timers, bookkeeping and the per-sweep records of one greedy run."""
+class _Run:
+    """One greedy run: its model, trace, training systems, excluded indices,
+    timers and cdm anchor data.  The constructor draws and accepts the seed
+    snapshot."""
 
     def __init__(self, problem: AffineProblem, train: TrainingSet, config: GreedyConfig):
         problem.counters.reset()
@@ -212,13 +205,17 @@ class _RunState:
         self.problem = problem
         self.train = train
         self.config = config
-        self.excluded: set[int] = set()
-        self.skipped: list[int] = []
-        self.offline: Optional[CdmOfflineData] = None
-        self.anchors: list[Factorization] = []
         self.systems = TrainingSystems.evaluate(problem, train.points, capacity=config.n_max)
+        self.cdm = CdmOfflineData(problem) if config.method == "cdm" else None
         self.truth_seconds = 0.0
         self.surrogate_seconds = 0.0
+        self.model = ReducedModel(problem)
+        first = int(np.random.default_rng(config.seed).integers(train.n_train))
+        self.trace = GreedyTrace(
+            method=config.method, seed=config.seed, eps_tol=config.eps_tol, seed_index=first
+        )
+        self.excluded = {first}
+        self.accept(self.solve_snapshot(train.points[first]), first)
 
     def wall_ms(self) -> float:
         return (time.perf_counter() - self.t0) * 1000.0
@@ -229,59 +226,60 @@ class _RunState:
         self.truth_seconds += time.perf_counter() - start
         return snap
 
-    def accept(self, model: ReducedModel, snap: TruthSolution, idx: int) -> None:
+    def accept(self, snap: TruthSolution, idx: int) -> None:
         """Extend the basis with ``snap``; a cdm run keeps the factorizations
         of its first ``CDM_ANCHORS`` accepted snapshots as anchors."""
-        extend_basis(model, snap, idx)
-        if self.config.method == "cdm" and len(self.anchors) < CDM_ANCHORS:
-            self.anchors.append(snap.factorization)
+        extend_basis(self.model, snap, idx)
+        if self.cdm is not None and len(self.cdm.factorizations) < CDM_ANCHORS:
+            self.cdm.factorizations.append(snap.factorization)
 
     def sweep(
-        self,
-        model: ReducedModel,
-        trace: GreedyTrace,
-        outer_loop: int,
-        domain: Optional[list[int]] = None,
-    ) -> tuple[SweepResult, IterationRecord]:
+        self, outer_loop: int, domain: Optional[list[int]] = None
+    ) -> tuple[np.ndarray, IterationRecord]:
         """Run one full (``domain`` omitted) or surrogate sweep and record it."""
         kind = "global" if domain is None else "surrogate"
-        result = argmax_sweep(
-            model,
+        field = argmax_sweep(
+            self.model,
             self.problem,
-            self.train,
+            self.systems,
             domain=domain,
             kind=kind,
             workers=self.config.workers,
-            systems=self.systems,
         )
         record = IterationRecord(
-            n=model.n,
+            n=self.model.n,
             sweep_kind=kind,
             outer_loop=outer_loop,
-            delta_max=result.delta_max,
+            delta_max=float(field.max()),
             sweep_size=self.train.n_train if domain is None else len(domain),
             chosen_index=None,
             cum_estimator_evals=self.problem.counters.estimator_evals,
             wall_ms=self.wall_ms(),
         )
-        trace.iterations.append(record)
-        return result, record
+        self.trace.iterations.append(record)
+        return field, record
 
-    def build_surrogate(self, model: ReducedModel, budget: int, sweep: SweepResult) -> list[int]:
-        """Surrogate domain of one round, without already excluded indices."""
-        start = time.perf_counter()
+    def surrogate(self, ell: int, e_ell: float, field: np.ndarray) -> list[int]:
+        """Surrogate domain of round ``ell`` from its full sweep (``field``,
+        maximum ``e_ell``), without already excluded indices, recorded as an
+        ``OuterLoopRecord``.  Classical runs have none: they build, time and
+        record nothing."""
         config = self.config
+        if config.method == "classical":
+            return []
+        start = time.perf_counter()
+        budget = config.budget(ell)
         if config.method == "smm":
-            picked = smm_construct(sweep.field, config.eps_tol, budget)
+            picked = smm_construct(field, config.eps_tol, budget)
         else:
-            self.offline = cdm_build_offline(model, self.problem, self.anchors, self.offline)
-            picked = cdm_construct(model, self.offline, self.systems, budget)
+            cdm_build_offline(self.model, self.problem, self.cdm)
+            picked = cdm_construct(self.model, self.cdm, self.systems, budget)
         self.surrogate_seconds += time.perf_counter() - start
-        return [int(i) for i in picked if int(i) not in self.excluded]
+        pending = [int(i) for i in picked if int(i) not in self.excluded]
+        self.trace.outer_loops.append(OuterLoopRecord(ell, e_ell, budget, len(pending), 0))
+        return pending
 
-    def extend_from_sweep(
-        self, model: ReducedModel, field: np.ndarray, record: IterationRecord
-    ) -> Optional[int]:
+    def extend(self, field: np.ndarray, record: IterationRecord) -> Optional[int]:
         """Extend at the best admissible index of an estimate field.
 
         Rejected snapshots are excluded and the next-best index is tried
@@ -290,46 +288,30 @@ class _RunState:
         estimate; returns the extended index, or None when every candidate
         is exhausted.
         """
-        while True:
-            idx = _argmax_excluding(field, self.excluded)
-            if idx is None:
-                return None
+        while (idx := _argmax_excluding(field, self.excluded)) is not None:
             mu = self.train.points[idx]
             snap = self.solve_snapshot(mu)
             self.excluded.add(idx)
             try:
-                self.accept(model, snap, idx)
+                self.accept(snap, idx)
             except BasisRejectionError:
-                self.skipped.append(idx)
+                self.trace.skipped_indices.append(idx)
                 continue
-            record.post_extension_delta = error_estimate(model, self.problem, mu, kind="check")
+            record.post_extension_delta = error_estimate(self.model, self.problem, mu, kind="check")
             record.chosen_index = idx
             record.wall_ms = self.wall_ms()
             record.cum_estimator_evals = self.problem.counters.estimator_evals
             return idx
+        return None
 
-    def finish(self, model: ReducedModel, trace: GreedyTrace) -> GreedyTrace:
-        trace.n_final = model.n
+    def finish(self) -> GreedyTrace:
+        trace = self.trace
+        trace.n_final = self.model.n
         trace.wall_ms_total = self.wall_ms()
         trace.wall_ms_truth = self.truth_seconds * 1000.0
         trace.wall_ms_surrogate_build = self.surrogate_seconds * 1000.0
         trace.counters = self.problem.counters.snapshot()
-        trace.skipped_indices = list(self.skipped)
         return trace
-
-
-def _seed_model(state: _RunState) -> tuple[ReducedModel, GreedyTrace]:
-    config = state.config
-    model = ReducedModel(state.problem)
-    rng = np.random.default_rng(config.seed)
-    first = int(rng.integers(state.train.n_train))
-    snap = state.solve_snapshot(state.train.points[first])
-    state.accept(model, snap, first)
-    state.excluded.add(first)
-    trace = GreedyTrace(
-        method=config.method, seed=config.seed, eps_tol=config.eps_tol, seed_index=first
-    )
-    return model, trace
 
 
 def run_greedy(
@@ -341,44 +323,33 @@ def run_greedy(
     """
     if train.n_train == 0:
         raise ConfigurationError("training set is empty")
-    state = _RunState(problem, train, config)
-    model, trace = _seed_model(state)
-    enhanced = config.method != "classical"
+    run = _Run(problem, train, config)
+    model, trace = run.model, run.trace
     ell = 0
 
     while model.n < config.n_max:
         ell += 1
-        sweep, record = state.sweep(model, trace, ell if enhanced else 0)
-        e_ell = sweep.delta_max
+        field, record = run.sweep(0 if config.method == "classical" else ell)
+        e_ell = record.delta_max
         trace.final_delta_max = e_ell
         if e_ell <= config.eps_tol:
             trace.certified = True
             break
-        if not enhanced:
-            if state.extend_from_sweep(model, sweep.field, record) is None:
-                break
-            continue
-
-        m_ell = config.budget(ell)
-        pending = state.build_surrogate(model, m_ell, sweep)
-        outer = OuterLoopRecord(ell, e_ell, m_ell, len(pending), 0, model.n)
-        trace.outer_loops.append(outer)
-        chosen = state.extend_from_sweep(model, sweep.field, record)
-        if chosen is None:
+        pending = run.surrogate(ell, e_ell, field)
+        if run.extend(field, record) is None:
             break
-        pending = [i for i in pending if i != chosen]
+        n_first = model.n
 
         eps = e_ell
         threshold = e_ell / (config.k_damp * (ell + 1))
-        while eps > config.eps_tol and eps > threshold and model.n < config.n_max and pending:
-            ssweep, srecord = state.sweep(model, trace, ell, pending)
-            eps = ssweep.delta_max
-            if eps <= config.eps_tol:
+        while eps > max(config.eps_tol, threshold) and model.n < config.n_max:
+            pending = [i for i in pending if i not in run.excluded]
+            if not pending:
                 break
-            inner = state.extend_from_sweep(model, ssweep.field, srecord)
-            pending = [i for i in pending if i not in state.excluded]
-            if inner is None:
+            sfield, srecord = run.sweep(ell, pending)
+            eps = srecord.delta_max
+            if eps <= config.eps_tol or run.extend(sfield, srecord) is None:
                 break
-            outer.n_added_inner += 1
-        outer.basis_size_after = model.n
-    return model, state.finish(model, trace)
+        if trace.outer_loops:
+            trace.outer_loops[-1].n_added_inner = model.n - n_first
+    return model, run.finish()

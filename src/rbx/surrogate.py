@@ -12,13 +12,12 @@ independent.
 
 Both return plain arrays of training-set indices; the greedy driver calls
 one of them once per outer round, on the data of that round's full sweep,
-and drops indices that already entered the basis.
+and drops indices that already entered the basis or were rejected.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -130,52 +129,43 @@ def pivoted_cholesky(
 # anchor-inverse error approximation
 
 
-@dataclass
 class CdmOfflineData:
-    """X-orthonormal factor of the anchor-operator inverses.
+    """X-orthonormal factor of the anchor-operator inverses of one run.
 
-    Anchor m sits at snapshot m, and ``factorizations[m]`` factorizes its
-    operator.  The generator columns of anchor m are A_m^-1 f followed, for
-    every basis vector xi_j and component k (j-major), by -A_m^-1 A_k xi_j:
-    the anchor inverse applied to the load and to the basis-image terms of
-    the Galerkin residual.  They are stored as ``basis @ coords[m]``, where
-    ``basis`` is X-orthonormal and ``coords[m]`` holds their coordinates
-    (rows: basis vectors).  The data belongs to one run and is grown by
-    ``cdm_build_offline`` only.
+    ``factorizations[m]`` factorizes the operator at snapshot m, the m-th
+    anchor; the run appends them.  The generator columns of anchor m are
+    A_m^-1 f followed, for every basis vector xi_j and component k
+    (j-major), by -A_m^-1 A_k xi_j: the anchor inverse applied to the load
+    and to the basis-image terms of the Galerkin residual.  They are stored
+    as ``basis @ coords[m]``, where ``basis`` is X-orthonormal and
+    ``coords[m]`` holds their coordinates (rows: basis vectors).  Only
+    ``cdm_build_offline`` grows ``basis`` and ``coords``; the shape of
+    ``coords`` is (anchors folded, basis width, 1 + basis size * Q).
     """
 
-    basis: np.ndarray
-    coords: np.ndarray
-    factorizations: list[Factorization] = field(default_factory=list)
-    n_basis: int = 0
+    def __init__(self, problem: AffineProblem):
+        self.basis = np.zeros((problem.n_dof, 0))
+        self.coords = np.zeros((0, 0, 1))
+        self.factorizations: list[Factorization] = []
 
     @property
     def q_used(self) -> int:
-        return len(self.factorizations)
+        return self.coords.shape[0]
 
 
-def cdm_build_offline(
-    model: ReducedModel,
-    problem: AffineProblem,
-    factorizations: list[Factorization],
-    offline: Optional[CdmOfflineData] = None,
-) -> CdmOfflineData:
-    """Create or incrementally grow the generator factor.
+def cdm_build_offline(model: ReducedModel, problem: AffineProblem, offline: CdmOfflineData) -> None:
+    """Grow the generator factor in place to the model's basis and anchors.
 
-    ``factorizations[m]`` factorizes the operator at snapshot m, as
-    ``truth_solve`` returned it; the list extends the anchors ``offline``
-    already holds and has at most ``model.n`` entries.  One loop visits the
-    anchors in order; each solves, through its factorization, only the
-    generator columns it lacks (a new anchor all of them, an existing one
-    those of the basis vectors added since the last call) and folds them
-    into ``basis`` with ``orthonormal_fold``.
+    One loop visits the anchors in order; each solves, through its
+    factorization, only the generator columns it lacks (a new anchor all of
+    them, an already folded one those of the basis vectors added since the
+    last call) and folds them into ``basis`` with ``orthonormal_fold``.
+    When nothing is missing it solves and folds nothing.
     """
     qa = problem.n_terms
     n = model.n
-    if offline is None:
-        offline = CdmOfflineData(basis=np.zeros((problem.n_dof, 0)), coords=np.zeros((0, 0, 1)))
-    q_old = offline.q_used
-    offline.factorizations = list(factorizations)
+    folded_anchors, _, width = offline.coords.shape
+    n_seen = (width - 1) // qa
 
     blocks: dict[int, np.ndarray] = {}
 
@@ -193,7 +183,7 @@ def cdm_build_offline(
 
     folded = []  # (anchor, first generator column, coordinates)
     for m, fact in enumerate(offline.factorizations):
-        seen = offline.n_basis if m < q_old else 0
+        seen = n_seen if m < folded_anchors else 0
         if seen < n:
             sol = apply_operator_inverse(problem, fact, generator_columns(seen))
             offline.basis, c = orthonormal_fold(
@@ -202,30 +192,12 @@ def cdm_build_offline(
             folded.append((m, 1 + seen * qa if seen else 0, c))
 
     # earlier coordinates are zero on the basis vectors added after them
-    coords = np.zeros((offline.q_used, offline.basis.shape[1], 1 + n * qa))
+    coords = np.zeros((len(offline.factorizations), offline.basis.shape[1], 1 + n * qa))
     old = offline.coords
     coords[: old.shape[0], : old.shape[1], : old.shape[2]] = old
     for m, col, c in folded:
         coords[m, : c.shape[0], col : col + c.shape[1]] = c
     offline.coords = coords
-    offline.n_basis = n
-    return offline
-
-
-def _anchor_weights(
-    model: ReducedModel, offline: CdmOfflineData, thetas: np.ndarray, scales: np.ndarray
-) -> np.ndarray:
-    """Snapshot weights of the anchors in the anchor-space reduced solves.
-
-    Solves in the span of the anchors' snapshots (the leading ``q_used``)
-    and inverts the stored upper-triangular change of basis, so that the
-    weights are the solution's coefficients over the raw snapshots (a unit
-    vector at an anchor's own parameter).
-    """
-    q = offline.q_used
-    cq = reduced_solve_batch(model, thetas, scales, n=q)
-    r = model.snapshot_in_basis[:q, :q]
-    return scipy.linalg.solve_triangular(r, cq.T, lower=False).T
 
 
 def approx_error_coords(
@@ -240,15 +212,19 @@ def approx_error_coords(
     Row i approximates the error of the reduced solution whose Galerkin
     residual has the weights ``weights[i]`` (``augmented_weights``) at the
     parameter of ``thetas[i]``/``scales[i]`` as a blend of the anchor
-    inverses applied to that residual, weighted by an anchor-space reduced
-    solve (so the blend is exact at anchor parameters).  The truth vector is
-    ``offline.basis @ row`` and its X-norm the row's 2-norm.
+    inverses applied to that residual.  The blend weights are the snapshot
+    coefficients of a reduced solve in the span of the anchors' snapshots
+    (the stored upper-triangular change of basis inverted), so the blend is
+    exact at anchor parameters.  The truth vector is ``offline.basis @ row``
+    and its X-norm the row's 2-norm.
     """
     w = weights
-    beta = _anchor_weights(model, offline, thetas, scales)
+    q = offline.q_used
+    cq = reduced_solve_batch(model, thetas, scales, n=q)
+    beta = scipy.linalg.solve_triangular(model.snapshot_in_basis[:q, :q], cq.T, lower=False).T
     y = np.zeros((w.shape[0], offline.basis.shape[1]))
     term = np.empty_like(y)
-    for m in range(offline.q_used):
+    for m in range(q):
         np.matmul(w, offline.coords[m, :, : w.shape[1]].T, out=term)
         term *= beta[:, m, None]
         y += term

@@ -23,6 +23,11 @@ from rbx.greedy import (
     run_greedy,
     _argmax_excluding,
 )
+from rbx.reduced import TrainingSystems
+
+
+def _systems(problem, train):
+    return TrainingSystems.evaluate(problem, train.points)
 
 
 class TestConfig:
@@ -81,27 +86,27 @@ class TestArgmaxSelection:
         from rbx.reduced import extend_basis
 
         extend_basis(model, truth_solve(diffusion_small, diffusion_train_small.points[0]), 0)
-        full = argmax_sweep(model, diffusion_small, diffusion_train_small)
-        assert full.field.size == diffusion_train_small.n_train
-        assert np.isfinite(full.field).all()
-        free = _argmax_excluding(full.field, set())
-        blocked = _argmax_excluding(full.field, {free})
+        systems = _systems(diffusion_small, diffusion_train_small)
+        full = argmax_sweep(model, diffusion_small, systems)
+        assert full.size == diffusion_train_small.n_train
+        assert np.isfinite(full).all()
+        free = _argmax_excluding(full, set())
+        blocked = _argmax_excluding(full, {free})
         assert blocked != free
         # a domain sweep scatters its estimates and leaves the rest unselectable
         domain = np.array([blocked, free])
-        part = argmax_sweep(model, diffusion_small, diffusion_train_small, domain=domain)
-        np.testing.assert_array_equal(part.field[domain], full.field[domain])
-        assert np.all(np.delete(part.field, domain) == -np.inf)
+        part = argmax_sweep(model, diffusion_small, systems, domain=domain)
+        np.testing.assert_array_equal(part[domain], full[domain])
+        assert np.all(np.delete(part, domain) == -np.inf)
         # the maximum over the swept set ignores eligibility
-        assert part.delta_max == full.delta_max
-        assert _argmax_excluding(part.field, {free}) == blocked
+        assert part.max() == full.max()
+        assert _argmax_excluding(part, {free}) == blocked
 
     def test_sweep_rejects_empty_domain(self, diffusion_small, diffusion_train_small):
         model = rbx.ReducedModel(diffusion_small)
+        systems = _systems(diffusion_small, diffusion_train_small)
         with pytest.raises(ConfigurationError):
-            argmax_sweep(
-                model, diffusion_small, diffusion_train_small, domain=np.zeros(0, dtype=int)
-            )
+            argmax_sweep(model, diffusion_small, systems, domain=np.zeros(0, dtype=int))
 
 
 class TestTrainingSetMustFitTheBox:
@@ -159,12 +164,11 @@ class TestNonFiniteEstimates:
         extend_basis(model, truth_solve(thermal_small, thermal_train_small.points[0]), 0)
         bad = 17
         _poison_theta(thermal_small, thermal_train_small.points[bad], monkeypatch)
+        systems = _systems(thermal_small, thermal_train_small)
         with pytest.raises(NumericalFailureError, match=f"training index {bad}\\b"):
-            argmax_sweep(model, thermal_small, thermal_train_small)
+            argmax_sweep(model, thermal_small, systems)
         with pytest.raises(NumericalFailureError, match=f"training index {bad}\\b"):
-            argmax_sweep(
-                model, thermal_small, thermal_train_small, domain=np.array([3, bad, 40])
-            )
+            argmax_sweep(model, thermal_small, systems, domain=np.array([3, bad, 40]))
 
     def test_nan_coefficient_stops_the_greedy_run(
         self, thermal_small, thermal_train_small, monkeypatch
@@ -557,13 +561,13 @@ class TestOneFactorizationPerSnapshot:
                 raise BasisRejectionError("synthetic dependence")
             return real_extend(model, snapshot, train_index)
 
-        def checked(model, problem, factorizations, offline=None):
+        def checked(model, problem, offline):
             v = np.linspace(1.0, 2.0, problem.n_dof)
-            for m, fact in enumerate(factorizations):
+            for m, fact in enumerate(offline.factorizations):
                 a = assemble_operator(problem, model.snapshot_params[m])
                 np.testing.assert_allclose(fact.solve(a @ v), v, rtol=1e-8)
-            anchor_counts.append(len(factorizations))
-            return real_build(model, problem, factorizations, offline)
+            anchor_counts.append(len(offline.factorizations))
+            return real_build(model, problem, offline)
 
         monkeypatch.setattr(greedy_module, "extend_basis", rejecting)
         monkeypatch.setattr(greedy_module, "cdm_build_offline", checked)
@@ -600,6 +604,40 @@ class TestSkipPolicy:
         assert victim not in model.snapshot_indices
         assert model.n == 3  # run still reaches the cap with the next-best picks
         assert trace.counters["truth_solves"] >= 3 + 1  # the rejected solve counts
+
+    def test_surrogate_sweeps_leave_out_skipped_indices(
+        self, thermal_small, thermal_train_small, monkeypatch
+    ):
+        # the round's first extension rejects its argmax, which the
+        # constructor also picked; no surrogate sweep may evaluate it again
+        import rbx.greedy as greedy_module
+
+        real_extend, real_sweep = greedy_module.extend_basis, greedy_module.argmax_sweep
+        victims, domains = [], []
+
+        def rejecting(model, snapshot, train_index=None):
+            if model.n == 1 and not victims:
+                victims.append(train_index)
+                raise BasisRejectionError("synthetic dependence")
+            return real_extend(model, snapshot, train_index)
+
+        def top_estimates(deltas, eps_tol, budget):
+            return np.argsort(-deltas, kind="stable")[:budget]
+
+        def recording(model, problem, systems, domain=None, **kwargs):
+            if domain is not None:
+                domains.append(set(domain))
+            return real_sweep(model, problem, systems, domain=domain, **kwargs)
+
+        monkeypatch.setattr(greedy_module, "extend_basis", rejecting)
+        monkeypatch.setattr(greedy_module, "smm_construct", top_estimates)
+        monkeypatch.setattr(greedy_module, "argmax_sweep", recording)
+        config = GreedyConfig(eps_tol=1e-3, n_max=10, seed=0, method="smm")
+        _, trace = run_greedy(thermal_small, thermal_train_small, config)
+        assert trace.skipped_indices == victims
+        assert domains
+        for domain in domains:
+            assert not domain & set(victims)
 
     def test_run_greedy_dispatch(self, thermal_small, thermal_train_small):
         config = GreedyConfig(eps_tol=1e-2, n_max=6, seed=0, method="smm")

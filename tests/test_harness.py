@@ -436,14 +436,14 @@ class TestCli:
 
 
 PUBLIC_NAMES = [
-    "AffineProblem", "BasisRejectionError", "BoundStrategyError", "CdmOfflineData",
+    "AffineProblem", "BasisRejectionError", "BoundStrategyError",
     "ConfigurationError", "ConstantBound", "Counters", "ExperimentConfig",
     "GreedyConfig", "GreedyTrace", "InvalidParameterError", "IterationRecord",
     "MethodResult", "MinThetaBound", "NumericalFailureError", "OuterLoopRecord",
     "PROBLEMS", "ParameterBox", "RbxError", "ReducedModel", "ReducedSolution",
     "ResourceError", "TrainingSet", "TruthDiscretization", "TruthSolution",
-    "__version__", "argmax_sweep", "assemble_operator", "build_diffusion2d",
-    "build_thermal_block", "cdm_build_offline", "cdm_construct",
+    "__version__", "assemble_operator", "build_diffusion2d",
+    "build_thermal_block", "cdm_construct",
     "coercivity_lower_bound", "error_estimate", "estimate_batch", "extend_basis",
     "pivoted_cholesky", "reconstruct", "reduced_output", "reduced_solve",
     "residual_dual_norm_sq", "riesz_solve", "run_experiment", "run_greedy",

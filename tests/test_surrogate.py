@@ -16,6 +16,7 @@ from rbx.reduced import (
     reduced_solve_batch,
 )
 from rbx.surrogate import (
+    CdmOfflineData,
     approx_error_coords,
     cdm_build_offline,
     cdm_construct,
@@ -209,11 +210,19 @@ def anchor_factorizations(problem, model, q):
     return [truth_solve(problem, mu).factorization for mu in model.snapshot_params[:q]]
 
 
+def build_offline(model, problem, facts):
+    """A fresh generator factor of ``model`` over the anchors ``facts``."""
+    offline = CdmOfflineData(problem)
+    offline.factorizations.extend(facts)
+    cdm_build_offline(model, problem, offline)
+    return offline
+
+
 @pytest.fixture
 def thermal_setup(thermal_small, thermal_train_small):
     model, _ = build_model(thermal_small, thermal_train_small, n_target=4)
     facts = anchor_factorizations(thermal_small, model, 3)
-    offline = cdm_build_offline(model, thermal_small, facts)
+    offline = build_offline(model, thermal_small, facts)
     return thermal_small, thermal_train_small, model, offline
 
 
@@ -289,18 +298,20 @@ class TestCachedInverseOffline:
 
     def test_incremental_growth_matches_fresh_build(self, thermal_small, thermal_train_small):
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
-        grown = cdm_build_offline(
-            model, thermal_small, anchor_factorizations(thermal_small, model, 2)
-        )
+        grown = build_offline(model, thermal_small, anchor_factorizations(thermal_small, model, 1))
+        # a second anchor at the same basis size
+        grown.factorizations.extend(anchor_factorizations(thermal_small, model, 2)[1:])
+        cdm_build_offline(model, thermal_small, grown)
         config = rbx.GreedyConfig(eps_tol=1e-300, n_max=4, seed=0)
         model2, _ = rbx.run_greedy(thermal_small, thermal_train_small, config)
         # same greedy path, so snapshots 1..2 coincide; grow the factor by
         # the basis vectors 3..4 and the anchor at snapshot 3
         facts = anchor_factorizations(thermal_small, model2, 3)
-        grown = cdm_build_offline(model2, thermal_small, grown.factorizations + facts[2:], grown)
-        fresh = cdm_build_offline(model2, thermal_small, facts)
+        grown.factorizations.append(facts[2])
+        cdm_build_offline(model2, thermal_small, grown)
+        fresh = build_offline(model2, thermal_small, facts)
         assert grown.q_used == fresh.q_used == 3
-        assert grown.n_basis == fresh.n_basis == 4
+        assert grown.coords.shape[2] == fresh.coords.shape[2] == 1 + 4 * thermal_small.n_terms
         for m in range(fresh.q_used):
             np.testing.assert_allclose(
                 grown.basis @ grown.coords[m], fresh.basis @ fresh.coords[m], atol=1e-11
@@ -313,7 +324,7 @@ class TestCachedInverseOffline:
         counters = diffusion_small.counters
         facts = anchor_factorizations(diffusion_small, model, 1)
         base = counters.snapshot()
-        offline = cdm_build_offline(model, diffusion_small, facts)
+        offline = build_offline(model, diffusion_small, facts)
         after = counters.snapshot()
         # one anchor: the load column plus one image column per term and
         # snapshot, solved through the truth solve's own factorization
@@ -325,11 +336,24 @@ class TestCachedInverseOffline:
         snap = truth_solve(diffusion_small, [0.9, 0.9])
         extend_basis(model, snap)
         mid = counters.snapshot()
-        offline = cdm_build_offline(model, diffusion_small, facts, offline)
+        cdm_build_offline(model, diffusion_small, offline)
         growth = counters.snapshot()
         assert growth["truth_solves"] - mid["truth_solves"] == qa
         assert growth["truth_factorizations"] - mid["truth_factorizations"] == 0
-        assert offline.n_basis == model.n
+        assert offline.coords.shape[2] == 1 + qa * model.n
+
+    def test_nothing_missing_does_no_work(self, diffusion_small, diffusion_train_small):
+        # a second call with the same basis and anchors solves nothing and
+        # leaves the factor bitwise as it was
+        model, _ = build_model(diffusion_small, diffusion_train_small, n_target=3)
+        facts = anchor_factorizations(diffusion_small, model, 2)
+        offline = build_offline(model, diffusion_small, facts)
+        basis, coords = offline.basis.copy(), offline.coords.copy()
+        solves = diffusion_small.counters.truth_solves
+        cdm_build_offline(model, diffusion_small, offline)
+        assert diffusion_small.counters.truth_solves == solves
+        for got, before in ((offline.basis, basis), (offline.coords, coords)):
+            assert got.shape == before.shape and got.tobytes() == before.tobytes()
 
     def test_generators_fold_at_their_numerical_rank(self, thermal_small, monkeypatch):
         # the anchors of a cdm round at basis size 20: the generator rule
@@ -346,7 +370,7 @@ class TestCachedInverseOffline:
 
         def round_at(rtol):
             monkeypatch.setattr(surrogate, "GENERATOR_RTOL", rtol)
-            offline = cdm_build_offline(model, thermal_small, facts)
+            offline = build_offline(model, thermal_small, facts)
             y = approx_error_coords(model, offline, systems.thetas, systems.scales, weights)
             return offline.basis.shape[1], np.linalg.norm(y, axis=1)
 
@@ -402,7 +426,7 @@ class TestCachedInverseError:
 
     def test_needs_anchors(self, thermal_small, thermal_train_small):
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
-        offline = cdm_build_offline(model, thermal_small, [])
+        offline = build_offline(model, thermal_small, [])
         assert offline.q_used == 0
         picked = cdm_construct(
             model, offline, swept(model, thermal_small, thermal_train_small.points), 4
