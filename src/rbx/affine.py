@@ -2,9 +2,9 @@
 
 An :class:`AffineProblem` bundles the parameter box, the coefficient
 functions ``theta_q``, references to the parameter-independent operator
-components ``A_q``, the load/output vectors, and the inner-product matrix
-of the truth space.  Everything here is immutable after construction and
-safe to share between threads.
+components ``A_q``, the load/output vectors, and the truth space that owns
+the inner-product matrix.  Everything here is immutable after construction
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -72,14 +72,10 @@ class ParameterBox:
 class TrainingSet:
     """Finite sample of the parameter box used by the greedy sweeps.
 
-    ``points`` has one parameter per row.  ``provenance`` records how the
-    sample was generated (grid vs. random, sizes, seed) so that output
-    artifacts can restate it.
+    ``points`` has one parameter per row.
     """
 
     points: np.ndarray
-    provenance: str
-    seed: Optional[int] = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -91,13 +87,6 @@ class TrainingSet:
     def n_train(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    def __len__(self) -> int:
-        return self.n_train
-
 
 @dataclass
 class AffineProblem:
@@ -108,21 +97,22 @@ class AffineProblem:
     discretization.  ``theta`` maps parameter rows (b, p) to coefficient rows
     (b, Q); ``rhs_theta`` maps them to the (b,) load scales and may be
     omitted when the load does not depend on the parameter.  A single
-    parameter is a batch of one.  ``coercivity`` is the strategy
-    object consumed by the error estimator; see ``rbx.reduced``.
-    The training sweeps of ``symmetric`` problems grow Cholesky factors.
+    parameter is a batch of one.  ``discretization`` is the truth space
+    (``rbx.truth.TruthDiscretization``): its ``x_inner`` is the inner
+    product the error bound is measured in, and its ``counters`` count the
+    problem's work.  ``coercivity`` is the strategy object consumed by the
+    error estimator; see ``rbx.reduced``.  The training sweeps of
+    ``symmetric`` problems grow Cholesky factors.
     """
 
     box: ParameterBox
     theta: Callable[[np.ndarray], np.ndarray]
     components: list
     rhs: np.ndarray
-    x_inner: object
     output: np.ndarray
-    name: str = "problem"
+    discretization: object
     rhs_theta: Optional[Callable[[np.ndarray], np.ndarray]] = None
     coercivity: object = None
-    discretization: object = None
 
     def __post_init__(self):
         if not self.components:
@@ -131,7 +121,7 @@ class AffineProblem:
         for a in self.components:
             if a.shape != (n, n):
                 raise InvalidParameterError("component matrices must share one square shape")
-        if self.x_inner.shape != (n, n):
+        if self.discretization.x_inner.shape != (n, n):
             raise InvalidParameterError("x_inner must match the component dimension")
         self.rhs = np.asarray(self.rhs, dtype=float)
         self.output = np.asarray(self.output, dtype=float)
@@ -157,7 +147,7 @@ class AffineProblem:
 
     @property
     def counters(self):
-        return None if self.discretization is None else self.discretization.counters
+        return self.discretization.counters
 
 
 def _equals_transpose(a) -> bool:
@@ -200,35 +190,36 @@ def sample_training_set(
     n_per_dim: Optional[int] = None,
     count: Optional[int] = None,
     seed: Optional[int] = None,
-    max_entries: int = TRAINING_CAP_ENTRIES,
 ) -> TrainingSet:
     """Sample the box either on a tensor grid or uniformly at random.
 
     Grid points are ordered lexicographically in the dimension index (first
     coordinate varies slowest) with the box endpoints included.  Random
-    sampling uses a seeded PCG64 generator so runs are reproducible.
+    sampling uses a seeded PCG64 generator so runs are reproducible.  A
+    sample of more than ``TRAINING_CAP_ENTRIES`` floats raises
+    ``ResourceError``.
     """
-    p = box.dim
+    p, cap = box.dim, TRAINING_CAP_ENTRIES
     if kind == "grid":
         if not n_per_dim or n_per_dim < 2:
             raise InvalidParameterError("grid sampling needs n_per_dim >= 2")
         total = n_per_dim**p
-        if total * p > max_entries:
+        if total * p > cap:
             raise ResourceError(
-                f"grid of {total} points in {p} dims exceeds the cap of {max_entries} entries"
+                f"grid of {total} points in {p} dims exceeds the cap of {cap} entries"
             )
         axes = [np.linspace(box.lower[i], box.upper[i], n_per_dim) for i in range(p)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-        return TrainingSet(pts, f"grid(n_per_dim={n_per_dim})", seed=None)
+        return TrainingSet(pts)
     if kind == "random":
         if not count or count < 1:
             raise InvalidParameterError("random sampling needs a positive count")
-        if count * p > max_entries:
+        if count * p > cap:
             raise ResourceError(
-                f"{count} random points in {p} dims exceed the cap of {max_entries} entries"
+                f"{count} random points in {p} dims exceed the cap of {cap} entries"
             )
         rng = np.random.default_rng(seed)
         pts = box.lower + rng.random((count, p)) * (box.upper - box.lower)
-        return TrainingSet(pts, f"random(count={count},seed={seed})", seed=seed)
+        return TrainingSet(pts)
     raise InvalidParameterError(f"unknown sampling kind {kind!r}")

@@ -115,7 +115,7 @@ class MinThetaBound:
             self._anchor_theta = theta
         if self.anchor_alpha is None:
             a = assemble_operator(problem, self.anchor_mu)
-            self.anchor_alpha = _certified_anchor_alpha(a, problem.x_inner)
+            self.anchor_alpha = _certified_anchor_alpha(a, problem.discretization.x_inner)
 
     def lower_bound_batch(self, problem, mus) -> np.ndarray:
         self._ensure_anchor(problem)

@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.workers is not None and args.workers < 1:
-        raise ConfigurationError("--workers must be at least 1")
     target = run_experiment(config, out_dir=args.out, workers=args.workers)
     print(f"artifacts written to {target}")
     return 0

@@ -221,6 +221,7 @@ def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSo
     mus = mu[None, :]
     thetas = evaluate_theta_batch(model.problem, mus)
     scales = rhs_scale_batch(model.problem, mus)
+    model.counters.reduced_solves += 1
     try:
         coeffs = reduced_solve_batch(model, thetas, scales, n)[0]
     except NumericalFailureError as exc:
@@ -287,10 +288,11 @@ def error_estimate(
 # vectorized sweeps
 
 
-def _solve_chunk(
+def reduced_solve_batch(
     model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, n: int
 ) -> np.ndarray:
-    """Counter-free batched Galerkin solve core."""
+    """Batched Galerkin solves in the leading ``n``-dimensional space; rows
+    index parameters.  Counts nothing: callers count their reduced solves."""
     if n == 0:
         return np.zeros((thetas.shape[0], 0))
     mats = np.einsum("iq,qmn->imn", thetas, model.reduced_components[:, :n, :n])
@@ -300,15 +302,6 @@ def _solve_chunk(
     except np.linalg.LinAlgError as exc:
         cond = float(np.max(np.linalg.cond(mats)))
         raise NumericalFailureError(f"singular reduced system: {exc}", cond)
-
-
-def reduced_solve_batch(
-    model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, n: Optional[int] = None
-) -> np.ndarray:
-    """Batched Galerkin solves; rows index parameters."""
-    n = model.n if n is None else int(n)
-    model.counters.reduced_solves += thetas.shape[0]
-    return _solve_chunk(model, thetas, scales, n)
 
 
 def augmented_weights(thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -501,7 +494,7 @@ def estimate_batch(
         sl = slice(start, min(start + DEFAULT_CHUNK, b))
         thetas, scales = systems.thetas[sl], systems.scales[sl]
         if factor is None:
-            coeffs[sl] = _solve_chunk(model, thetas, scales, n)
+            coeffs[sl] = reduced_solve_batch(model, thetas, scales, n)
         else:
             if grow:
                 pivots[sl] = factor.border(model, thetas, scales, n, sl)

@@ -18,13 +18,12 @@ and drops indices that already entered the basis or were rejected.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
 from .affine import AffineProblem
-from .counters import Counters
 from .errors import ConfigurationError, NumericalFailureError
 from .reduced import (
     ReducedModel,
@@ -83,23 +82,21 @@ def pivoted_cholesky(
     column: Callable[[int], np.ndarray],
     diag: np.ndarray,
     max_steps: int,
-    drop_tol: float = PIVOT_DROP_RTOL,
-    counters: Optional[Counters] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy low-rank Cholesky of a PSD matrix given by a column oracle.
 
     ``diag`` is the matrix diagonal; ``column(j)`` returns full column j.
     Pivots maximize the updated diagonal, first index winning ties, and the
     sweep stops at ``max_steps`` or when the largest updated diagonal falls
-    to ``drop_tol`` times the largest initial one.  Each step updates the
-    new column with one product against the earlier factor rows of a
+    to ``PIVOT_DROP_RTOL`` times the largest initial one.  Each step updates
+    the new column with one product against the earlier factor rows of a
     preallocated (max_steps, n) buffer.  Returns the pivot order and the
-    factor columns (n, k), a view of that buffer.
+    factor columns (n, k), a view of that buffer; callers count the steps.
     """
     d = np.array(diag, dtype=float)
     n = d.size
     init_max = float(d.max()) if n else 0.0
-    threshold = drop_tol * init_max
+    threshold = PIVOT_DROP_RTOL * init_max
     pivots: list[int] = []
     lbuf = np.empty((min(max_steps, n), n))  # row k: factor column k
     for k in range(lbuf.shape[0]):
@@ -120,8 +117,6 @@ def pivoted_cholesky(
         np.maximum(d, 0.0, out=d)
         d[j] = 0.0
         pivots.append(j)
-        if counters is not None:
-            counters.pivoted_cholesky_steps += 1
     return np.asarray(pivots, dtype=int), lbuf[: len(pivots)].T
 
 
@@ -220,7 +215,8 @@ def approx_error_coords(
     """
     w = weights
     q = offline.q_used
-    cq = reduced_solve_batch(model, thetas, scales, n=q)
+    cq = reduced_solve_batch(model, thetas, scales, q)
+    model.counters.reduced_solves += w.shape[0]
     beta = scipy.linalg.solve_triangular(model.snapshot_in_basis[:q, :q], cq.T, lower=False).T
     y = np.zeros((w.shape[0], offline.basis.shape[1]))
     term = np.empty_like(y)
@@ -271,7 +267,6 @@ def cdm_construct(
     if admissible.size == 0:
         return np.zeros(0, dtype=int)
     ya = y[admissible]
-    pivots, _ = pivoted_cholesky(
-        lambda j: ya @ ya[j], norm_sq[admissible], max_steps=budget, counters=model.counters
-    )
+    pivots, _ = pivoted_cholesky(lambda j: ya @ ya[j], norm_sq[admissible], max_steps=budget)
+    model.counters.pivoted_cholesky_steps += len(pivots)
     return admissible[pivots]

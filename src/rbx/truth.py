@@ -110,20 +110,13 @@ def _condition_estimate(a) -> float:
 
 @dataclass
 class TruthDiscretization:
-    """Truth-space geometry plus the SPD inner product on free DoFs.
+    """The truth space: the SPD inner-product matrix ``x_inner`` on free DoFs.
 
-    ``n_dof`` is the dimension of every system matrix (free DoFs after
-    Dirichlet elimination); ``n_nodes`` counts all grid nodes, so the two
-    differ exactly by the number of constrained nodes.
+    It also holds the problem's work ``counters`` and, once a Riesz solve
+    asks for it, the factorization of ``x_inner``.
     """
 
-    n_dof: int
-    n_nodes: int
     x_inner: object
-    free_nodes: np.ndarray
-    constrained_nodes: np.ndarray
-    node_coords: np.ndarray
-    label: str
     counters: Counters = field(default_factory=Counters)
     _x_fact: Optional[Factorization] = field(default=None, repr=False)
 
@@ -208,7 +201,9 @@ def build_diffusion2d(n_x: int = 35):
     """Collocation of (1 + mu1 x) u_xx + (1 + mu2 y) u_yy = exp(4xy).
 
     Returns the affine problem with dense operator components restricted to
-    the (n_x - 2)^2 interior nodes.  The affine split keeps three terms:
+    the (n_x - 2)^2 interior nodes, x varying slowest and each coordinate
+    running over the interior Chebyshev-Lobatto nodes from +1 down to -1.
+    The affine split keeps three terms:
     the plain Laplacian-like part, the x-weighted u_xx part, and the
     y-weighted u_yy part, with coefficients (1, mu1, mu2).
     """
@@ -224,7 +219,6 @@ def build_diffusion2d(n_x: int = 35):
 
     idx = np.arange(n_x * n_x).reshape(n_x, n_x)
     interior = idx[1:-1, 1:-1].reshape(-1)
-    boundary = np.setdiff1d(np.arange(n_x * n_x), interior)
 
     pick = np.ix_(interior, interior)
     components = [
@@ -250,28 +244,15 @@ def build_diffusion2d(n_x: int = 35):
 
     output = w2[interior].copy()  # approximates the integral of u over the square
 
-    box = ParameterBox(np.array([-0.99, -0.99]), np.array([0.99, 0.99]))
-    disc = TruthDiscretization(
-        n_dof=interior.size,
-        n_nodes=n_x * n_x,
-        x_inner=xmat,
-        free_nodes=interior,
-        constrained_nodes=boundary,
-        node_coords=np.column_stack([xf, yf]),
-        label="diffusion2d",
-    )
-    problem = AffineProblem(
-        box=box,
+    return AffineProblem(
+        box=ParameterBox(np.array([-0.99, -0.99]), np.array([0.99, 0.99])),
         theta=lambda mus: np.column_stack([np.ones(len(mus)), mus]),
         components=components,
         rhs=rhs,
-        x_inner=xmat,
         output=output,
-        name="diffusion2d",
+        discretization=TruthDiscretization(xmat),
         coercivity=ConstantBound(1.0),
-        discretization=disc,
     )
-    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +283,9 @@ def build_thermal_block(nodes_per_side: int = 19):
     The square is split into nine equal blocks, each carrying one parameter
     as its conductivity.  Unit influx is imposed on the base edge, the top
     edge is clamped to zero, and the output functional integrates the trace
-    of the solution over the base.
+    of the solution over the base.  Node ``j * s + i`` sits at ``(i h, j h)``
+    with ``s = nodes_per_side`` and ``h = 1 / (s - 1)``; the free DoFs are
+    the nodes below the top row, in that order.
     """
     s = nodes_per_side
     if s < 4 or (s - 1) % 3 != 0:
@@ -343,8 +326,7 @@ def build_thermal_block(nodes_per_side: int = 19):
 
     node_i = np.arange(n_nodes) % s
     node_j = np.arange(n_nodes) // s
-    constrained = np.flatnonzero(node_j == s - 1)  # top edge, zero Dirichlet
-    free = np.flatnonzero(node_j < s - 1)
+    free = np.flatnonzero(node_j < s - 1)  # the top edge is clamped to zero
 
     # base-edge trace integral: P1 edge mass applied to the constant one
     load_full = np.zeros(n_nodes)
@@ -362,26 +344,13 @@ def build_thermal_block(nodes_per_side: int = 19):
     rhs = load_full[free]
     output = rhs.copy()
 
-    box = ParameterBox(np.full(9, 0.1), np.full(9, 10.0))
-    disc = TruthDiscretization(
-        n_dof=free.size,
-        n_nodes=n_nodes,
-        x_inner=xmat,
-        free_nodes=free,
-        constrained_nodes=constrained,
-        node_coords=coords,
-        label="thermalblock",
-    )
-    problem = AffineProblem(
-        box=box,
+    return AffineProblem(
+        box=ParameterBox(np.full(9, 0.1), np.full(9, 10.0)),
         theta=lambda mus: np.asarray(mus, dtype=float).copy(),
         components=components,
         rhs=rhs,
-        x_inner=xmat,
         output=output,
-        name="thermalblock",
+        discretization=TruthDiscretization(xmat),
         coercivity=MinThetaBound(np.ones(9)),
-        discretization=disc,
     )
-    return problem
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rbx
+from rbx import affine
 from rbx.affine import (
     AffineProblem,
     ParameterBox,
@@ -14,6 +15,7 @@ from rbx.affine import (
     sample_training_set,
 )
 from rbx.errors import InvalidParameterError, ResourceError
+from rbx.truth import TruthDiscretization
 
 
 class TestParameterBox:
@@ -47,7 +49,7 @@ class TestTrainingSampling:
     def test_grid_shape_order_and_endpoints(self):
         box = ParameterBox([0.0, 10.0], [1.0, 20.0])
         train = sample_training_set(box, kind="grid", n_per_dim=3)
-        assert train.n_train == 9 and train.dim == 2
+        assert train.points.shape == (9, 2)
         # first coordinate varies slowest, endpoints included
         np.testing.assert_allclose(train.points[0], [0.0, 10.0])
         np.testing.assert_allclose(train.points[1], [0.0, 15.0])
@@ -62,17 +64,18 @@ class TestTrainingSampling:
         np.testing.assert_array_equal(a.points, b.points)
         assert not np.array_equal(a.points, c.points)
         assert np.all(a.points >= 0.1) and np.all(a.points <= 10.0)
-        assert a.seed == 7 and "random" in a.provenance
 
-    def test_grid_cap_enforced(self):
+    def test_grid_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(affine, "TRAINING_CAP_ENTRIES", 10_000)
         box = ParameterBox([0.0] * 4, [1.0] * 4)
         with pytest.raises(ResourceError):
-            sample_training_set(box, kind="grid", n_per_dim=100, max_entries=10_000)
+            sample_training_set(box, kind="grid", n_per_dim=100)
 
-    def test_random_cap_enforced(self):
+    def test_random_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(affine, "TRAINING_CAP_ENTRIES", 50)
         box = ParameterBox([0.0], [1.0])
         with pytest.raises(ResourceError):
-            sample_training_set(box, kind="random", count=100, seed=0, max_entries=50)
+            sample_training_set(box, kind="random", count=100, seed=0)
 
     def test_bad_arguments(self):
         box = ParameterBox([0.0], [1.0])
@@ -84,24 +87,25 @@ class TestTrainingSampling:
             sample_training_set(box, kind="sobol", count=10)
 
     def test_training_set_len_and_dim(self):
-        train = TrainingSet(np.zeros((5, 2)), "manual")
-        assert len(train) == 5 and train.n_train == 5 and train.dim == 2
+        train = TrainingSet(np.zeros((5, 2)))
+        assert train.n_train == 5 and train.points.shape == (5, 2)
         with pytest.raises(InvalidParameterError):
-            TrainingSet(np.zeros(5), "manual")
+            TrainingSet(np.zeros(5))
 
 
 class TestAffineProblem:
     def test_shape_validation(self):
         box = ParameterBox([0.0], [1.0])
         good = np.eye(3)
+        disc = TruthDiscretization(good)
         with pytest.raises(InvalidParameterError):
             AffineProblem(
                 box=box,
                 theta=lambda mu: np.array([1.0]),
                 components=[],
                 rhs=np.ones(3),
-                x_inner=good,
                 output=np.ones(3),
+                discretization=disc,
             )
         with pytest.raises(InvalidParameterError):
             AffineProblem(
@@ -109,8 +113,8 @@ class TestAffineProblem:
                 theta=lambda mu: np.array([1.0, 1.0]),
                 components=[good, np.eye(4)],
                 rhs=np.ones(3),
-                x_inner=good,
                 output=np.ones(3),
+                discretization=disc,
             )
         with pytest.raises(InvalidParameterError):
             AffineProblem(
@@ -118,8 +122,17 @@ class TestAffineProblem:
                 theta=lambda mu: np.array([1.0]),
                 components=[good],
                 rhs=np.ones(4),
-                x_inner=good,
                 output=np.ones(3),
+                discretization=disc,
+            )
+        with pytest.raises(InvalidParameterError, match="x_inner"):
+            AffineProblem(
+                box=box,
+                theta=lambda mu: np.array([1.0]),
+                components=[good],
+                rhs=np.ones(3),
+                output=np.ones(3),
+                discretization=TruthDiscretization(np.eye(4)),
             )
 
     def test_theta_evaluation_and_batch_agree(self, diffusion_small):
@@ -174,8 +187,8 @@ class TestAffineProblem:
             theta=diffusion_small.theta,
             components=[c + c.T for c in diffusion_small.components],
             rhs=diffusion_small.rhs,
-            x_inner=diffusion_small.x_inner,
             output=diffusion_small.output,
+            discretization=diffusion_small.discretization,
         )
         assert sym.symmetric
 

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import rbx
-from rbx import AffineProblem, MinThetaBound, ParameterBox
+from rbx import AffineProblem, MinThetaBound, ParameterBox, TruthDiscretization
 from rbx.errors import BoundStrategyError
 
 
@@ -25,7 +25,7 @@ def _anchor_alpha(problem) -> float:
 
 def _anchor_pair(problem):
     a = rbx.assemble_operator(problem, problem.coercivity.anchor_mu).toarray()
-    x = problem.x_inner.toarray()
+    x = problem.discretization.x_inner.toarray()
     return 0.5 * (a + a.T), 0.5 * (x + x.T)
 
 
@@ -70,8 +70,8 @@ def _shifted_rod(shift: float, n: int = 99) -> AffineProblem:
         theta=lambda mus: np.asarray(mus, dtype=float).copy(),
         components=[(stiff - shift * mass).tocsr()],
         rhs=np.full(n, h),
-        x_inner=(stiff + mass).tocsr(),
         output=np.full(n, h),
+        discretization=TruthDiscretization((stiff + mass).tocsr()),
         coercivity=MinThetaBound(anchor_mu=[1.0]),
     )
 

@@ -59,7 +59,7 @@ class TestConfig:
     def test_empty_training_set_rejected(self, diffusion_small):
         from rbx.affine import TrainingSet
 
-        empty = TrainingSet(np.zeros((0, 2)), "manual")
+        empty = TrainingSet(np.zeros((0, 2)))
         with pytest.raises(ConfigurationError):
             run_greedy(diffusion_small, empty, GreedyConfig(eps_tol=1.0))
 
@@ -117,13 +117,13 @@ class TestTrainingSetMustFitTheBox:
     def test_point_outside_the_box(self, thermal_small, thermal_train_small, value, method):
         points = thermal_train_small.points.copy()
         points[37, 4] = value
-        train = rbx.TrainingSet(points, "manual")
+        train = rbx.TrainingSet(points)
         with pytest.raises(InvalidParameterError, match=r"at row 37 lies outside the box"):
             run_greedy(thermal_small, train, GreedyConfig(eps_tol=1e-6, method=method))
         assert thermal_small.counters.truth_solves == 0
 
     def test_wrong_dimension(self, diffusion_small):
-        train = rbx.TrainingSet(np.zeros((20, 9)), "manual")
+        train = rbx.TrainingSet(np.zeros((20, 9)))
         with pytest.raises(InvalidParameterError, match=r"shape \(20, 9\), expected \(b, 2\)"):
             run_greedy(diffusion_small, train, GreedyConfig(eps_tol=1e-6))
         assert diffusion_small.counters.truth_solves == 0
@@ -320,7 +320,7 @@ class TestGrownFactorSweeps:
         problem = request.getfixturevalue(f"{fixture_name}_small")
         train = request.getfixturevalue(f"{fixture_name}_train_small")
         kinds, chunked = [], []
-        real_estimate, real_solve = greedy.estimate_batch, reduced._solve_chunk
+        real_estimate, real_solve = greedy.estimate_batch, reduced.reduced_solve_batch
 
         def estimate(*args, kind="other", **kwargs):
             kinds.append(kind)
@@ -335,7 +335,7 @@ class TestGrownFactorSweeps:
             return real_solve(*args)
 
         monkeypatch.setattr(greedy, "estimate_batch", estimate)
-        monkeypatch.setattr(reduced, "_solve_chunk", solve)
+        monkeypatch.setattr(reduced, "reduced_solve_batch", solve)
         run_greedy(problem, train, GreedyConfig(eps_tol=1e-4, n_max=8))
         assert bool(chunked) == expected
 
@@ -352,6 +352,52 @@ class TestGrownFactorSweeps:
             model, trace = run_greedy(problem, thermal_train_small, config)
             runs.append((model.snapshot_indices, [r.delta_max for r in trace.iterations]))
         assert runs[1] == runs[0]
+
+
+def _rod(n: int = 99):
+    """The README's custom problem: -(mu_1 u')' + u = (1 + mu_2) on (0, 1), P1 elements."""
+    import scipy.sparse as sp
+
+    h = 1.0 / (n + 1)
+    stiff = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr") / h
+    mass = sp.diags([1.0, 4.0, 1.0], [-1, 0, 1], shape=(n, n), format="csr") * (h / 6)
+    return rbx.AffineProblem(
+        box=rbx.ParameterBox([0.1, 0.0], [10.0, 1.0]),
+        theta=lambda mus: np.column_stack([mus[:, 0], np.ones(len(mus))]),
+        rhs_theta=lambda mus: 1.0 + mus[:, 1],
+        components=[stiff, mass],
+        rhs=np.full(n, h),
+        output=np.full(n, h),
+        discretization=rbx.TruthDiscretization((stiff + mass).tocsr()),
+        coercivity=rbx.MinThetaBound(anchor_mu=[1.0, 0.0]),
+    )
+
+
+class TestParameterDependentLoad:
+    """A load scale other than one, through every method and the grown factor."""
+
+    @pytest.mark.parametrize("method", ["classical", "smm", "cdm"])
+    def test_rod_certifies_and_bounds_held_out_errors(self, method):
+        problem = _rod()
+        train = rbx.sample_training_set(problem.box, kind="random", count=500, seed=0)
+        model, trace = run_greedy(problem, train, GreedyConfig(eps_tol=1e-6, method=method))
+        assert trace.certified
+
+        lo, hi = problem.box.lower, problem.box.upper
+        mus = lo + np.random.default_rng(1).random((20, 2)) * (hi - lo)
+        single = []
+        for mu in mus:
+            sol = rbx.reduced_solve(model, mu)
+            single.append(rbx.error_estimate(model, problem, mu, sol=sol))
+            exact = rbx.truth_solve(problem, mu).coefficients
+            error = rbx.x_norm(problem.discretization, exact - rbx.reconstruct(model, sol))
+            assert error <= single[-1]
+        # a symmetric problem: the sweep borders a fresh Cholesky factor
+        systems = TrainingSystems.evaluate(problem, mus, capacity=model.n)
+        assert systems.factor is not None
+        batch = rbx.estimate_batch(model, problem, mus, systems=systems)
+        empty = rbx.estimate_batch(model, problem, mus, n=0)
+        assert np.all(np.abs(np.array(single) - batch) <= 1e-12 * empty)
 
 
 class TestDeterminism:

@@ -362,6 +362,15 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_with_zero_workers_exits_2_before_any_output(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(tiny_config_dict()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "workers" in err
+        assert not out.exists()
+
     def test_run_with_mistyped_greedy_field_exits_2_before_any_output(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         raw = tiny_config_dict(greedy={"eps_tol": 1e-9, "n_max": "four"})

@@ -123,18 +123,18 @@ class TestOrthonormalFold:
 
     def test_block_inside_a_full_basis_adds_nothing(self, fold_problem):
         disc = fold_problem.discretization
-        basis = x_orthonormal_basis(disc, disc.n_dof, seed=0)
-        block = np.random.default_rng(1).standard_normal((disc.n_dof, 5))
+        basis = x_orthonormal_basis(disc, fold_problem.n_dof, seed=0)
+        block = np.random.default_rng(1).standard_normal((fold_problem.n_dof, 5))
         grown, coords = reduced.orthonormal_fold(disc, basis, block, self.RTOL)
-        assert grown.shape == basis.shape and coords.shape == (disc.n_dof, 5)
+        assert grown.shape == basis.shape and coords.shape == (fold_problem.n_dof, 5)
         np.testing.assert_allclose(grown @ coords, block, atol=1e-12 * np.abs(block).max())
 
     def test_dependent_columns_with_rounding_noise_are_dropped(self, fold_problem):
         disc = fold_problem.discretization
         rng = np.random.default_rng(2)
         basis = x_orthonormal_basis(disc, 4, seed=3)
-        a, b, c = rng.standard_normal((3, disc.n_dof))
-        noise = 1e-14 * rng.standard_normal((2, disc.n_dof))
+        a, b, c = rng.standard_normal((3, fold_problem.n_dof))
+        noise = 1e-14 * rng.standard_normal((2, fold_problem.n_dof))
         block = np.column_stack(
             [a, b, a + b + noise[0] * np.abs(a + b).max(), c, 2 * c - a + noise[1] * np.abs(c).max()]
         )
@@ -152,7 +152,7 @@ class TestOrthonormalFold:
         disc = fold_problem.discretization
         rng = np.random.default_rng(4)
         basis = x_orthonormal_basis(disc, 6, seed=5)
-        a, b, d = rng.standard_normal((3, disc.n_dof))
+        a, b, d = rng.standard_normal((3, fold_problem.n_dof))
         block = np.column_stack([a, b, a - 3 * b + 1e-9 * np.abs(a - 3 * b).max() * d, d])
         grown, coords = reduced.orthonormal_fold(disc, basis, block, self.RTOL)
         assert grown.shape[1] == 6 + 4

@@ -194,12 +194,6 @@ class TestPivotedCholesky:
         pivots, factor = pivoted_cholesky(column_oracle(g), np.diag(g), max_steps=4)
         assert pivots.size == 0 and factor.shape == (4, 0)
 
-    def test_step_counter(self, diffusion_small):
-        counters = diffusion_small.counters
-        g = np.eye(3)
-        pivoted_cholesky(column_oracle(g), np.diag(g), max_steps=3, counters=counters)
-        assert counters.pivoted_cholesky_steps == 3
-
 
 # ---------------------------------------------------------------------------
 # cached-inverse error approximation
@@ -234,7 +228,7 @@ def batch_inputs(model, problem, points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
     thetas = evaluate_theta_batch(problem, points)
     scales = rhs_scale_batch(problem, points)
-    return thetas, scales, reduced_solve_batch(model, thetas, scales)
+    return thetas, scales, reduced_solve_batch(model, thetas, scales, model.n)
 
 
 def swept(model, problem, points):
@@ -247,7 +241,7 @@ def swept(model, problem, points):
 def kernel_errors(model, offline, problem, points, n=None):
     """Truth-space approximate errors (columns) through the cdm kernel."""
     thetas, scales, coeffs = batch_inputs(model, problem, points)
-    coeffs = coeffs if n is None else reduced_solve_batch(model, thetas, scales, n=n)
+    coeffs = coeffs if n is None else reduced_solve_batch(model, thetas, scales, n)
     y = approx_error_coords(model, offline, thetas, scales, augmented_weights(thetas, scales, coeffs))
     return offline.basis @ y.T
 
@@ -260,7 +254,7 @@ def explicit_error_block(model, offline, problem, points):
     """
     thetas, scales, coeffs = batch_inputs(model, problem, points)
     q = offline.q_used
-    cq = reduced_solve_batch(model, thetas, scales, n=q)
+    cq = reduced_solve_batch(model, thetas, scales, q)
     r = model.snapshot_in_basis[:q, :q]
     beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T
     inverses = [
@@ -278,7 +272,7 @@ class TestCachedInverseOffline:
     def test_inverse_columns_satisfy_their_systems(self, thermal_setup):
         problem, _, model, offline = thermal_setup
         v = offline.basis
-        x = dense(problem.x_inner)
+        x = dense(problem.discretization.x_inner)
         np.testing.assert_allclose(v.T @ x @ v, np.eye(v.shape[1]), atol=1e-12)
         qa = problem.n_terms
         assert offline.coords.shape == (offline.q_used, v.shape[1], 1 + model.n * qa)
@@ -455,7 +449,7 @@ class TestCachedInverseConstruct:
             model, offline, thetas, scales, augmented_weights(thetas, scales, coeffs)
         )
         block = explicit_error_block(model, offline, problem, train.points)
-        gram = block.T @ dense(problem.x_inner) @ block
+        gram = block.T @ dense(problem.discretization.x_inner) @ block
         norms = np.sqrt(np.diag(gram))
         # the snapshot parameters carry round-off errors only and drop out
         adm = np.flatnonzero(norms > 1e-10 * norms.max())

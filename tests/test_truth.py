@@ -19,6 +19,18 @@ from rbx.truth import (
 )
 
 
+def diffusion_free_coords(n_x=10):
+    """(x, y) of the interior collocation nodes, x varying slowest; each
+    coordinate runs over the Lobatto nodes cos(pi k / (n_x - 1)), +1 first."""
+    inner = np.cos(np.pi * np.arange(1, n_x - 1) / (n_x - 1))
+    return np.repeat(inner, n_x - 2), np.tile(inner, n_x - 2)
+
+
+def thermal_free_y(s=7):
+    """y of the free nodes: node j s + i sits at (i h, j h), the top row j = s - 1 is clamped."""
+    return np.repeat(np.arange(s - 1), s) / (s - 1)
+
+
 class TestSpectralPieces:
     def test_lobatto_nodes_n5(self):
         nodes = chebyshev_lobatto_nodes(5)
@@ -82,9 +94,7 @@ class TestDiffusionProblem:
     def test_operator_exact_on_polynomial(self, diffusion_small):
         # u = (1 - x^2)(1 - y^2) vanishes on the boundary and has degree 2
         # per direction, so collocation differentiation is exact on it.
-        disc = diffusion_small.discretization
-        coords = disc.node_coords[disc.free_nodes]
-        x, y = coords[:, 0], coords[:, 1]
+        x, y = diffusion_free_coords()
         u = (1.0 - x**2) * (1.0 - y**2)
         uxx = -2.0 * (1.0 - y**2)
         uyy = -2.0 * (1.0 - x**2)
@@ -94,9 +104,7 @@ class TestDiffusionProblem:
         np.testing.assert_allclose(applied, expected, atol=1e-8)
 
     def test_manufactured_solution_recovered(self, diffusion_small):
-        disc = diffusion_small.discretization
-        coords = disc.node_coords[disc.free_nodes]
-        x, y = coords[:, 0], coords[:, 1]
+        x, y = diffusion_free_coords()
         u = (1.0 - x**2) * (1.0 - y**2)
         mu = np.array([0.5, 0.25])
         f = (1.0 + mu[0] * x) * (-2.0 * (1.0 - y**2)) + (1.0 + mu[1] * y) * (
@@ -107,25 +115,22 @@ class TestDiffusionProblem:
         np.testing.assert_allclose(recovered, u, atol=1e-8)
 
     def test_rhs_samples_the_load_field(self, diffusion_small):
-        disc = diffusion_small.discretization
-        coords = disc.node_coords[disc.free_nodes]
-        expected = np.exp(4.0 * coords[:, 0] * coords[:, 1])
+        x, y = diffusion_free_coords()
+        expected = np.exp(4.0 * x * y)
         np.testing.assert_allclose(diffusion_small.rhs, expected, rtol=1e-14)
 
     def test_inner_product_matches_quadrature(self, diffusion_small):
         # || v ||_X^2 = sum_k w_k v_k^2 + quadrature of |grad v|^2; check it
         # on the same boundary-vanishing polynomial via exact integrals.
-        disc = diffusion_small.discretization
-        coords = disc.node_coords[disc.free_nodes]
-        x, y = coords[:, 0], coords[:, 1]
+        x, y = diffusion_free_coords()
         v = (1.0 - x**2) * (1.0 - y**2)
         # integral of v^2 = (16/15)^2; integral of |grad v|^2 = 2 * (8/3) * (16/15)
         exact = (16.0 / 15.0) ** 2 + 2.0 * (8.0 / 3.0) * (16.0 / 15.0)
-        got = x_norm(disc, v) ** 2
+        got = x_norm(diffusion_small.discretization, v) ** 2
         np.testing.assert_allclose(got, exact, rtol=1e-10)
 
     def test_x_inner_spd(self, diffusion_small):
-        xm = diffusion_small.x_inner
+        xm = diffusion_small.discretization.x_inner
         np.testing.assert_allclose(xm, xm.T, atol=1e-12)
         vals = np.linalg.eigvalsh(xm)
         assert vals.min() > 0
@@ -166,8 +171,7 @@ class TestThermalProblem:
         # which lies in the P1 space, so the discrete solution is exact
         c = 2.5
         sol = truth_solve(thermal_small, np.full(9, c))
-        disc = thermal_small.discretization
-        yfree = disc.node_coords[disc.free_nodes][:, 1]
+        yfree = thermal_free_y()
         np.testing.assert_allclose(sol.coefficients, (1.0 - yfree) / c, atol=1e-11)
         output = np.dot(thermal_small.output, sol.coefficients)
         np.testing.assert_allclose(output, 1.0 / c, rtol=1e-11)
@@ -193,8 +197,7 @@ class TestThermalProblem:
             return val
 
         sol = truth_solve(thermal_small, mu)
-        disc = thermal_small.discretization
-        yfree = disc.node_coords[disc.free_nodes][:, 1]
+        yfree = thermal_free_y()
         np.testing.assert_allclose(sol.coefficients, exact(yfree), atol=1e-10)
 
     def test_scaling_homogeneity(self, thermal_small):
