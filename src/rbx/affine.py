@@ -3,8 +3,10 @@
 An :class:`AffineProblem` bundles the parameter box, the coefficient
 functions ``theta_q``, references to the parameter-independent operator
 components ``A_q``, the load/output vectors, and the truth space that owns
-the inner-product matrix.  Everything here is immutable after construction
-and safe to share between threads.
+the inner-product matrix.  A problem's ``components`` and
+``discretization`` must not be reassigned after construction: its
+``symmetric`` flag and its sparsity ``pattern`` are computed once, on first
+use, from the components it was built with.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import InvalidParameterError, ResourceError
 
@@ -100,9 +103,11 @@ class AffineProblem:
     parameter is a batch of one.  ``discretization`` is the truth space
     (``rbx.truth.TruthDiscretization``): its ``x_inner`` is the inner
     product the error bound is measured in, and its ``counters`` count the
-    problem's work.  ``coercivity`` is the strategy object consumed by the
-    error estimator; see ``rbx.reduced``.  The training sweeps of
-    ``symmetric`` problems grow Cholesky factors.
+    problem's work.  ``coercivity`` is the bound strategy consumed by the
+    error estimator (see ``rbx.bounds``); every problem needs one, because
+    the package certifies coercive problems only.  So a ``symmetric``
+    problem is symmetric positive definite: its truth solves and the
+    training sweeps of its reduced models use Cholesky factors.
     """
 
     box: ParameterBox
@@ -111,8 +116,8 @@ class AffineProblem:
     rhs: np.ndarray
     output: np.ndarray
     discretization: object
+    coercivity: object
     rhs_theta: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    coercivity: object = None
 
     def __post_init__(self):
         if not self.components:
@@ -127,6 +132,8 @@ class AffineProblem:
         self.output = np.asarray(self.output, dtype=float)
         if self.rhs.shape != (n,) or self.output.shape != (n,):
             raise InvalidParameterError("rhs/output vectors must have the component dimension")
+        if not callable(getattr(self.coercivity, "lower_bound_batch", None)):
+            raise InvalidParameterError("coercivity must be a bound strategy (see rbx.bounds)")
 
     @property
     def n_dof(self) -> int:
@@ -145,9 +152,64 @@ class AffineProblem:
         """Whether every component equals its transpose exactly (computed once)."""
         return all(_equals_transpose(a) for a in self.components)
 
+    @cached_property
+    def pattern(self) -> Optional[SparsePattern]:
+        """The sparse components' ``SparsePattern`` (built once); None for dense ones."""
+        if all(sp.issparse(a) for a in self.components):
+            return SparsePattern(self.components)
+        return None
+
     @property
     def counters(self):
         return self.discretization.counters
+
+
+class SparsePattern:
+    """The union sparsity pattern of square sparse matrices ``M_q``.
+
+    ``values`` (Q, nnz) holds each matrix's entries on the union's canonical
+    CSR ``indptr``/``indices``, so ``assemble(c)`` forms ``sum_q c_q M_q``
+    as one product, with no sparse additions.  ``band`` lays the pattern
+    out for LAPACK's banded Cholesky (see ``rbx.truth.Factorization``).
+    """
+
+    def __init__(self, matrices):
+        mats = [sp.coo_matrix(m) for m in matrices]
+        n = mats[0].shape[0]
+        keys = [m.row.astype(np.int64) * n + m.col for m in mats]
+        union = np.unique(np.concatenate(keys))
+        self.n = n
+        self.indices = union % n
+        self.indptr = np.searchsorted(union // n, np.arange(n + 1))
+        self.values = np.zeros((len(mats), union.size))
+        for q, (m, k) in enumerate(zip(mats, keys)):
+            np.add.at(self.values[q], np.searchsorted(union, k), m.data)
+
+    def assemble(self, coefs: np.ndarray) -> sp.csr_matrix:
+        """``sum_q coefs[q] M_q`` as a CSR matrix on the pattern's indices."""
+        return sp.csr_matrix((coefs @ self.values, self.indices, self.indptr), (self.n, self.n))
+
+    @cached_property
+    def band(self):
+        """``(order, bandwidth, lower, slots)`` of the pattern's band layout.
+
+        ``order`` is the reverse Cuthill-McKee permutation of the symmetrized
+        pattern and ``bandwidth`` the half-bandwidth of the permuted one.  The ``lower`` entries
+        (positions into ``indices``) fall on or below the permuted diagonal,
+        and ``slots`` are their places in the column-major (bandwidth + 1, n)
+        lower band array that ``dpbtrf`` takes.
+        """
+        shape = (self.n, self.n)
+        ones = sp.csr_matrix((np.ones(self.indices.size), self.indices, self.indptr), shape)
+        order = reverse_cuthill_mckee((ones + ones.T).tocsr(), symmetric_mode=True)
+        rank = np.empty(self.n, dtype=np.int64)
+        rank[order] = np.arange(self.n)
+        rows = rank[np.repeat(np.arange(self.n), np.diff(self.indptr))]
+        cols = rank[self.indices]
+        lower = np.flatnonzero(rows >= cols)
+        bandwidth = int((rows - cols)[lower].max(initial=0))
+        slots = cols[lower] * (bandwidth + 1) + (rows - cols)[lower]
+        return order, bandwidth, lower, slots
 
 
 def _equals_transpose(a) -> bool:

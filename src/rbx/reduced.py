@@ -28,12 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .affine import AffineProblem, evaluate_theta_batch, rhs_scale_batch
-from .errors import (
-    BasisRejectionError,
-    BoundStrategyError,
-    InvalidParameterError,
-    NumericalFailureError,
-)
+from .errors import BasisRejectionError, InvalidParameterError, NumericalFailureError
 from .truth import TruthDiscretization, TruthSolution, riesz_solve
 
 REJECTION_RTOL = 1e-10
@@ -256,14 +251,9 @@ def residual_dual_norm_sq(model: ReducedModel, mu, sol: ReducedSolution) -> floa
     return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None, :])[0])
 
 
-def _lower_bounds(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
-    if problem.coercivity is None:
-        raise BoundStrategyError("no coercivity bound strategy configured")
-    return problem.coercivity.lower_bound_batch(problem, mus)
-
-
 def coercivity_lower_bound(problem: AffineProblem, mu) -> float:
-    return float(_lower_bounds(problem, problem.box.validate(mu)[None, :])[0])
+    mus = problem.box.validate(mu)[None, :]
+    return float(problem.coercivity.lower_bound_batch(problem, mus)[0])
 
 
 def error_estimate(
@@ -441,7 +431,7 @@ class TrainingSystems:
             points,
             evaluate_theta_batch(problem, points),
             rhs_scale_batch(problem, points),
-            _lower_bounds(problem, points),
+            problem.coercivity.lower_bound_batch(problem, points),
             factor,
         )
 

@@ -18,8 +18,16 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .affine import AffineProblem, ParameterBox, assemble_operator, rhs_scale_batch
+from .affine import (
+    AffineProblem,
+    ParameterBox,
+    SparsePattern,
+    assemble_operator,
+    evaluate_theta_batch,
+    rhs_scale_batch,
+)
 from .bounds import ConstantBound, MinThetaBound
 from .counters import Counters
 from .errors import ConfigurationError, NumericalFailureError
@@ -79,10 +87,24 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
 
 
 class Factorization:
-    """``solve`` through sparse LU, or dense Cholesky (``spd``) or LU."""
+    """``solve`` through a Cholesky factorization (``spd``) or an LU one.
 
-    def __init__(self, matrix, spd: bool = False):
-        if sp.issparse(matrix):
+    A sparse SPD matrix is factorized by LAPACK's banded Cholesky in the
+    reverse Cuthill-McKee order of its ``SparsePattern``: pass ``pattern``
+    when ``matrix`` was assembled on it, so that its order and band layout
+    are reused; otherwise it is built from ``matrix``.  Other sparse
+    matrices go through SuperLU, dense ones through LAPACK's Cholesky or LU.
+    A Cholesky factorization of a matrix that is not SPD raises
+    ``NumericalFailureError``.
+    """
+
+    def __init__(self, matrix, spd: bool = False, pattern: Optional[SparsePattern] = None):
+        if sp.issparse(matrix) and spd:
+            if pattern is None:
+                pattern = SparsePattern([matrix])
+                matrix = pattern.assemble(np.ones(1))
+            self.solve = _banded_cholesky(pattern, matrix)
+        elif sp.issparse(matrix):
             self.solve = spla.splu(matrix.tocsc()).solve
         elif spd:
             try:
@@ -93,11 +115,36 @@ class Factorization:
             self.solve = partial(sla.lu_solve, sla.lu_factor(matrix))
 
 
+def _banded_cholesky(pattern: SparsePattern, matrix):
+    """Solve function of ``dpbtrf``'s factor of ``matrix``, a CSR on ``pattern``."""
+    order, bandwidth, lower, slots = pattern.band
+    n = pattern.n
+    ab = np.zeros(n * (bandwidth + 1))
+    ab[slots] = matrix.data[lower]
+    factor, info = lapack.dpbtrf(ab.reshape(n, bandwidth + 1).T, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise NumericalFailureError(
+            f"matrix is not SPD: banded Cholesky failed at pivot {info}",
+            condition_estimate=_condition_estimate(matrix),
+        )
+
+    def solve(b):
+        b = np.asarray(b, dtype=float)
+        x, _ = lapack.dpbtrs(factor, b.reshape(n, -1)[order], lower=1, overwrite_b=1)
+        out = np.empty_like(x)
+        out[order] = x
+        return out.reshape(b.shape)
+
+    return solve
+
+
 def _condition_estimate(a) -> float:
     try:
         if sp.issparse(a):
             lu = spla.splu(a.tocsc())
-            op = spla.LinearOperator(a.shape, matvec=lu.solve)
+            op = spla.LinearOperator(
+                a.shape, matvec=lu.solve, rmatvec=partial(lu.solve, trans="T")
+            )
             return float(spla.onenormest(op) * spla.onenormest(a))
         return float(np.linalg.cond(a, 1))
     except Exception:
@@ -167,14 +214,20 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     """Direct solve of the truth system at one parameter.
 
     This is the package's only factorization of ``A(mu)``; it is counted and
-    returned on the solution.  A failed factorization, or a relative
-    algebraic residual above ``SOLVE_RTOL``, raises
-    ``NumericalFailureError`` carrying a condition estimate.
+    returned on the solution.  A sparse ``A(mu)`` is assembled on the
+    problem's cached ``pattern``.  A symmetric problem is SPD, because every
+    problem is coercive, so its factorization is a Cholesky one.  A failed
+    factorization, or a relative algebraic residual above ``SOLVE_RTOL``,
+    raises ``NumericalFailureError`` carrying a condition estimate.
     """
     mu = problem.box.validate(mu)
-    a = assemble_operator(problem, mu)
+    pattern = problem.pattern
+    if pattern is None:
+        a = assemble_operator(problem, mu)
+    else:
+        a = pattern.assemble(evaluate_theta_batch(problem, mu[None, :])[0])
     try:
-        fact = Factorization(a)
+        fact = Factorization(a, spd=problem.symmetric, pattern=pattern)
     except Exception as exc:
         raise NumericalFailureError(
             f"factorization of A(mu) failed: {exc}",

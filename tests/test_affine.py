@@ -14,8 +14,9 @@ from rbx.affine import (
     rhs_scale_batch,
     sample_training_set,
 )
+from rbx.bounds import ConstantBound
 from rbx.errors import InvalidParameterError, ResourceError
-from rbx.truth import TruthDiscretization
+from rbx.truth import TruthDiscretization, truth_solve
 
 
 class TestParameterBox:
@@ -97,43 +98,40 @@ class TestAffineProblem:
     def test_shape_validation(self):
         box = ParameterBox([0.0], [1.0])
         good = np.eye(3)
-        disc = TruthDiscretization(good)
-        with pytest.raises(InvalidParameterError):
-            AffineProblem(
-                box=box,
-                theta=lambda mu: np.array([1.0]),
-                components=[],
-                rhs=np.ones(3),
-                output=np.ones(3),
-                discretization=disc,
-            )
-        with pytest.raises(InvalidParameterError):
-            AffineProblem(
-                box=box,
-                theta=lambda mu: np.array([1.0, 1.0]),
-                components=[good, np.eye(4)],
-                rhs=np.ones(3),
-                output=np.ones(3),
-                discretization=disc,
-            )
-        with pytest.raises(InvalidParameterError):
-            AffineProblem(
-                box=box,
-                theta=lambda mu: np.array([1.0]),
-                components=[good],
-                rhs=np.ones(4),
-                output=np.ones(3),
-                discretization=disc,
-            )
+        base = dict(
+            box=box,
+            theta=lambda mu: np.array([1.0]),
+            components=[good],
+            rhs=np.ones(3),
+            output=np.ones(3),
+            discretization=TruthDiscretization(good),
+            coercivity=ConstantBound(1.0),
+        )
+        AffineProblem(**base)
+        for bad in (
+            dict(components=[]),
+            dict(components=[good, np.eye(4)]),
+            dict(rhs=np.ones(4)),
+        ):
+            with pytest.raises(InvalidParameterError):
+                AffineProblem(**{**base, **bad})
         with pytest.raises(InvalidParameterError, match="x_inner"):
-            AffineProblem(
-                box=box,
-                theta=lambda mu: np.array([1.0]),
-                components=[good],
-                rhs=np.ones(3),
-                output=np.ones(3),
-                discretization=TruthDiscretization(np.eye(4)),
-            )
+            AffineProblem(**{**base, "discretization": TruthDiscretization(np.eye(4))})
+
+    def test_coercivity_is_required(self):
+        good = np.eye(3)
+        base = dict(
+            box=ParameterBox([0.0], [1.0]),
+            theta=lambda mu: np.array([1.0]),
+            components=[good],
+            rhs=np.ones(3),
+            output=np.ones(3),
+            discretization=TruthDiscretization(good),
+        )
+        with pytest.raises(TypeError, match="coercivity"):
+            AffineProblem(**base)
+        with pytest.raises(InvalidParameterError, match="coercivity"):
+            AffineProblem(**base, coercivity=None)
 
     def test_theta_evaluation_and_batch_agree(self, diffusion_small):
         mus = np.array([[0.3, -0.4], [0.0, 0.9], [-0.98, 0.01]])
@@ -189,8 +187,37 @@ class TestAffineProblem:
             rhs=diffusion_small.rhs,
             output=diffusion_small.output,
             discretization=diffusion_small.discretization,
+            coercivity=diffusion_small.coercivity,
         )
         assert sym.symmetric
+
+    def test_pattern_assembly_matches_sequential_sum(self, thermal_small):
+        pattern = thermal_small.pattern
+        union = set()
+        for c in thermal_small.components:
+            coo = c.tocoo()
+            union |= set(zip(coo.row.tolist(), coo.col.tolist()))
+        assert pattern.indices.size == len(union)
+        mu = np.array([0.3, 7.1, 2.0, 9.9, 0.1, 4.4, 1.5, 6.0, 3.3])
+        a = pattern.assemble(mu).toarray()
+        sequential = sum(t * c.toarray() for t, c in zip(mu, thermal_small.components))
+        assert np.abs(a - sequential).max() <= 1e-14 * np.abs(sequential).max()
+
+    def test_truth_solves_reuse_one_pattern(self, thermal_small, monkeypatch):
+        built = []
+        init = affine.SparsePattern.__init__
+
+        def counted(self, matrices):
+            built.append(self)
+            init(self, matrices)
+
+        monkeypatch.setattr(affine.SparsePattern, "__init__", counted)
+        truth_solve(thermal_small, np.full(9, 2.0))
+        truth_solve(thermal_small, np.linspace(0.1, 10.0, 9))
+        assert len(built) == 1 and thermal_small.pattern is built[0]
+
+    def test_dense_problems_have_no_pattern(self, diffusion_small):
+        assert diffusion_small.pattern is None
 
     def test_sizes(self, diffusion_small, thermal_small):
         assert diffusion_small.n_dof == 64  # (10 - 2)^2 interior nodes

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import rbx
 from rbx.affine import assemble_operator
@@ -88,6 +89,40 @@ class TestFactorizations:
         bad = np.diag([1.0, -1.0])
         with pytest.raises(NumericalFailureError):
             Factorization(bad, spd=True)
+
+    @pytest.mark.parametrize("s", [7, 19])
+    def test_sparse_spd_matches_spsolve(self, s):
+        problem = rbx.build_thermal_block(nodes_per_side=s)
+        b = np.random.default_rng(s).standard_normal(problem.n_dof)
+        mu = np.linspace(0.1, 10.0, 9)
+        matrices = [
+            assemble_operator(problem, mu),
+            problem.pattern.assemble(mu),
+            problem.discretization.x_inner,
+        ]
+        patterns = [None, problem.pattern, None]
+        for a, pattern in zip(matrices, patterns):
+            expected = spla.spsolve(a.tocsc(), b)
+            got = Factorization(a, spd=True, pattern=pattern).solve(b)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_sparse_spd_keeps_right_hand_side_shapes(self, thermal_small):
+        fact = Factorization(thermal_small.discretization.x_inner, spd=True)
+        x = thermal_small.discretization.x_inner.toarray()
+        rng = np.random.default_rng(2)
+        for shape in [(thermal_small.n_dof,), (thermal_small.n_dof, 1), (thermal_small.n_dof, 5)]:
+            b = rng.standard_normal(shape)
+            got = fact.solve(b)
+            assert got.shape == shape
+            np.testing.assert_allclose(x @ got, b, atol=1e-12)
+
+    def test_spd_rejects_indefinite_sparse(self):
+        diagonal = np.full(12, 2.0)
+        diagonal[5] = -3.0
+        bad = sp.diags([-np.ones(11), diagonal, -np.ones(11)], [-1, 0, 1], format="csr")
+        with pytest.raises(NumericalFailureError) as failure:
+            Factorization(bad, spd=True)
+        assert failure.value.condition_estimate > 1.0
 
 
 class TestDiffusionProblem:
