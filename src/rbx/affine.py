@@ -3,10 +3,11 @@
 An :class:`AffineProblem` bundles the parameter box, the coefficient
 functions ``theta_q``, references to the parameter-independent operator
 components ``A_q``, the load/output vectors, and the truth space that owns
-the inner-product matrix.  A problem's ``components`` and
+the inner-product matrix.  A problem's ``components``, ``kron`` and
 ``discretization`` must not be reassigned after construction: its
 ``symmetric`` flag and its sparsity ``pattern`` are computed once, on first
-use, from the components it was built with.
+use, from the components it was built with, and ``kron`` is checked against
+the components only when the problem is built.
 """
 
 from __future__ import annotations
@@ -108,6 +109,17 @@ class AffineProblem:
     the package certifies coercive problems only.  So a ``symmetric``
     problem is symmetric positive definite: its truth solves and the
     training sweeps of its reduced models use Cholesky factors.
+
+    ``kron``, when given, is a pair ``(left, right)`` of (Q, m, m) stacks
+    with ``n_dof = m * m`` that writes every component as the Kronecker sum
+    ``A_q = left_q (x) I_m + I_m (x) right_q`` (DoF ``i * m + j`` couples to
+    ``left`` through ``i`` and to ``right`` through ``j``).  Truth solves
+    then factorize the two m x m sums ``sum_q theta_q left_q`` and
+    ``sum_q theta_q right_q`` instead of the n_dof x n_dof operator (see
+    ``rbx.truth.Factorization``).  Construction checks it against every
+    component on one random m x m probe and raises
+    ``InvalidParameterError`` on a mismatch; like ``components``, it must
+    not be reassigned afterwards.
     """
 
     box: ParameterBox
@@ -118,6 +130,7 @@ class AffineProblem:
     discretization: object
     coercivity: object
     rhs_theta: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    kron: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.components:
@@ -134,6 +147,8 @@ class AffineProblem:
             raise InvalidParameterError("rhs/output vectors must have the component dimension")
         if not callable(getattr(self.coercivity, "lower_bound_batch", None)):
             raise InvalidParameterError("coercivity must be a bound strategy (see rbx.bounds)")
+        if self.kron is not None:
+            self.kron = _checked_kron(self.kron, self.components)
 
     @property
     def n_dof(self) -> int:
@@ -210,6 +225,30 @@ class SparsePattern:
         bandwidth = int((rows - cols)[lower].max(initial=0))
         slots = cols[lower] * (bandwidth + 1) + (rows - cols)[lower]
         return order, bandwidth, lower, slots
+
+
+def _checked_kron(kron, components) -> tuple:
+    """``kron`` as two float (Q, m, m) stacks, checked against ``components``.
+
+    Each component is applied to ``vec(V)`` for one random m x m ``V`` and
+    compared with ``vec(left_q V + V right_q^T)`` to 1e-12 relative: one
+    matrix-vector product per component, and no Kronecker product is formed.
+    """
+    left, right = (np.asarray(f, dtype=float) for f in kron)
+    n = components[0].shape[0]
+    m = int(round(np.sqrt(n)))
+    if m * m != n or left.shape != (len(components), m, m) or right.shape != left.shape:
+        raise InvalidParameterError(
+            f"kron factors must be two (Q, m, m) stacks with Q = {len(components)} "
+            f"and m * m = {n}"
+        )
+    v = np.random.default_rng(0).standard_normal((m, m))
+    for q, a in enumerate(components):
+        want = left[q] @ v + v @ right[q].T
+        got = np.asarray(a @ v.reshape(-1)).reshape(m, m)
+        if np.linalg.norm(got - want) > 1e-12 * np.linalg.norm(want):
+            raise InvalidParameterError(f"kron factors do not match component {q}")
+    return left, right
 
 
 def _equals_transpose(a) -> bool:

@@ -1,5 +1,7 @@
 """Parameter box, affine containers, coefficient evaluation, sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,18 @@ class TestAffineProblem:
         truth_solve(thermal_small, np.full(9, 2.0))
         truth_solve(thermal_small, np.linspace(0.1, 10.0, 9))
         assert len(built) == 1 and thermal_small.pattern is built[0]
+
+    def test_kron_must_match_every_component(self, diffusion_small):
+        left, right = diffusion_small.kron
+        dataclasses.replace(diffusion_small, kron=(left, right))
+        for bad in (
+            (left, right[[0, 2, 1]]),  # two components' factors swapped
+            (left * (1.0 + 1e-9), right),
+            (left[:2], right[:2]),
+            (left[:, 1:, 1:], right[:, 1:, 1:]),
+        ):
+            with pytest.raises(InvalidParameterError, match="kron"):
+                dataclasses.replace(diffusion_small, kron=bad)
 
     def test_dense_problems_have_no_pattern(self, diffusion_small):
         assert diffusion_small.pattern is None

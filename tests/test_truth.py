@@ -1,15 +1,20 @@
 """Truth discretizations checked against independently computable solutions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import rbx
-from rbx.affine import assemble_operator
+from rbx.affine import AffineProblem, ParameterBox, assemble_operator, evaluate_theta_batch
+from rbx.bounds import ConstantBound
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.truth import (
     Factorization,
+    TruthDiscretization,
     apply_operator_inverse,
     chebyshev_diff_matrix,
     chebyshev_lobatto_nodes,
@@ -181,23 +186,85 @@ class TestDiffusionProblem:
         resid = np.linalg.norm(a @ sol.coefficients - diffusion_small.rhs)
         assert resid <= 1e-10 * np.linalg.norm(diffusion_small.rhs)
 
-    def test_truth_solve_assembles_once(self, diffusion_small, monkeypatch):
+    def test_truth_solve_assembly_per_route(self, diffusion_small, thermal_small, monkeypatch):
+        # a Kronecker-sum problem forms no A(mu), a sparse one assembles it
+        # once on its pattern, a dense one without factors once in full
         import rbx.truth
 
         calls = []
-        real = rbx.truth.assemble_operator
+        operator = rbx.truth.assemble_operator
+        on_pattern = rbx.affine.SparsePattern.assemble
 
-        def counting(problem, mu):
-            calls.append(mu)
-            return real(problem, mu)
+        def counted_operator(problem, mu):
+            calls.append("operator")
+            return operator(problem, mu)
 
-        monkeypatch.setattr(rbx.truth, "assemble_operator", counting)
+        def counted_pattern(pattern, coefs):
+            calls.append("pattern")
+            return on_pattern(pattern, coefs)
+
+        monkeypatch.setattr(rbx.truth, "assemble_operator", counted_operator)
+        monkeypatch.setattr(rbx.affine.SparsePattern, "assemble", counted_pattern)
         truth_solve(diffusion_small, [0.3, -0.2])
-        assert len(calls) == 1
+        assert calls == []
+        truth_solve(thermal_small, np.full(9, 2.0))
+        assert calls == ["pattern"]
+        truth_solve(dataclasses.replace(diffusion_small, kron=None), [0.3, -0.2])
+        assert calls == ["pattern", "operator"]
 
     def test_minimum_size_enforced(self):
         with pytest.raises(ConfigurationError):
             rbx.build_diffusion2d(n_x=3)
+
+
+class TestKroneckerSum:
+    @pytest.mark.parametrize("n_x", [4, 10, 35])
+    def test_factorization_matches_dense_lu(self, n_x):
+        problem = rbx.build_diffusion2d(n_x=n_x)
+        mu = np.array([0.3, -0.6])
+        theta = evaluate_theta_batch(problem, mu[None, :])[0]
+        fact = Factorization(tuple(np.tensordot(theta, f, axes=1) for f in problem.kron))
+        lu = sla.lu_factor(assemble_operator(problem, mu))
+        rng = np.random.default_rng(n_x)
+        for shape in [(problem.n_dof,), (problem.n_dof, 1), (problem.n_dof, 7)]:
+            b = rng.standard_normal(shape)
+            got = fact.solve(b)
+            expected = sla.lu_solve(lu, b)
+            assert got.shape == shape
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_snapshot_factorization_inverts_a_block(self, diffusion_small):
+        sol = truth_solve(diffusion_small, [-0.45, 0.8])
+        block = np.random.default_rng(3).standard_normal((diffusion_small.n_dof, 9))
+        before = diffusion_small.counters.truth_solves
+        got = apply_operator_inverse(diffusion_small, sol.factorization, block)
+        assert diffusion_small.counters.truth_solves == before + 9
+        lu = sla.lu_factor(assemble_operator(diffusion_small, sol.mu))
+        expected = sla.lu_solve(lu, block)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_singular_factors_fail_with_condition_estimate(self):
+        # the eigenvalue 1 of P and -1 - ulp of R leave a Kronecker sum that
+        # is singular to working precision
+        left = np.diag([1.0, 2.0, 3.0, 4.0])[None]
+        right = -np.diag([np.nextafter(1.0, 2.0), 5.0, 6.0, 7.0])[None]
+        eye = np.eye(4)
+        problem = AffineProblem(
+            box=ParameterBox([0.0], [1.0]),
+            theta=lambda mus: np.ones((len(mus), 1)),
+            components=[np.kron(left[0], eye) + np.kron(eye, right[0])],
+            rhs=np.ones(16),
+            output=np.ones(16),
+            discretization=TruthDiscretization(np.eye(16)),
+            coercivity=ConstantBound(1.0),
+            kron=(left, right),
+        )
+        fact = Factorization((left[0], right[0]))
+        for solve in (lambda: truth_solve(problem, [0.5]), lambda: fact.solve(np.ones(16))):
+            with pytest.raises(NumericalFailureError, match="dtrsyl") as failure:
+                solve()
+            estimate = failure.value.condition_estimate
+            assert np.isfinite(estimate) and estimate > 1e15
 
 
 class TestThermalProblem:
