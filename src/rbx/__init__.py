@@ -10,15 +10,8 @@ estimator approximation errors.
 
 __version__ = "0.1.0"
 
-from .affine import (
-    AffineProblem,
-    ParameterBox,
-    TrainingSet,
-    assemble_operator,
-    sample_training_set,
-)
+from .affine import AffineProblem, ParameterBox, sample_training_set
 from .bounds import ConstantBound, MinThetaBound
-from .counters import Counters
 from .errors import (
     BasisRejectionError,
     BoundStrategyError,
@@ -28,24 +21,9 @@ from .errors import (
     RbxError,
     ResourceError,
 )
-from .greedy import (
-    GreedyConfig,
-    GreedyTrace,
-    IterationRecord,
-    OuterLoopRecord,
-    run_greedy,
-)
-from .harness import (
-    ExperimentConfig,
-    MethodResult,
-    PROBLEMS,
-    run_experiment,
-    run_methods,
-)
+from .greedy import GreedyConfig, run_greedy
+from .harness import PROBLEMS, ExperimentConfig, run_experiment, run_methods
 from .reduced import (
-    ReducedModel,
-    ReducedSolution,
-    coercivity_lower_bound,
     error_estimate,
     estimate_batch,
     extend_basis,
@@ -54,11 +32,7 @@ from .reduced import (
     reduced_solve,
     residual_dual_norm_sq,
 )
-from .surrogate import (
-    cdm_construct,
-    pivoted_cholesky,
-    smm_construct,
-)
+from .surrogate import cdm_construct, pivoted_cholesky
 from .truth import (
     TruthDiscretization,
     TruthSolution,
@@ -73,12 +47,9 @@ __all__ = [
     "__version__",
     "AffineProblem",
     "ParameterBox",
-    "TrainingSet",
-    "assemble_operator",
     "sample_training_set",
     "ConstantBound",
     "MinThetaBound",
-    "Counters",
     "RbxError",
     "InvalidParameterError",
     "ConfigurationError",
@@ -87,18 +58,11 @@ __all__ = [
     "BasisRejectionError",
     "BoundStrategyError",
     "GreedyConfig",
-    "GreedyTrace",
-    "IterationRecord",
-    "OuterLoopRecord",
     "run_greedy",
     "ExperimentConfig",
     "PROBLEMS",
     "run_experiment",
     "run_methods",
-    "MethodResult",
-    "ReducedModel",
-    "ReducedSolution",
-    "coercivity_lower_bound",
     "error_estimate",
     "estimate_batch",
     "extend_basis",
@@ -108,7 +72,6 @@ __all__ = [
     "residual_dual_norm_sq",
     "cdm_construct",
     "pivoted_cholesky",
-    "smm_construct",
     "TruthDiscretization",
     "TruthSolution",
     "build_diffusion2d",

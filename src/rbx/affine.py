@@ -108,7 +108,9 @@ class AffineProblem:
     error estimator (see ``rbx.bounds``); every problem needs one, because
     the package certifies coercive problems only.  So a ``symmetric``
     problem is symmetric positive definite: its truth solves and the
-    training sweeps of its reduced models use Cholesky factors.
+    training sweeps of its reduced models use Cholesky factors.  For a
+    nonsymmetric problem the bound must bound the inf-sup constant of
+    ``A(mu)`` in X from below.
 
     ``kron``, when given, is a pair ``(left, right)`` of (Q, m, m) stacks
     with ``n_dof = m * m`` that writes every component as the Kronecker sum
@@ -177,6 +179,21 @@ class AffineProblem:
     @property
     def counters(self):
         return self.discretization.counters
+
+    def assemble(self, theta: np.ndarray):
+        """``A = sum_q theta[q] A_q`` for one coefficient row ``theta`` (Q,).
+
+        This is the package's only assembly of the operator from its
+        components.  Sparse components are summed on the cached ``pattern``
+        in one product (a CSR matrix that keeps the pattern's explicit
+        zeros); dense ones are added one at a time.
+        """
+        if self.pattern is not None:
+            return self.pattern.assemble(theta)
+        acc = self.components[0] * theta[0]
+        for q in range(1, self.n_terms):
+            acc = acc + theta[q] * self.components[q]
+        return acc
 
 
 class SparsePattern:
@@ -274,15 +291,6 @@ def rhs_scale_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
     if problem.rhs_theta is None:
         return np.ones(mus.shape[0])
     return np.asarray(problem.rhs_theta(mus), dtype=float)
-
-
-def assemble_operator(problem: AffineProblem, mu):
-    """Form ``A(mu)`` explicitly.  Sparse problems return a CSR matrix."""
-    theta = evaluate_theta_batch(problem, problem.box.validate(mu)[None, :])[0]
-    acc = problem.components[0] * theta[0]
-    for q in range(1, problem.n_terms):
-        acc = acc + theta[q] * problem.components[q]
-    return acc
 
 
 def sample_training_set(

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .affine import assemble_operator, evaluate_theta_batch
+from .affine import evaluate_theta_batch
 from .errors import BoundStrategyError
 
 # relative distance of the certified anchor bound below the eigenvalue estimate
@@ -73,8 +73,6 @@ def _certified_anchor_alpha(a, m) -> float:
 class ConstantBound:
     """Fixed positive constant; used where no sharp bound is configured."""
 
-    name = "constant"
-
     def __init__(self, value: float):
         if not value > 0:
             raise BoundStrategyError("constant coercivity bound must be positive")
@@ -99,8 +97,6 @@ class MinThetaBound:
     is no dense fallback.
     """
 
-    name = "min-theta"
-
     def __init__(self, anchor_mu, anchor_alpha: float | None = None):
         self.anchor_mu = np.asarray(anchor_mu, dtype=float)
         self.anchor_alpha = anchor_alpha
@@ -114,7 +110,7 @@ class MinThetaBound:
                 raise BoundStrategyError("anchor coefficients must be positive")
             self._anchor_theta = theta
         if self.anchor_alpha is None:
-            a = assemble_operator(problem, self.anchor_mu)
+            a = problem.assemble(self._anchor_theta)
             self.anchor_alpha = _certified_anchor_alpha(a, problem.discretization.x_inner)
 
     def lower_bound_batch(self, problem, mus) -> np.ndarray:

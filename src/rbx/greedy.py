@@ -8,9 +8,10 @@ the surrogate domain while its worst estimate stays above both the
 tolerance and a shrinking fraction of the round's full-sweep maximum.  The
 methods differ only in the surrogate domain: smm and cdm build one, and
 classical is the case whose domain is empty, so its inner loop never runs.
-The run stops when the full-sweep maximum drops below the tolerance or the
-basis cap is reached.  Termination is decided only by full sweeps, so the
-certificate always covers the whole training set.
+The run stops when the full-sweep maximum drops below the tolerance or,
+after that sweep, when the basis has reached its cap.  Termination is
+decided only by full sweeps, so the certificate always covers the whole
+training set, and the last full sweep is always of the returned model.
 
 Counting conventions: every full sweep evaluates the estimator at every
 training point (selection skips previously chosen or rejected indices, the
@@ -327,13 +328,15 @@ def run_greedy(
     model, trace = run.model, run.trace
     ell = 0
 
-    while model.n < config.n_max:
+    while True:
         ell += 1
         field, record = run.sweep(0 if config.method == "classical" else ell)
         e_ell = record.delta_max
         trace.final_delta_max = e_ell
         if e_ell <= config.eps_tol:
             trace.certified = True
+            break
+        if model.n >= config.n_max:
             break
         pending = run.surrogate(ell, e_ell, field)
         if run.extend(field, record) is None:

@@ -251,11 +251,6 @@ def residual_dual_norm_sq(model: ReducedModel, mu, sol: ReducedSolution) -> floa
     return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None, :])[0])
 
 
-def coercivity_lower_bound(problem: AffineProblem, mu) -> float:
-    mus = problem.box.validate(mu)[None, :]
-    return float(problem.coercivity.lower_bound_batch(problem, mus)[0])
-
-
 def error_estimate(
     model: ReducedModel,
     problem: AffineProblem,
@@ -268,7 +263,8 @@ def error_estimate(
         sol = reduced_solve(model, mu)
     rsq = residual_dual_norm_sq(model, mu, sol)
     model.counters.count_estimates(1, kind)
-    delta = float(np.sqrt(rsq) / coercivity_lower_bound(problem, mu))
+    alpha = problem.coercivity.lower_bound_batch(problem, problem.box.validate(mu)[None, :])[0]
+    delta = float(np.sqrt(rsq) / alpha)
     if not math.isfinite(delta):
         raise NumericalFailureError(f"non-finite error estimate {delta} at mu = {mu}")
     return delta

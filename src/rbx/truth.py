@@ -24,7 +24,6 @@ from .affine import (
     AffineProblem,
     ParameterBox,
     SparsePattern,
-    assemble_operator,
     evaluate_theta_batch,
     rhs_scale_batch,
 )
@@ -254,30 +253,27 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
 
     This is the package's only factorization of ``A(mu)``; it is counted and
     returned on the solution.  A problem with a ``kron`` description is
-    factorized through its two m x m factor sums, and no A(mu) is formed.
-    A sparse ``A(mu)`` is assembled on the problem's cached ``pattern``.  A
-    symmetric problem is SPD, because every problem is coercive, so its
+    factorized through its two m x m factor sums, and no A(mu) is formed;
+    any other problem assembles ``A(mu)`` once (``AffineProblem.assemble``).
+    A symmetric problem is SPD, because every problem is coercive, so its
     factorization is a Cholesky one.  A failed factorization, or a relative
     algebraic residual ``||sum_q theta_q A_q u - b||`` above ``SOLVE_RTOL``,
     raises ``NumericalFailureError`` carrying a condition estimate.
     """
     mu = problem.box.validate(mu)
     theta = evaluate_theta_batch(problem, mu[None, :])[0]
-    pattern = problem.pattern
     if problem.kron is not None:
         a = None
         operator = tuple(np.tensordot(theta, f, axes=1) for f in problem.kron)
-    elif pattern is not None:
-        a = operator = pattern.assemble(theta)
     else:
-        a = operator = assemble_operator(problem, mu)
+        a = operator = problem.assemble(theta)
 
     def failure(message: str) -> NumericalFailureError:
-        full = assemble_operator(problem, mu) if a is None else a
+        full = problem.assemble(theta) if a is None else a
         return NumericalFailureError(message, condition_estimate=_condition_estimate(full))
 
     try:
-        fact = Factorization(operator, spd=problem.symmetric, pattern=pattern)
+        fact = Factorization(operator, spd=problem.symmetric, pattern=problem.pattern)
     except Exception as exc:
         raise failure(f"factorization of A(mu) failed: {exc}")
     problem.discretization.counters.truth_factorizations += 1

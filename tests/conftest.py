@@ -116,16 +116,28 @@ def both_experiments(diffusion_experiment, thermal_experiment):
 # helpers shared across test modules
 
 
+def sequential_sum(problem, mu):
+    """A(mu) summed one component at a time, independently of
+    ``AffineProblem.assemble``; sparse components give a sparse sum."""
+    from rbx.affine import evaluate_theta_batch
+
+    theta = evaluate_theta_batch(problem, problem.box.validate(mu)[None, :])[0]
+    acc = problem.components[0] * theta[0]
+    for t, a in zip(theta[1:], problem.components[1:]):
+        acc = acc + t * a
+    return acc
+
+
 def direct_residual_dual_norm_sq(model, problem, mu, sol):
     """Residual dual norm squared via an explicit truth-space Riesz solve.
 
     Independent of the model's stored residual machinery: assembles the
     residual vector and solves with the inner-product factorization.
     """
-    from rbx.affine import assemble_operator, rhs_scale_batch
+    from rbx.affine import rhs_scale_batch
 
     lifted = model.basis[:, : sol.n] @ sol.coeffs
-    a = assemble_operator(problem, mu)
+    a = sequential_sum(problem, mu)
     r = rhs_scale_batch(problem, np.atleast_2d(mu))[0] * problem.rhs - a @ lifted
     rep = problem.discretization.x_factorization().solve(r)
     return float(np.dot(rep, r))

@@ -11,7 +11,6 @@ from rbx.affine import (
     AffineProblem,
     ParameterBox,
     TrainingSet,
-    assemble_operator,
     evaluate_theta_batch,
     rhs_scale_batch,
     sample_training_set,
@@ -148,7 +147,7 @@ class TestAffineProblem:
         with pytest.raises(InvalidParameterError, match="theta returned shape"):
             evaluate_theta_batch(diffusion_small, [[0.1, 0.1]])
         with pytest.raises(InvalidParameterError):
-            assemble_operator(diffusion_small, [0.1, 0.1])
+            truth_solve(diffusion_small, [0.1, 0.1])
 
     def test_rhs_scale_defaults_to_one(self, diffusion_small):
         mus = np.zeros((4, 2))
@@ -160,20 +159,19 @@ class TestAffineProblem:
         np.testing.assert_allclose(rhs_scale_batch(diffusion_small, mus), [0.2, 1.0])
 
     def test_assemble_matches_manual_sum(self, diffusion_small):
-        mu = np.array([0.37, -0.61])
-        a = assemble_operator(diffusion_small, mu)
+        theta = np.array([1.0, 0.37, -0.61])
+        a = diffusion_small.assemble(theta)
         manual = (
             diffusion_small.components[0]
-            + mu[0] * diffusion_small.components[1]
-            + mu[1] * diffusion_small.components[2]
+            + theta[1] * diffusion_small.components[1]
+            + theta[2] * diffusion_small.components[2]
         )
         np.testing.assert_allclose(a, manual, atol=1e-14)
 
     def test_assemble_sparse_stays_sparse(self, thermal_small):
         import scipy.sparse as sp
 
-        mu = np.full(9, 2.5)
-        a = assemble_operator(thermal_small, mu)
+        a = thermal_small.assemble(np.full(9, 2.5))
         assert sp.issparse(a)
         total = sum(c.toarray() for c in thermal_small.components)
         np.testing.assert_allclose(a.toarray(), 2.5 * total, atol=1e-12)
@@ -201,7 +199,7 @@ class TestAffineProblem:
             union |= set(zip(coo.row.tolist(), coo.col.tolist()))
         assert pattern.indices.size == len(union)
         mu = np.array([0.3, 7.1, 2.0, 9.9, 0.1, 4.4, 1.5, 6.0, 3.3])
-        a = pattern.assemble(mu).toarray()
+        a = thermal_small.assemble(mu).toarray()
         sequential = sum(t * c.toarray() for t, c in zip(mu, thermal_small.components))
         assert np.abs(a - sequential).max() <= 1e-14 * np.abs(sequential).max()
 

@@ -16,6 +16,8 @@ import rbx
 from rbx import AffineProblem, MinThetaBound, ParameterBox, TruthDiscretization
 from rbx.errors import BoundStrategyError
 
+from conftest import sequential_sum
+
 
 def _anchor_alpha(problem) -> float:
     bound = MinThetaBound(np.asarray(problem.coercivity.anchor_mu))
@@ -24,7 +26,7 @@ def _anchor_alpha(problem) -> float:
 
 
 def _anchor_pair(problem):
-    a = rbx.assemble_operator(problem, problem.coercivity.anchor_mu).toarray()
+    a = sequential_sum(problem, problem.coercivity.anchor_mu).toarray()
     x = problem.discretization.x_inner.toarray()
     return 0.5 * (a + a.T), 0.5 * (x + x.T)
 

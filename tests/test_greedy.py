@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rbx
+from rbx.affine import TrainingSet
 from rbx.errors import (
     BasisRejectionError,
     ConfigurationError,
@@ -23,7 +24,7 @@ from rbx.greedy import (
     run_greedy,
     _argmax_excluding,
 )
-from rbx.reduced import TrainingSystems
+from rbx.reduced import ReducedModel, TrainingSystems
 
 
 def _systems(problem, train):
@@ -81,7 +82,7 @@ class TestArgmaxSelection:
     def test_sweep_evaluates_everything_but_selects_outside_exclusions(
         self, diffusion_small, diffusion_train_small
     ):
-        model = rbx.ReducedModel(diffusion_small)
+        model = ReducedModel(diffusion_small)
         from rbx.truth import truth_solve
         from rbx.reduced import extend_basis
 
@@ -103,7 +104,7 @@ class TestArgmaxSelection:
         assert _argmax_excluding(part, {free}) == blocked
 
     def test_sweep_rejects_empty_domain(self, diffusion_small, diffusion_train_small):
-        model = rbx.ReducedModel(diffusion_small)
+        model = ReducedModel(diffusion_small)
         systems = _systems(diffusion_small, diffusion_train_small)
         with pytest.raises(ConfigurationError):
             argmax_sweep(model, diffusion_small, systems, domain=np.zeros(0, dtype=int))
@@ -117,19 +118,19 @@ class TestTrainingSetMustFitTheBox:
     def test_point_outside_the_box(self, thermal_small, thermal_train_small, value, method):
         points = thermal_train_small.points.copy()
         points[37, 4] = value
-        train = rbx.TrainingSet(points)
+        train = TrainingSet(points)
         with pytest.raises(InvalidParameterError, match=r"at row 37 lies outside the box"):
             run_greedy(thermal_small, train, GreedyConfig(eps_tol=1e-6, method=method))
         assert thermal_small.counters.truth_solves == 0
 
     def test_wrong_dimension(self, diffusion_small):
-        train = rbx.TrainingSet(np.zeros((20, 9)))
+        train = TrainingSet(np.zeros((20, 9)))
         with pytest.raises(InvalidParameterError, match=r"shape \(20, 9\), expected \(b, 2\)"):
             run_greedy(diffusion_small, train, GreedyConfig(eps_tol=1e-6))
         assert diffusion_small.counters.truth_solves == 0
 
     def test_batches_validate_like_single_points(self, thermal_small):
-        model = rbx.ReducedModel(thermal_small)
+        model = ReducedModel(thermal_small)
         mus = np.full((5, 9), 1.0)
         mus[3, 0] = 0.01
         with pytest.raises(InvalidParameterError, match="at row 3"):
@@ -160,7 +161,7 @@ class TestNonFiniteEstimates:
         from rbx.reduced import extend_basis
         from rbx.truth import truth_solve
 
-        model = rbx.ReducedModel(thermal_small)
+        model = ReducedModel(thermal_small)
         extend_basis(model, truth_solve(thermal_small, thermal_train_small.points[0]), 0)
         bad = 17
         _poison_theta(thermal_small, thermal_train_small.points[bad], monkeypatch)
@@ -235,9 +236,10 @@ class TestClassicalCounting:
         model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         assert model.n == n_cap and not trace.certified
         n_train = diffusion_train_small.n_train
-        # one full sweep plus one reproduction check per extension
-        assert trace.counters["estimator_evals"] == (n_cap - 1) * (n_train + 1)
-        assert trace.counters["sweep_evals_global"] == (n_cap - 1) * n_train
+        # one full sweep per basis size, the last of the final model, and one
+        # reproduction check per extension
+        assert trace.counters["estimator_evals"] == n_cap * n_train + n_cap - 1
+        assert trace.counters["sweep_evals_global"] == n_cap * n_train
         assert trace.counters["reproduction_checks"] == n_cap - 1
         assert trace.counters["sweep_evals_surrogate"] == 0
 
@@ -260,7 +262,7 @@ class TestClassicalCounting:
         config = GreedyConfig(eps_tol=1e-300, n_max=5, seed=0)
         model, trace = run_greedy(diffusion_small, diffusion_train_small, config)
         sizes = [rec.n for rec in trace.iterations]
-        assert sizes == [1, 2, 3, 4]
+        assert sizes == [1, 2, 3, 4, 5]
         assert all(rec.sweep_kind == "global" for rec in trace.iterations)
         assert all(rec.outer_loop == 0 for rec in trace.iterations)
         assert all(rec.sweep_size == diffusion_train_small.n_train for rec in trace.iterations)
@@ -268,6 +270,20 @@ class TestClassicalCounting:
         assert evals == sorted(evals)
         walls = [rec.wall_ms for rec in trace.iterations]
         assert all(b >= a for a, b in zip(walls, walls[1:]))
+
+    @pytest.mark.parametrize("method", ["classical", "smm", "cdm"])
+    def test_capped_run_reports_its_final_model(self, thermal_small, thermal_train_small, method):
+        config = GreedyConfig(eps_tol=1e-12, n_max=6, seed=0, method=method)
+        model, trace = run_greedy(thermal_small, thermal_train_small, config)
+        assert model.n == trace.n_final == 6 and not trace.certified
+        last = trace.iterations[-1]
+        assert last.sweep_kind == "global" and last.n == model.n
+        assert last.chosen_index is None
+        assert trace.final_delta_max == last.delta_max
+        mus = thermal_train_small.points
+        fresh = rbx.estimate_batch(model, thermal_small, mus)
+        empty = rbx.estimate_batch(model, thermal_small, mus, n=0)
+        assert abs(fresh.max() - trace.final_delta_max) <= 1e-12 * empty.max()
 
     def test_seed_draw_recorded(self, diffusion_small, diffusion_train_small):
         config = GreedyConfig(eps_tol=1e-300, n_max=3, seed=42)
@@ -494,9 +510,9 @@ class TestEnhancedLoop:
     def test_outer_records_and_global_eval_counts(self, enhanced_run, thermal_train_small):
         problem, config, model, trace = enhanced_run
         n_global_sweeps = sum(1 for r in trace.iterations if r.sweep_kind == "global")
-        # the terminating sweep has no outer record; every other one does
-        expected_outer = n_global_sweeps - 1 if trace.certified else n_global_sweeps
-        assert len(trace.outer_loops) == expected_outer
+        # the terminating sweep (certifying, or of the capped final model) has
+        # no outer record; every other one does
+        assert len(trace.outer_loops) == n_global_sweeps - 1
         assert (
             trace.counters["sweep_evals_global"]
             == n_global_sweeps * thermal_train_small.n_train
@@ -595,7 +611,7 @@ class TestOneFactorizationPerSnapshot:
         self, thermal_small, thermal_train_small, monkeypatch
     ):
         import rbx.greedy as greedy_module
-        from rbx.affine import assemble_operator
+        from conftest import sequential_sum
 
         real_extend = greedy_module.extend_basis
         real_build = greedy_module.cdm_build_offline
@@ -610,7 +626,7 @@ class TestOneFactorizationPerSnapshot:
         def checked(model, problem, offline):
             v = np.linspace(1.0, 2.0, problem.n_dof)
             for m, fact in enumerate(offline.factorizations):
-                a = assemble_operator(problem, model.snapshot_params[m])
+                a = sequential_sum(problem, model.snapshot_params[m])
                 np.testing.assert_allclose(fact.solve(a @ v), v, rtol=1e-8)
             anchor_counts.append(len(offline.factorizations))
             return real_build(model, problem, offline)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 import rbx
-from rbx.affine import assemble_operator, evaluate_theta_batch, rhs_scale_batch
+from rbx.affine import evaluate_theta_batch, rhs_scale_batch
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.reduced import (
     TrainingSystems,
@@ -25,7 +25,7 @@ from rbx.surrogate import (
 )
 from rbx.truth import truth_solve
 
-from conftest import build_model
+from conftest import build_model, sequential_sum
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +258,11 @@ def explicit_error_block(model, offline, problem, points):
     r = model.snapshot_in_basis[:q, :q]
     beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T
     inverses = [
-        np.linalg.inv(dense(assemble_operator(problem, mu))) for mu in model.snapshot_params[:q]
+        np.linalg.inv(dense(sequential_sum(problem, mu))) for mu in model.snapshot_params[:q]
     ]
     cols = []
     for i, mu in enumerate(np.atleast_2d(points)):
-        a = dense(assemble_operator(problem, mu))
+        a = dense(sequential_sum(problem, mu))
         res = scales[i] * problem.rhs - a @ (model.basis @ coeffs[i])
         cols.append(sum(beta[i, m] * (inv @ res) for m, inv in enumerate(inverses)))
     return np.column_stack(cols)
@@ -277,7 +277,7 @@ class TestCachedInverseOffline:
         qa = problem.n_terms
         assert offline.coords.shape == (offline.q_used, v.shape[1], 1 + model.n * qa)
         for m in range(offline.q_used):
-            a = dense(assemble_operator(problem, model.snapshot_params[m]))
+            a = dense(sequential_sum(problem, model.snapshot_params[m]))
             gen = v @ offline.coords[m]
             np.testing.assert_allclose(
                 a @ gen[:, 0], problem.rhs, atol=1e-9 * np.abs(problem.rhs).max()

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import rbx
-from rbx.affine import AffineProblem, ParameterBox, assemble_operator, evaluate_theta_batch
+from rbx.affine import AffineProblem, ParameterBox, evaluate_theta_batch
 from rbx.bounds import ConstantBound
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.truth import (
@@ -23,6 +23,8 @@ from rbx.truth import (
     truth_solve,
     x_norm,
 )
+
+from conftest import sequential_sum
 
 
 def diffusion_free_coords(n_x=10):
@@ -101,7 +103,7 @@ class TestFactorizations:
         b = np.random.default_rng(s).standard_normal(problem.n_dof)
         mu = np.linspace(0.1, 10.0, 9)
         matrices = [
-            assemble_operator(problem, mu),
+            sequential_sum(problem, mu),
             problem.pattern.assemble(mu),
             problem.discretization.x_inner,
         ]
@@ -140,7 +142,7 @@ class TestDiffusionProblem:
         uyy = -2.0 * (1.0 - x**2)
         mu = np.array([0.37, -0.8])
         expected = (1.0 + mu[0] * x) * uxx + (1.0 + mu[1] * y) * uyy
-        applied = assemble_operator(diffusion_small, mu) @ u
+        applied = sequential_sum(diffusion_small, mu) @ u
         np.testing.assert_allclose(applied, expected, atol=1e-8)
 
     def test_manufactured_solution_recovered(self, diffusion_small):
@@ -150,7 +152,7 @@ class TestDiffusionProblem:
         f = (1.0 + mu[0] * x) * (-2.0 * (1.0 - y**2)) + (1.0 + mu[1] * y) * (
             -2.0 * (1.0 - x**2)
         )
-        fact = Factorization(assemble_operator(diffusion_small, mu))
+        fact = Factorization(sequential_sum(diffusion_small, mu))
         recovered = apply_operator_inverse(diffusion_small, fact, f)
         np.testing.assert_allclose(recovered, u, atol=1e-8)
 
@@ -182,35 +184,33 @@ class TestDiffusionProblem:
         after = counters.snapshot()
         assert after["truth_solves"] == before["truth_solves"] + 1
         assert after["truth_factorizations"] == before["truth_factorizations"] + 1
-        a = assemble_operator(diffusion_small, sol.mu)
+        a = sequential_sum(diffusion_small, sol.mu)
         resid = np.linalg.norm(a @ sol.coefficients - diffusion_small.rhs)
         assert resid <= 1e-10 * np.linalg.norm(diffusion_small.rhs)
 
     def test_truth_solve_assembly_per_route(self, diffusion_small, thermal_small, monkeypatch):
         # a Kronecker-sum problem forms no A(mu), a sparse one assembles it
         # once on its pattern, a dense one without factors once in full
-        import rbx.truth
-
         calls = []
-        operator = rbx.truth.assemble_operator
+        assemble = AffineProblem.assemble
         on_pattern = rbx.affine.SparsePattern.assemble
 
-        def counted_operator(problem, mu):
-            calls.append("operator")
-            return operator(problem, mu)
+        def counted(problem, theta):
+            calls.append("problem")
+            return assemble(problem, theta)
 
         def counted_pattern(pattern, coefs):
             calls.append("pattern")
             return on_pattern(pattern, coefs)
 
-        monkeypatch.setattr(rbx.truth, "assemble_operator", counted_operator)
+        monkeypatch.setattr(AffineProblem, "assemble", counted)
         monkeypatch.setattr(rbx.affine.SparsePattern, "assemble", counted_pattern)
         truth_solve(diffusion_small, [0.3, -0.2])
         assert calls == []
         truth_solve(thermal_small, np.full(9, 2.0))
-        assert calls == ["pattern"]
+        assert calls == ["problem", "pattern"]
         truth_solve(dataclasses.replace(diffusion_small, kron=None), [0.3, -0.2])
-        assert calls == ["pattern", "operator"]
+        assert calls == ["problem", "pattern", "problem"]
 
     def test_minimum_size_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -224,7 +224,7 @@ class TestKroneckerSum:
         mu = np.array([0.3, -0.6])
         theta = evaluate_theta_batch(problem, mu[None, :])[0]
         fact = Factorization(tuple(np.tensordot(theta, f, axes=1) for f in problem.kron))
-        lu = sla.lu_factor(assemble_operator(problem, mu))
+        lu = sla.lu_factor(sequential_sum(problem, mu))
         rng = np.random.default_rng(n_x)
         for shape in [(problem.n_dof,), (problem.n_dof, 1), (problem.n_dof, 7)]:
             b = rng.standard_normal(shape)
@@ -239,7 +239,7 @@ class TestKroneckerSum:
         before = diffusion_small.counters.truth_solves
         got = apply_operator_inverse(diffusion_small, sol.factorization, block)
         assert diffusion_small.counters.truth_solves == before + 9
-        lu = sla.lu_factor(assemble_operator(diffusion_small, sol.mu))
+        lu = sla.lu_factor(sequential_sum(diffusion_small, sol.mu))
         expected = sla.lu_solve(lu, block)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
