@@ -33,14 +33,15 @@ import numpy as np
 from .affine import AffineProblem, TrainingSet
 from .errors import BasisRejectionError, ConfigurationError, NumericalFailureError
 from .reduced import (
+    GeneratorFactor,
     ReducedModel,
     TrainingSystems,
     error_estimate,
     estimate_batch,
     extend_basis,
 )
-from .surrogate import CdmOfflineData, cdm_build_offline, cdm_construct, smm_construct
-from .truth import TruthSolution, truth_solve
+from .surrogate import GENERATOR_RTOL, cdm_build_offline, cdm_construct, smm_construct
+from .truth import Factorization, TruthSolution, truth_solve
 
 DEFAULT_SMM_BUDGET_GROWTH = 2
 DEFAULT_CDM_BUDGET_GROWTH = 20
@@ -197,8 +198,8 @@ def argmax_sweep(
 
 class _Run:
     """One greedy run: its model, trace, training systems, excluded indices,
-    timers and cdm anchor data.  The constructor draws and accepts the seed
-    snapshot."""
+    timers, and cdm's anchor factorizations and generator factor.  The
+    constructor draws and accepts the seed snapshot."""
 
     def __init__(self, problem: AffineProblem, train: TrainingSet, config: GreedyConfig):
         problem.counters.reset()
@@ -207,7 +208,8 @@ class _Run:
         self.train = train
         self.config = config
         self.systems = TrainingSystems.evaluate(problem, train.points, capacity=config.n_max)
-        self.cdm = CdmOfflineData(problem) if config.method == "cdm" else None
+        self.anchors: list[Factorization] = []
+        self.generators = GeneratorFactor(problem.n_dof, GENERATOR_RTOL)
         self.truth_seconds = 0.0
         self.surrogate_seconds = 0.0
         self.model = ReducedModel(problem)
@@ -231,8 +233,8 @@ class _Run:
         """Extend the basis with ``snap``; a cdm run keeps the factorizations
         of its first ``CDM_ANCHORS`` accepted snapshots as anchors."""
         extend_basis(self.model, snap, idx)
-        if self.cdm is not None and len(self.cdm.factorizations) < CDM_ANCHORS:
-            self.cdm.factorizations.append(snap.factorization)
+        if self.config.method == "cdm" and len(self.anchors) < CDM_ANCHORS:
+            self.anchors.append(snap.factorization)
 
     def sweep(
         self, outer_loop: int, domain: Optional[list[int]] = None
@@ -273,8 +275,8 @@ class _Run:
         if config.method == "smm":
             picked = smm_construct(field, config.eps_tol, budget)
         else:
-            cdm_build_offline(self.model, self.problem, self.cdm)
-            picked = cdm_construct(self.model, self.cdm, self.systems, budget)
+            cdm_build_offline(self.model, self.problem, self.generators, self.anchors)
+            picked = cdm_construct(self.model, self.generators, self.systems, budget)
         self.surrogate_seconds += time.perf_counter() - start
         pending = [int(i) for i in picked if int(i) not in self.excluded]
         self.trace.outer_loops.append(OuterLoopRecord(ell, e_ell, budget, len(pending), 0))

@@ -77,6 +77,13 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _at_least_one(value, key: str) -> int:
+    value = _integer(value, key)
+    if value < 1:
+        raise ConfigurationError(f"{key} must be at least 1")
+    return value
+
+
 def _fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return str(bool(x))
@@ -163,12 +170,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown {block_name} keys: {sorted(bad)}")
         greedy_common.setdefault("eps_tol", entry["default_eps_tol"])
 
-        repetitions = _integer(raw.get("repetitions", 1), "repetitions")
-        if repetitions < 1:
-            raise ConfigurationError("repetitions must be at least 1")
-        workers = _integer(raw.get("workers", 1), "workers")
-        if workers < 1:
-            raise ConfigurationError("workers must be at least 1")
+        repetitions = _at_least_one(raw.get("repetitions", 1), "repetitions")
+        workers = _at_least_one(raw.get("workers", 1), "workers")
         output_dir = raw.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {output_dir!r}")
@@ -360,9 +363,7 @@ def run_experiment(
     an earlier run is removed first.
     """
     if workers is not None:
-        if workers < 1:
-            raise ConfigurationError("workers must be at least 1")
-        config.workers = int(workers)
+        config.workers = _at_least_one(workers, "workers")
     # a bad problem or training setting fails here, before any output exists
     probe = config.build_problem()
     train = config.build_training(probe.box)

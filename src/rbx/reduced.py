@@ -1,10 +1,11 @@
 """Reduced model: Galerkin projection, residual algebra, error estimator.
 
-The residual dual norm has one route.  The model keeps an X-orthonormal
-basis of the Riesz representers of the load and of the basis-image
-functionals -A_q xi_m, together with a triangular coordinate factor, and
-evaluates the dual norm as the plain Euclidean norm of factor @ weights.
-That costs O((N Q_a)^2) per parameter and stays accurate down to
+The residual dual norm has one route.  The model keeps a
+``GeneratorFactor`` with X^-1 as its one solver (cdm's anchor-inverse
+factor is another): an X-orthonormal basis of the Riesz representers of the
+load and of the basis-image functionals -A_q xi_m, with their coordinates,
+and evaluates the dual norm as the plain Euclidean norm of coordinates @
+weights.  That costs O((N Q_a)^2) per parameter and stays accurate down to
 machine-level residuals, where the expanded Gramian quadratic form would
 lose half its digits to cancellation.
 
@@ -71,15 +72,14 @@ class ReducedModel:
         self.reduced_rhs = np.zeros(0)
         self.reduced_output = np.zeros(0)
 
-        # X-orthonormal residual basis and coordinates of [C, L_10, ...],
-        # where C is the Riesz representer of the load and L_mq that of
-        # -A_q xi_m.
-        riesz_f = riesz_solve(self.disc, problem.rhs)
-        cnorm = np.sqrt(float(np.dot(riesz_f, problem.rhs)))
-        if cnorm <= 0:
+        # the Riesz representers of the generator columns [f, -A_q xi_m]
+        self.residual = GeneratorFactor(n_dof, RESIDUAL_BASIS_RTOL)
+        self.residual.grow(problem, self.basis, [self._riesz])
+        if self.residual.basis.shape[1] == 0:
             raise NumericalFailureError("load functional has zero dual norm")
-        self._res_basis = (riesz_f / cnorm)[:, None]
-        self._res_factor = np.array([[cnorm]])
+
+    def _riesz(self, functionals: np.ndarray) -> np.ndarray:
+        return riesz_solve(self.disc, functionals)
 
     # -- sizes ---------------------------------------------------------
 
@@ -142,6 +142,71 @@ def orthonormal_fold(disc: TruthDiscretization, basis, vectors, rtol: float):
     return np.concatenate([basis, q.T], axis=1), coords[: k0 + kept]
 
 
+class GeneratorFactor:
+    """X-orthonormal factor of the generator columns under a list of solvers.
+
+    The generator columns of a reduced basis xi_1..xi_N are the load f
+    followed, for every basis vector xi_j and component k (j-major), by
+    -A_k xi_j: the terms of the Galerkin residual.  Solver m maps a block of
+    such columns to truth vectors (X^-1 for the residual's Riesz
+    representers, an anchor inverse A_m^-1 for cdm), and its images are
+    stored as ``basis @ coords[m]`` with ``basis`` X-orthonormal.  ``coords``
+    has the shape (solvers folded, basis width, 1 + N Q); earlier
+    coordinates are zero on the basis vectors added after them.
+    """
+
+    def __init__(self, n_dof: int, rtol: float):
+        self.rtol = rtol
+        self.basis = np.zeros((n_dof, 0))
+        self.coords = np.zeros((0, 0, 1))
+
+    def grow(self, problem: AffineProblem, basis: np.ndarray, solvers, images=None) -> None:
+        """Fold the generator columns of ``basis`` that each of ``solvers`` lacks.
+
+        The solvers are visited in order: the first ``coords.shape[0]`` were
+        folded before and lack the columns of the basis vectors added since,
+        a new one lacks them all.  Each solves its missing columns and folds
+        them with ``orthonormal_fold`` at ``rtol``; when nothing is missing
+        nothing is solved.  ``images``, when given, holds the columns
+        -A_k xi_j of the basis vectors added since the last call, so that a
+        caller who formed them already does not form them twice.
+        """
+        qa, n = problem.n_terms, basis.shape[1]
+        folded_solvers, _, width = self.coords.shape
+        blocks: dict[int, np.ndarray] = {}
+
+        def columns(first: int) -> np.ndarray:
+            """Generator columns ``first`` onwards: f when ``first`` is 0, then -A_k xi_j."""
+            if first not in blocks:
+                if images is not None and first == width:
+                    block = images
+                else:
+                    seen = max(first - 1, 0) // qa
+                    block = -np.stack(
+                        [np.asarray(aq @ basis[:, seen:]) for aq in problem.components], axis=2
+                    ).reshape(problem.n_dof, -1)
+                if first == 0:
+                    block = np.concatenate([problem.rhs[:, None], block], axis=1)
+                blocks[first] = block
+            return blocks[first]
+
+        folded = []  # (solver, first generator column, coordinates)
+        for m, solve in enumerate(solvers):
+            first = width if m < folded_solvers else 0
+            if first < 1 + n * qa:
+                self.basis, c = orthonormal_fold(
+                    problem.discretization, self.basis, solve(columns(first)), self.rtol
+                )
+                folded.append((m, first, c))
+
+        coords = np.zeros((len(solvers), self.basis.shape[1], 1 + n * qa))
+        old = self.coords
+        coords[: old.shape[0], : old.shape[1], : old.shape[2]] = old
+        for m, first, c in folded:
+            coords[m, : c.shape[0], first : first + c.shape[1]] = c
+        self.coords = coords
+
+
 def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None) -> ReducedModel:
     """Append one snapshot to the basis, updating every reduced quantity.
 
@@ -151,12 +216,11 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     at most ``REJECTION_RTOL`` times the snapshot norm).
     """
     problem = model.problem
-    disc = model.disc
     n_old = model.n
     q = model.n_terms
 
     u = np.asarray(snapshot.coefficients, dtype=float)
-    basis_new, coords = orthonormal_fold(disc, model.basis, u[:, None], REJECTION_RTOL)
+    basis_new, coords = orthonormal_fold(model.disc, model.basis, u[:, None], REJECTION_RTOL)
     if basis_new.shape[1] == n_old:
         raise BasisRejectionError("snapshot is zero or numerically dependent on the basis")
     xi = np.ascontiguousarray(basis_new[:, n_old])
@@ -169,7 +233,8 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     model.snapshot_params.append(np.asarray(snapshot.mu, dtype=float))
     model.snapshot_indices.append(train_index)
 
-    # Galerkin blocks; nonsymmetric components also need A^T xi for the new row.
+    # Galerkin blocks; nonsymmetric components also need A^T xi for the new
+    # row.  The images A_q xi also give the Riesz columns -A_q xi.
     comps = np.zeros((q, n_old + 1, n_old + 1))
     comps[:, :n_old, :n_old] = model.reduced_components
     a_xi = np.empty((q, model.problem.n_dof))
@@ -184,22 +249,9 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
         a_xi[k] = av
     model.reduced_components = comps
     model.reduced_rhs = np.append(model.reduced_rhs, float(np.dot(problem.rhs, xi)))
-    model.reduced_output = np.append(
-        model.reduced_output, float(np.dot(problem.output, xi))
-    )
+    model.reduced_output = np.append(model.reduced_output, float(np.dot(problem.output, xi)))
     model.basis = basis_new
-
-    # Riesz terms for the new basis vector (functionals -A_q xi), folded
-    # into the orthonormal residual basis.
-    l_new = riesz_solve(disc, -a_xi.T)  # (n_dof, q)
-    k_old, d_old = model._res_factor.shape
-    model._res_basis, coords = orthonormal_fold(
-        disc, model._res_basis, l_new, RESIDUAL_BASIS_RTOL
-    )
-    factor = np.zeros((model._res_basis.shape[1], d_old + q))
-    factor[:k_old, :d_old] = model._res_factor
-    factor[:, d_old:] = coords
-    model._res_factor = factor
+    model.residual.grow(problem, basis_new, [model._riesz], images=-a_xi.T)
     return model
 
 
@@ -304,7 +356,7 @@ def residual_norm_sq_batch(
     model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
     w = augmented_weights(thetas, scales, coeffs)
-    z = w @ model._res_factor[:, : w.shape[1]].T
+    z = w @ model.residual.coords[0, :, : w.shape[1]].T
     return np.einsum("ij,ij->i", z, z)
 
 
@@ -465,6 +517,8 @@ def estimate_batch(
     """
     mus = np.asarray(mus, dtype=float)
     n = model.n if n is None else int(n)
+    if not 0 <= n <= model.n:
+        raise ValueError(f"truncation size {n} out of range")
     b = mus.shape[0]
     if systems is None:
         systems = TrainingSystems.evaluate(problem, mus)

@@ -5,10 +5,10 @@ of a ladder of error levels between the tolerance and the current worst
 estimate, the training point whose estimate sits closest above that level.
 The pivoting constructor builds a cheap approximation of the truth error
 vector at every training point out of a few anchor operator inverses, as a
-short coordinate vector in an X-orthonormal basis of those inverses' columns,
-and runs a pivoted Cholesky factorization of the error Gramian so that the
-pivots enumerate training points whose errors are large and mutually
-independent.
+short coordinate vector in a ``reduced.GeneratorFactor`` whose solvers are
+those inverses, and runs a pivoted Cholesky factorization of the error
+Gramian so that the pivots enumerate training points whose errors are large
+and mutually independent.
 
 Both return plain arrays of training-set indices; the greedy driver calls
 one of them once per outer round, on the data of that round's full sweep,
@@ -26,10 +26,10 @@ import scipy.linalg
 from .affine import AffineProblem
 from .errors import ConfigurationError, NumericalFailureError
 from .reduced import (
+    GeneratorFactor,
     ReducedModel,
     TrainingSystems,
     augmented_weights,
-    orthonormal_fold,
     reduced_solve_batch,
 )
 from .truth import Factorization, apply_operator_inverse
@@ -124,85 +124,25 @@ def pivoted_cholesky(
 # anchor-inverse error approximation
 
 
-class CdmOfflineData:
-    """X-orthonormal factor of the anchor-operator inverses of one run.
-
-    ``factorizations[m]`` factorizes the operator at snapshot m, the m-th
-    anchor; the run appends them.  The generator columns of anchor m are
-    A_m^-1 f followed, for every basis vector xi_j and component k
-    (j-major), by -A_m^-1 A_k xi_j: the anchor inverse applied to the load
-    and to the basis-image terms of the Galerkin residual.  They are stored
-    as ``basis @ coords[m]``, where ``basis`` is X-orthonormal and
-    ``coords[m]`` holds their coordinates (rows: basis vectors).  Only
-    ``cdm_build_offline`` grows ``basis`` and ``coords``; the shape of
-    ``coords`` is (anchors folded, basis width, 1 + basis size * Q).
-    """
-
-    def __init__(self, problem: AffineProblem):
-        self.basis = np.zeros((problem.n_dof, 0))
-        self.coords = np.zeros((0, 0, 1))
-        self.factorizations: list[Factorization] = []
-
-    @property
-    def q_used(self) -> int:
-        return self.coords.shape[0]
-
-
-def cdm_build_offline(model: ReducedModel, problem: AffineProblem, offline: CdmOfflineData) -> None:
-    """Grow the generator factor in place to the model's basis and anchors.
-
-    One loop visits the anchors in order; each solves, through its
-    factorization, only the generator columns it lacks (a new anchor all of
-    them, an already folded one those of the basis vectors added since the
-    last call) and folds them into ``basis`` with ``orthonormal_fold``.
-    When nothing is missing it solves and folds nothing.
-    """
-    qa = problem.n_terms
-    n = model.n
-    folded_anchors, _, width = offline.coords.shape
-    n_seen = (width - 1) // qa
-
-    blocks: dict[int, np.ndarray] = {}
-
-    def generator_columns(seen: int) -> np.ndarray:
-        """f (when ``seen`` is 0), then -A_k xi_j for j >= ``seen`` and every k, j-major."""
-        if seen not in blocks:
-            images = np.stack(
-                [np.asarray(aq @ model.basis[:, seen:n]) for aq in problem.components], axis=2
-            )
-            images = -images.reshape(problem.n_dof, -1)
-            if seen == 0:
-                images = np.concatenate([problem.rhs[:, None], images], axis=1)
-            blocks[seen] = images
-        return blocks[seen]
-
-    folded = []  # (anchor, first generator column, coordinates)
-    for m, fact in enumerate(offline.factorizations):
-        seen = n_seen if m < folded_anchors else 0
-        if seen < n:
-            sol = apply_operator_inverse(problem, fact, generator_columns(seen))
-            offline.basis, c = orthonormal_fold(
-                problem.discretization, offline.basis, sol, GENERATOR_RTOL
-            )
-            folded.append((m, 1 + seen * qa if seen else 0, c))
-
-    # earlier coordinates are zero on the basis vectors added after them
-    coords = np.zeros((len(offline.factorizations), offline.basis.shape[1], 1 + n * qa))
-    old = offline.coords
-    coords[: old.shape[0], : old.shape[1], : old.shape[2]] = old
-    for m, col, c in folded:
-        coords[m, : c.shape[0], col : col + c.shape[1]] = c
-    offline.coords = coords
+def cdm_build_offline(
+    model: ReducedModel,
+    problem: AffineProblem,
+    factor: GeneratorFactor,
+    anchors: list[Factorization],
+) -> None:
+    """Grow ``factor`` to the model's basis, with the inverses of ``anchors`` as its solvers."""
+    solvers = [lambda b, fact=fact: apply_operator_inverse(problem, fact, b) for fact in anchors]
+    factor.grow(problem, model.basis, solvers)
 
 
 def approx_error_coords(
     model: ReducedModel,
-    offline: CdmOfflineData,
+    factor: GeneratorFactor,
     thetas: np.ndarray,
     scales: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Coordinates in ``offline.basis`` of the approximate truth errors.
+    """Coordinates in ``factor.basis`` of the approximate truth errors.
 
     Row i approximates the error of the reduced solution whose Galerkin
     residual has the weights ``weights[i]`` (``augmented_weights``) at the
@@ -210,18 +150,18 @@ def approx_error_coords(
     inverses applied to that residual.  The blend weights are the snapshot
     coefficients of a reduced solve in the span of the anchors' snapshots
     (the stored upper-triangular change of basis inverted), so the blend is
-    exact at anchor parameters.  The truth vector is ``offline.basis @ row``
+    exact at anchor parameters.  The truth vector is ``factor.basis @ row``
     and its X-norm the row's 2-norm.
     """
     w = weights
-    q = offline.q_used
+    q = factor.coords.shape[0]
     cq = reduced_solve_batch(model, thetas, scales, q)
     model.counters.reduced_solves += w.shape[0]
     beta = scipy.linalg.solve_triangular(model.snapshot_in_basis[:q, :q], cq.T, lower=False).T
-    y = np.zeros((w.shape[0], offline.basis.shape[1]))
+    y = np.zeros((w.shape[0], factor.basis.shape[1]))
     term = np.empty_like(y)
     for m in range(q):
-        np.matmul(w, offline.coords[m, :, : w.shape[1]].T, out=term)
+        np.matmul(w, factor.coords[m, :, : w.shape[1]].T, out=term)
         term *= beta[:, m, None]
         y += term
     model.counters.approx_error_evals += w.shape[0]
@@ -229,7 +169,7 @@ def approx_error_coords(
 
 
 def cdm_construct(
-    model: ReducedModel, offline: CdmOfflineData, systems: TrainingSystems, budget: int
+    model: ReducedModel, factor: GeneratorFactor, systems: TrainingSystems, budget: int
 ) -> np.ndarray:
     """Pick up to ``budget`` training indices by error-direction pivoting.
 
@@ -247,12 +187,12 @@ def cdm_construct(
     current basis size.  A non-finite error norm raises
     ``NumericalFailureError`` naming the first such training point.
     """
-    if offline.q_used == 0 or budget == 0:
+    if factor.coords.shape[0] == 0 or budget == 0:
         return np.zeros(0, dtype=int)
     if systems.coeffs is None or systems.coeffs.shape[1] != model.n:
         raise ConfigurationError("cdm_construct needs a full sweep at the current basis size")
     weights = augmented_weights(systems.thetas, systems.scales, systems.coeffs)
-    y = approx_error_coords(model, offline, systems.thetas, systems.scales, weights)
+    y = approx_error_coords(model, factor, systems.thetas, systems.scales, weights)
     norm_sq = np.einsum("br,br->b", y, y)
     norms = np.sqrt(norm_sq)
     bad = np.flatnonzero(~np.isfinite(norms))

@@ -296,9 +296,12 @@ class TestRunExperiment:
         assert "rename refused" in (out / "INCOMPLETE").read_text()
 
     def test_workers_override_validated(self, tmp_path):
+        # the same integer check as the "workers" config key
         config = ExperimentConfig.from_dict(tiny_config_dict())
-        with pytest.raises(ConfigurationError):
-            run_experiment(config, out_dir=tmp_path, workers=0)
+        for bad in (0, 2.7, "3", True):
+            with pytest.raises(ConfigurationError):
+                run_experiment(config, out_dir=tmp_path, workers=bad)
+            assert config.workers == 1
 
     def test_repetitions_keep_all_walls(self):
         config = ExperimentConfig.from_dict(

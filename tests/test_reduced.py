@@ -1,5 +1,6 @@
 """Reduced model algebra checked against explicit truth-space computations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import scipy.linalg
 
 import rbx
 from rbx import reduced
-from rbx.errors import BasisRejectionError, InvalidParameterError
+from rbx.errors import BasisRejectionError, InvalidParameterError, NumericalFailureError
 from rbx.reduced import (
     ReducedModel,
     ReducedSolution,
@@ -161,8 +162,10 @@ class TestOrthonormalFold:
     def test_cdm_generator_blocks_match_the_per_column_fold(self, fold_problem, monkeypatch):
         from rbx import surrogate
 
+        # the residual's Riesz folds (1e-12) and cdm's generator folds
+        # (1e-9) both run through GeneratorFactor.grow
         disc = fold_problem.discretization
-        real = surrogate.orthonormal_fold
+        real = reduced.orthonormal_fold
         seen, gaps = [], []
 
         def project(basis, vectors):
@@ -179,20 +182,22 @@ class TestOrthonormalFold:
             gap = project(grown, vectors) - project(ref, vectors)
             scale = np.sqrt(np.einsum("ij,ij->j", vectors, disc.x_apply(vectors)))
             gaps.append(float((np.sqrt(np.einsum("ij,ij->j", gap, disc.x_apply(gap))) / scale).max()))
-            seen.append((vectors.shape[1], grown.shape[1] - k0))
+            seen.append((rtol, vectors.shape[1], grown.shape[1] - k0))
             return grown, coords
 
-        monkeypatch.setattr(surrogate, "orthonormal_fold", checked)
+        monkeypatch.setattr(reduced, "orthonormal_fold", checked)
         train = rbx.sample_training_set(fold_problem.box, kind="random", count=60, seed=2)
         model, trace = rbx.run_greedy(
             fold_problem, train, rbx.GreedyConfig(eps_tol=1e-4, method="cdm")
         )
         assert trace.certified
-        assert len(seen) >= 5
+        generator_folds = [(m, k) for rtol, m, k in seen if rtol == surrogate.GENERATOR_RTOL]
+        assert len(generator_folds) >= 5
+        assert any(rtol == self.RTOL for rtol, _, _ in seen)
         # each fold leaves out remainders below rtol times their column
         assert max(gaps) < 10 * self.RTOL
         # the blocks hold dependent columns, so the rank test is exercised
-        assert sum(m for m, _ in seen) > sum(k for _, k in seen)
+        assert sum(m for m, _ in generator_folds) > sum(k for _, k in generator_folds)
 
 
 class TestGalerkinSolve:
@@ -217,9 +222,13 @@ class TestGalerkinSolve:
         sol = reduced_solve(thermal_model, mu)
         np.testing.assert_allclose(sol.coeffs, expected, rtol=1e-9, atol=1e-12)
 
-    def test_truncation_out_of_range(self, diffusion_model):
-        with pytest.raises(ValueError):
-            reduced_solve(diffusion_model, [0.0, 0.0], n=diffusion_model.n + 1)
+    def test_truncation_out_of_range(self, diffusion_small, diffusion_model):
+        points = np.zeros((5, 2))
+        for n in (diffusion_model.n + 1, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                reduced_solve(diffusion_model, [0.0, 0.0], n=n)
+            with pytest.raises(ValueError, match="out of range"):
+                estimate_batch(diffusion_model, diffusion_small, points, n=n)
 
     def test_empty_truncation(self, diffusion_model):
         sol = reduced_solve(diffusion_model, [0.0, 0.0], n=0)
@@ -268,6 +277,12 @@ class TestResidualDualNorm:
         f = diffusion_small.rhs
         rep = diffusion_small.discretization.x_factorization().solve(f)
         np.testing.assert_allclose(got, float(f @ rep), rtol=1e-10)
+
+    def test_zero_load_is_rejected(self, fold_problem):
+        # X^-1 f vanishes, so the residual factor's fold drops it
+        problem = dataclasses.replace(fold_problem, rhs=np.zeros(fold_problem.n_dof))
+        with pytest.raises(NumericalFailureError, match="zero dual norm"):
+            ReducedModel(problem)
 
 
 class TestErrorEstimate:

@@ -8,6 +8,7 @@ import rbx
 from rbx.affine import evaluate_theta_batch, rhs_scale_batch
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.reduced import (
+    GeneratorFactor,
     TrainingSystems,
     augmented_weights,
     estimate_batch,
@@ -16,7 +17,7 @@ from rbx.reduced import (
     reduced_solve_batch,
 )
 from rbx.surrogate import (
-    CdmOfflineData,
+    GENERATOR_RTOL,
     approx_error_coords,
     cdm_build_offline,
     cdm_construct,
@@ -204,11 +205,10 @@ def anchor_factorizations(problem, model, q):
     return [truth_solve(problem, mu).factorization for mu in model.snapshot_params[:q]]
 
 
-def build_offline(model, problem, facts):
+def build_offline(model, problem, facts, rtol=GENERATOR_RTOL):
     """A fresh generator factor of ``model`` over the anchors ``facts``."""
-    offline = CdmOfflineData(problem)
-    offline.factorizations.extend(facts)
-    cdm_build_offline(model, problem, offline)
+    offline = GeneratorFactor(problem.n_dof, rtol)
+    cdm_build_offline(model, problem, offline, facts)
     return offline
 
 
@@ -253,7 +253,7 @@ def explicit_error_block(model, offline, problem, points):
     beta the snapshot weights of the anchor-space reduced solve.
     """
     thetas, scales, coeffs = batch_inputs(model, problem, points)
-    q = offline.q_used
+    q = offline.coords.shape[0]
     cq = reduced_solve_batch(model, thetas, scales, q)
     r = model.snapshot_in_basis[:q, :q]
     beta = scipy.linalg.solve_triangular(r, cq.T, lower=False).T
@@ -268,45 +268,50 @@ def explicit_error_block(model, offline, problem, points):
     return np.column_stack(cols)
 
 
+def check_generator_columns(problem, model, factor, operators):
+    """``operators[m]`` maps solver m's columns back to [f, -A_k xi_j]."""
+    v = factor.basis
+    x = dense(problem.discretization.x_inner)
+    np.testing.assert_allclose(v.T @ x @ v, np.eye(v.shape[1]), atol=1e-12)
+    qa = problem.n_terms
+    assert factor.coords.shape == (len(operators), v.shape[1], 1 + model.n * qa)
+    for m, a in enumerate(operators):
+        gen = v @ factor.coords[m]
+        np.testing.assert_allclose(a @ gen[:, 0], problem.rhs, atol=1e-9 * np.abs(problem.rhs).max())
+        for j in range(model.n):
+            for k in range(qa):
+                target = -(problem.components[k] @ model.basis[:, j])
+                got = a @ gen[:, 1 + j * qa + k]
+                np.testing.assert_allclose(got, target, atol=1e-9 * max(1.0, np.abs(target).max()))
+
+
 class TestCachedInverseOffline:
     def test_inverse_columns_satisfy_their_systems(self, thermal_setup):
+        # both generator factors: cdm's solvers are the anchor inverses, the
+        # residual factor's one solver is X^-1
         problem, _, model, offline = thermal_setup
-        v = offline.basis
+        params = model.snapshot_params[: offline.coords.shape[0]]
+        anchors = [dense(sequential_sum(problem, mu)) for mu in params]
+        check_generator_columns(problem, model, offline, anchors)
         x = dense(problem.discretization.x_inner)
-        np.testing.assert_allclose(v.T @ x @ v, np.eye(v.shape[1]), atol=1e-12)
-        qa = problem.n_terms
-        assert offline.coords.shape == (offline.q_used, v.shape[1], 1 + model.n * qa)
-        for m in range(offline.q_used):
-            a = dense(sequential_sum(problem, model.snapshot_params[m]))
-            gen = v @ offline.coords[m]
-            np.testing.assert_allclose(
-                a @ gen[:, 0], problem.rhs, atol=1e-9 * np.abs(problem.rhs).max()
-            )
-            for j in range(model.n):
-                for k in range(problem.n_terms):
-                    target = -(problem.components[k] @ model.basis[:, j])
-                    got = a @ gen[:, 1 + j * qa + k]
-                    np.testing.assert_allclose(
-                        got, target, atol=1e-9 * max(1.0, np.abs(target).max())
-                    )
+        check_generator_columns(problem, model, model.residual, [x])
 
     def test_incremental_growth_matches_fresh_build(self, thermal_small, thermal_train_small):
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
-        grown = build_offline(model, thermal_small, anchor_factorizations(thermal_small, model, 1))
+        anchors = anchor_factorizations(thermal_small, model, 2)
+        grown = build_offline(model, thermal_small, anchors[:1])
         # a second anchor at the same basis size
-        grown.factorizations.extend(anchor_factorizations(thermal_small, model, 2)[1:])
-        cdm_build_offline(model, thermal_small, grown)
+        cdm_build_offline(model, thermal_small, grown, anchors)
         config = rbx.GreedyConfig(eps_tol=1e-300, n_max=4, seed=0)
         model2, _ = rbx.run_greedy(thermal_small, thermal_train_small, config)
         # same greedy path, so snapshots 1..2 coincide; grow the factor by
         # the basis vectors 3..4 and the anchor at snapshot 3
         facts = anchor_factorizations(thermal_small, model2, 3)
-        grown.factorizations.append(facts[2])
-        cdm_build_offline(model2, thermal_small, grown)
+        cdm_build_offline(model2, thermal_small, grown, anchors + facts[2:])
         fresh = build_offline(model2, thermal_small, facts)
-        assert grown.q_used == fresh.q_used == 3
+        assert grown.coords.shape[0] == fresh.coords.shape[0] == 3
         assert grown.coords.shape[2] == fresh.coords.shape[2] == 1 + 4 * thermal_small.n_terms
-        for m in range(fresh.q_used):
+        for m in range(3):
             np.testing.assert_allclose(
                 grown.basis @ grown.coords[m], fresh.basis @ fresh.coords[m], atol=1e-11
             )
@@ -330,7 +335,7 @@ class TestCachedInverseOffline:
         snap = truth_solve(diffusion_small, [0.9, 0.9])
         extend_basis(model, snap)
         mid = counters.snapshot()
-        cdm_build_offline(model, diffusion_small, offline)
+        cdm_build_offline(model, diffusion_small, offline, facts)
         growth = counters.snapshot()
         assert growth["truth_solves"] - mid["truth_solves"] == qa
         assert growth["truth_factorizations"] - mid["truth_factorizations"] == 0
@@ -344,16 +349,15 @@ class TestCachedInverseOffline:
         offline = build_offline(model, diffusion_small, facts)
         basis, coords = offline.basis.copy(), offline.coords.copy()
         solves = diffusion_small.counters.truth_solves
-        cdm_build_offline(model, diffusion_small, offline)
+        cdm_build_offline(model, diffusion_small, offline, facts)
         assert diffusion_small.counters.truth_solves == solves
         for got, before in ((offline.basis, basis), (offline.coords, coords)):
             assert got.shape == before.shape and got.tobytes() == before.tobytes()
 
-    def test_generators_fold_at_their_numerical_rank(self, thermal_small, monkeypatch):
+    def test_generators_fold_at_their_numerical_rank(self, thermal_small):
         # the anchors of a cdm round at basis size 20: the generator rule
         # drops the round-off directions that 1e-12 keeps, and the blend's
         # error norms do not move beyond that round-off
-        from rbx import surrogate
         from rbx.greedy import CDM_ANCHORS
 
         train = rbx.sample_training_set(thermal_small.box, kind="random", count=300, seed=0)
@@ -363,12 +367,11 @@ class TestCachedInverseOffline:
         weights = augmented_weights(systems.thetas, systems.scales, systems.coeffs)
 
         def round_at(rtol):
-            monkeypatch.setattr(surrogate, "GENERATOR_RTOL", rtol)
-            offline = build_offline(model, thermal_small, facts)
+            offline = build_offline(model, thermal_small, facts, rtol)
             y = approx_error_coords(model, offline, systems.thetas, systems.scales, weights)
             return offline.basis.shape[1], np.linalg.norm(y, axis=1)
 
-        rank, norms = round_at(surrogate.GENERATOR_RTOL)
+        rank, norms = round_at(GENERATOR_RTOL)
         full_rank, full_norms = round_at(1e-12)
         assert rank < full_rank
         np.testing.assert_allclose(norms, full_norms, rtol=1e-6, atol=1e-6 * full_norms.max())
@@ -421,7 +424,7 @@ class TestCachedInverseError:
     def test_needs_anchors(self, thermal_small, thermal_train_small):
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
         offline = build_offline(model, thermal_small, [])
-        assert offline.q_used == 0
+        assert offline.coords.shape[0] == 0
         picked = cdm_construct(
             model, offline, swept(model, thermal_small, thermal_train_small.points), 4
         )
