@@ -3,11 +3,10 @@
 An :class:`AffineProblem` bundles the parameter box, the coefficient
 functions ``theta_q``, references to the parameter-independent operator
 components ``A_q``, the load/output vectors, and the truth space that owns
-the inner-product matrix.  A problem's ``components``, ``kron`` and
+the inner-product matrix.  A problem's ``components`` and
 ``discretization`` must not be reassigned after construction: its
 ``symmetric`` flag and its sparsity ``pattern`` are computed once, on first
-use, from the components it was built with, and ``kron`` is checked against
-the components only when the problem is built.
+use, from the components it was built with.
 """
 
 from __future__ import annotations
@@ -96,32 +95,20 @@ class TrainingSet:
 class AffineProblem:
     """Parametric operator written as ``A(mu) = sum_q theta_q(mu) * A_q``.
 
-    components hold the truth-space matrices restricted to free degrees of
-    freedom; they are dense ndarrays or CSR matrices depending on the
-    discretization.  ``theta`` maps parameter rows (b, p) to coefficient rows
-    (b, Q); ``rhs_theta`` maps them to the (b,) load scales and may be
-    omitted when the load does not depend on the parameter.  A single
-    parameter is a batch of one.  ``discretization`` is the truth space
-    (``rbx.truth.TruthDiscretization``): its ``x_inner`` is the inner
-    product the error bound is measured in, and its ``counters`` count the
-    problem's work.  ``coercivity`` is the bound strategy consumed by the
-    error estimator (see ``rbx.bounds``); every problem needs one, because
-    the package certifies coercive problems only.  So a ``symmetric``
-    problem is symmetric positive definite: its truth solves and the
-    training sweeps of its reduced models use Cholesky factors.  For a
-    nonsymmetric problem the bound must bound the inf-sup constant of
+    Each component ``A_q`` is a dense ndarray, a sparse matrix or a
+    ``KroneckerSum`` on the free DoFs.  ``theta`` maps parameter rows (b, p)
+    to coefficient rows (b, Q); ``rhs_theta`` maps them to the (b,) load
+    scales and may be omitted when the load does not depend on the
+    parameter.  A single parameter is a batch of one.  ``discretization`` is
+    the truth space (``rbx.truth.TruthDiscretization``): its ``x_inner`` is
+    the inner product the error bound is measured in, and its ``counters``
+    count the problem's work.  ``coercivity`` is the bound strategy consumed
+    by the error estimator (see ``rbx.bounds``); every problem needs one,
+    because the package certifies coercive problems only.  So a
+    ``symmetric`` problem is symmetric positive definite: its truth solves
+    and the training sweeps of its reduced models use Cholesky factors.  For
+    a nonsymmetric problem the bound must bound the inf-sup constant of
     ``A(mu)`` in X from below.
-
-    ``kron``, when given, is a pair ``(left, right)`` of (Q, m, m) stacks
-    with ``n_dof = m * m`` that writes every component as the Kronecker sum
-    ``A_q = left_q (x) I_m + I_m (x) right_q`` (DoF ``i * m + j`` couples to
-    ``left`` through ``i`` and to ``right`` through ``j``).  Truth solves
-    then factorize the two m x m sums ``sum_q theta_q left_q`` and
-    ``sum_q theta_q right_q`` instead of the n_dof x n_dof operator (see
-    ``rbx.truth.Factorization``).  Construction checks it against every
-    component on one random m x m probe and raises
-    ``InvalidParameterError`` on a mismatch; like ``components``, it must
-    not be reassigned afterwards.
     """
 
     box: ParameterBox
@@ -132,15 +119,15 @@ class AffineProblem:
     discretization: object
     coercivity: object
     rhs_theta: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    kron: Optional[tuple] = None
 
     def __post_init__(self):
         if not self.components:
             raise InvalidParameterError("at least one operator component is required")
         n = self.components[0].shape[0]
-        for a in self.components:
-            if a.shape != (n, n):
-                raise InvalidParameterError("component matrices must share one square shape")
+        if any(a.shape != (n, n) for a in self.components):
+            raise InvalidParameterError("component matrices must share one square shape")
+        if len({isinstance(a, KroneckerSum) for a in self.components}) > 1:
+            raise InvalidParameterError("either every component is a KroneckerSum or none is")
         if self.discretization.x_inner.shape != (n, n):
             raise InvalidParameterError("x_inner must match the component dimension")
         self.rhs = np.asarray(self.rhs, dtype=float)
@@ -149,8 +136,6 @@ class AffineProblem:
             raise InvalidParameterError("rhs/output vectors must have the component dimension")
         if not callable(getattr(self.coercivity, "lower_bound_batch", None)):
             raise InvalidParameterError("coercivity must be a bound strategy (see rbx.bounds)")
-        if self.kron is not None:
-            self.kron = _checked_kron(self.kron, self.components)
 
     @property
     def n_dof(self) -> int:
@@ -186,7 +171,8 @@ class AffineProblem:
         This is the package's only assembly of the operator from its
         components.  Sparse components are summed on the cached ``pattern``
         in one product (a CSR matrix that keeps the pattern's explicit
-        zeros); dense ones are added one at a time.
+        zeros); dense ones and Kronecker sums are added one at a time, so the
+        sum of ``KroneckerSum`` components is a ``KroneckerSum``.
         """
         if self.pattern is not None:
             return self.pattern.assemble(theta)
@@ -194,6 +180,55 @@ class AffineProblem:
         for q in range(1, self.n_terms):
             acc = acc + theta[q] * self.components[q]
         return acc
+
+
+class KroneckerSum:
+    """The operator ``left (x) I + I (x) right`` of n = m * m DoFs, kept as its m x m factors.
+
+    DoF ``i * m + j`` couples to ``left`` through ``i`` and to ``right``
+    through ``j``: ``@`` maps ``vec(V)`` (row-major) to
+    ``vec(left V + V right^T)`` in O(m^3), for a vector or each column of
+    an (n, k) block.  Scalar multiples and sums stay Kronecker sums, and
+    ``tocsr`` is the one explicit matrix.
+    """
+
+    __array_ufunc__ = None  # NumPy scalars and arrays defer to the methods below
+
+    def __init__(self, left, right):
+        self.left = np.asarray(left, dtype=float)
+        self.right = np.asarray(right, dtype=float)
+        m = self.left.shape[0]
+        if self.left.shape != (m, m) or self.right.shape != (m, m):
+            raise InvalidParameterError("Kronecker-sum factors must be two m x m matrices")
+        self.shape = (m * m, m * m)
+
+    @property
+    def T(self) -> KroneckerSum:
+        return KroneckerSum(self.left.T, self.right.T)
+
+    def __matmul__(self, v):
+        v = np.asarray(v, dtype=float)
+        m = self.left.shape[0]
+        x = v.reshape(m, m, -1)
+        out = (self.left @ x.reshape(m, -1)).reshape(x.shape) + self.right @ x
+        return out.reshape(v.shape)
+
+    def __mul__(self, c):
+        if np.ndim(c) != 0:
+            return NotImplemented
+        return KroneckerSum(c * self.left, c * self.right)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, KroneckerSum):
+            return NotImplemented
+        return KroneckerSum(self.left + other.left, self.right + other.right)
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The operator as an explicit sparse matrix."""
+        eye = sp.identity(self.left.shape[0])
+        return sp.csr_matrix(sp.kron(self.left, eye) + sp.kron(eye, self.right))
 
 
 class SparsePattern:
@@ -244,31 +279,9 @@ class SparsePattern:
         return order, bandwidth, lower, slots
 
 
-def _checked_kron(kron, components) -> tuple:
-    """``kron`` as two float (Q, m, m) stacks, checked against ``components``.
-
-    Each component is applied to ``vec(V)`` for one random m x m ``V`` and
-    compared with ``vec(left_q V + V right_q^T)`` to 1e-12 relative: one
-    matrix-vector product per component, and no Kronecker product is formed.
-    """
-    left, right = (np.asarray(f, dtype=float) for f in kron)
-    n = components[0].shape[0]
-    m = int(round(np.sqrt(n)))
-    if m * m != n or left.shape != (len(components), m, m) or right.shape != left.shape:
-        raise InvalidParameterError(
-            f"kron factors must be two (Q, m, m) stacks with Q = {len(components)} "
-            f"and m * m = {n}"
-        )
-    v = np.random.default_rng(0).standard_normal((m, m))
-    for q, a in enumerate(components):
-        want = left[q] @ v + v @ right[q].T
-        got = np.asarray(a @ v.reshape(-1)).reshape(m, m)
-        if np.linalg.norm(got - want) > 1e-12 * np.linalg.norm(want):
-            raise InvalidParameterError(f"kron factors do not match component {q}")
-    return left, right
-
-
 def _equals_transpose(a) -> bool:
+    if isinstance(a, KroneckerSum):
+        return bool(np.array_equal(a.left, a.left.T) and np.array_equal(a.right, a.right.T))
     if sp.issparse(a):
         return (a != a.T).nnz == 0
     return bool(np.array_equal(a, a.T))

@@ -116,15 +116,24 @@ def both_experiments(diffusion_experiment, thermal_experiment):
 # helpers shared across test modules
 
 
+def explicit(a):
+    """A component or an assembled operator as an explicit matrix: a
+    ``KroneckerSum`` becomes a dense array, anything else is returned as is."""
+    from rbx.affine import KroneckerSum
+
+    return a.tocsr().toarray() if isinstance(a, KroneckerSum) else a
+
+
 def sequential_sum(problem, mu):
-    """A(mu) summed one component at a time, independently of
-    ``AffineProblem.assemble``; sparse components give a sparse sum."""
+    """A(mu) summed one explicit component at a time, independently of
+    ``AffineProblem.assemble``; sparse components give a sparse sum, and
+    Kronecker sums a dense one."""
     from rbx.affine import evaluate_theta_batch
 
     theta = evaluate_theta_batch(problem, problem.box.validate(mu)[None, :])[0]
-    acc = problem.components[0] * theta[0]
+    acc = explicit(problem.components[0]) * theta[0]
     for t, a in zip(theta[1:], problem.components[1:]):
-        acc = acc + t * a
+        acc = acc + t * explicit(a)
     return acc
 
 

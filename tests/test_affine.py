@@ -1,7 +1,5 @@
 """Parameter box, affine containers, coefficient evaluation, sampling."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ import rbx
 from rbx import affine
 from rbx.affine import (
     AffineProblem,
+    KroneckerSum,
     ParameterBox,
     TrainingSet,
     evaluate_theta_batch,
@@ -17,7 +16,11 @@ from rbx.affine import (
 )
 from rbx.bounds import ConstantBound
 from rbx.errors import InvalidParameterError, ResourceError
+from rbx.greedy import GreedyConfig, run_greedy
 from rbx.truth import TruthDiscretization, truth_solve
+
+from conftest import explicit
+from test_golden_traces import EXPECTED
 
 
 class TestParameterBox:
@@ -161,12 +164,9 @@ class TestAffineProblem:
     def test_assemble_matches_manual_sum(self, diffusion_small):
         theta = np.array([1.0, 0.37, -0.61])
         a = diffusion_small.assemble(theta)
-        manual = (
-            diffusion_small.components[0]
-            + theta[1] * diffusion_small.components[1]
-            + theta[2] * diffusion_small.components[2]
-        )
-        np.testing.assert_allclose(a, manual, atol=1e-14)
+        comps = [explicit(c) for c in diffusion_small.components]
+        manual = comps[0] + theta[1] * comps[1] + theta[2] * comps[2]
+        np.testing.assert_allclose(explicit(a), manual, atol=1e-14)
 
     def test_assemble_sparse_stays_sparse(self, thermal_small):
         import scipy.sparse as sp
@@ -216,18 +216,6 @@ class TestAffineProblem:
         truth_solve(thermal_small, np.linspace(0.1, 10.0, 9))
         assert len(built) == 1 and thermal_small.pattern is built[0]
 
-    def test_kron_must_match_every_component(self, diffusion_small):
-        left, right = diffusion_small.kron
-        dataclasses.replace(diffusion_small, kron=(left, right))
-        for bad in (
-            (left, right[[0, 2, 1]]),  # two components' factors swapped
-            (left * (1.0 + 1e-9), right),
-            (left[:2], right[:2]),
-            (left[:, 1:, 1:], right[:, 1:, 1:]),
-        ):
-            with pytest.raises(InvalidParameterError, match="kron"):
-                dataclasses.replace(diffusion_small, kron=bad)
-
     def test_dense_problems_have_no_pattern(self, diffusion_small):
         assert diffusion_small.pattern is None
 
@@ -238,3 +226,84 @@ class TestAffineProblem:
         assert thermal_small.n_terms == 9
         assert thermal_small.dim == 9
         assert thermal_small.n_dof == 42  # 7*7 nodes minus the clamped top row
+
+
+class TestKroneckerSum:
+    m = 5
+
+    def factors(self, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((self.m, self.m)), rng.standard_normal((self.m, self.m))
+
+    def test_matmul_matches_explicit_matrix(self):
+        a = KroneckerSum(*self.factors())
+        dense = explicit(a)
+        n = self.m * self.m
+        rng = np.random.default_rng(1)
+        wide = rng.standard_normal((n, 10))
+        for v in (rng.standard_normal(n), wide[:, :1].copy(), wide[:, :7].copy(), wide[:, 3:]):
+            got = a @ v
+            want = dense @ v
+            assert got.shape == v.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_transpose(self):
+        a = KroneckerSum(*self.factors())
+        np.testing.assert_array_equal(explicit(a.T), explicit(a).T)
+        assert a.T.shape == a.shape == (self.m**2, self.m**2)
+
+    def test_scalars_and_sums_stay_factored(self):
+        a, b = KroneckerSum(*self.factors(0)), KroneckerSum(*self.factors(1))
+        c = np.float64(-0.7)
+        for got in (c * a + 2.0 * b, a * c + b * 2.0):
+            assert isinstance(got, KroneckerSum)
+            want = c * explicit(a) + 2.0 * explicit(b)
+            np.testing.assert_allclose(explicit(got), want, atol=1e-14)
+
+    def problem(self, comps):
+        n = self.m**2
+        return AffineProblem(
+            box=ParameterBox([0.0, 0.0], [1.0, 1.0]),
+            theta=lambda mus: np.column_stack([np.ones(len(mus)), mus]),
+            components=comps,
+            rhs=np.ones(n),
+            output=np.ones(n),
+            discretization=TruthDiscretization(np.eye(n)),
+            coercivity=ConstantBound(1.0),
+        )
+
+    def test_assemble_matches_explicit_sum(self):
+        comps = [KroneckerSum(*self.factors(q)) for q in range(3)]
+        problem = self.problem(comps)
+        theta = np.array([1.0, 0.37, -0.61])
+        a = problem.assemble(theta)
+        assert isinstance(a, KroneckerSum) and problem.pattern is None
+        want = sum(t * explicit(c) for t, c in zip(theta, comps))
+        np.testing.assert_allclose(explicit(a), want, atol=1e-14)
+
+    def test_mixed_components_refused(self):
+        # a Kronecker sum does not add to an explicit matrix, so assembly
+        # would fail at the first truth solve
+        comps = [KroneckerSum(*self.factors(q)) for q in range(3)]
+        with pytest.raises(InvalidParameterError, match="KroneckerSum"):
+            self.problem([comps[0], explicit(comps[1]), comps[2]])
+
+    def test_symmetric_reads_the_factors(self):
+        p, r = self.factors()
+        sym_p, sym_r = p + p.T, r + r.T
+        assert affine._equals_transpose(KroneckerSum(sym_p, sym_r))
+        assert not affine._equals_transpose(KroneckerSum(sym_p, r))
+        assert not affine._equals_transpose(KroneckerSum(p, sym_r))
+
+    def test_offline_path_forms_no_explicit_operator(self, diffusion_small, monkeypatch):
+        # the golden diffusion cdm run never needs an n_dof x n_dof operator
+        def refuse(self):
+            raise AssertionError("an explicit Kronecker-sum matrix was formed")
+
+        monkeypatch.setattr(KroneckerSum, "tocsr", refuse)
+        train = rbx.sample_training_set(diffusion_small.box, kind="random", count=60, seed=2)
+        config = GreedyConfig(eps_tol=1e-2, n_max=30, seed=0, method="cdm", k_damp=1)
+        model, trace = run_greedy(diffusion_small, train, config)
+        expected = EXPECTED[("diffusion", "cdm")]
+        assert model.snapshot_indices == expected["snapshot_indices"]
+        assert trace.certified is expected["certified"]

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import rbx
-from rbx.affine import AffineProblem, ParameterBox, evaluate_theta_batch
+from rbx.affine import AffineProblem, KroneckerSum, ParameterBox, evaluate_theta_batch
 from rbx.bounds import ConstantBound
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.truth import (
@@ -24,7 +24,7 @@ from rbx.truth import (
     x_norm,
 )
 
-from conftest import sequential_sum
+from conftest import explicit, sequential_sum
 
 
 def diffusion_free_coords(n_x=10):
@@ -189,44 +189,55 @@ class TestDiffusionProblem:
         assert resid <= 1e-10 * np.linalg.norm(diffusion_small.rhs)
 
     def test_truth_solve_assembly_per_route(self, diffusion_small, thermal_small, monkeypatch):
-        # a Kronecker-sum problem forms no A(mu), a sparse one assembles it
-        # once on its pattern, a dense one without factors once in full
-        calls = []
+        # every truth solve assembles A(mu) once and factorizes what it got:
+        # a Kronecker sum for diffusion2d, a CSR on its pattern for
+        # thermalblock, and a full array for a dense copy of diffusion2d
+        assembled = []
         assemble = AffineProblem.assemble
-        on_pattern = rbx.affine.SparsePattern.assemble
 
-        def counted(problem, theta):
-            calls.append("problem")
-            return assemble(problem, theta)
+        def recorded(problem, theta):
+            assembled.append(assemble(problem, theta))
+            return assembled[-1]
 
-        def counted_pattern(pattern, coefs):
-            calls.append("pattern")
-            return on_pattern(pattern, coefs)
-
-        monkeypatch.setattr(AffineProblem, "assemble", counted)
-        monkeypatch.setattr(rbx.affine.SparsePattern, "assemble", counted_pattern)
+        monkeypatch.setattr(AffineProblem, "assemble", recorded)
+        dense = dataclasses.replace(
+            diffusion_small, components=[explicit(c) for c in diffusion_small.components]
+        )
         truth_solve(diffusion_small, [0.3, -0.2])
-        assert calls == []
         truth_solve(thermal_small, np.full(9, 2.0))
-        assert calls == ["problem", "pattern"]
-        truth_solve(dataclasses.replace(diffusion_small, kron=None), [0.3, -0.2])
-        assert calls == ["problem", "pattern", "problem"]
+        truth_solve(dense, [0.3, -0.2])
+        kron, sparse, full = assembled
+        assert isinstance(kron, KroneckerSum)
+        assert sp.issparse(sparse)
+        np.testing.assert_array_equal(sparse.indices, thermal_small.pattern.indices)
+        np.testing.assert_array_equal(sparse.indptr, thermal_small.pattern.indptr)
+        assert isinstance(full, np.ndarray) and full.shape == (64, 64)
+        np.testing.assert_allclose(full, explicit(kron), rtol=0, atol=1e-12 * np.abs(full).max())
 
     def test_minimum_size_enforced(self):
-        with pytest.raises(ConfigurationError):
-            rbx.build_diffusion2d(n_x=3)
+        # below n_x = 6 the sampled inf-sup constant falls under the bound 1.0
+        for n_x in (3, 4, 5):
+            with pytest.raises(ConfigurationError, match="n_x >= 6"):
+                rbx.build_diffusion2d(n_x=n_x)
 
 
 class TestKroneckerSum:
     @pytest.mark.parametrize("n_x", [4, 10, 35])
     def test_factorization_matches_dense_lu(self, n_x):
-        problem = rbx.build_diffusion2d(n_x=n_x)
         mu = np.array([0.3, -0.6])
-        theta = evaluate_theta_batch(problem, mu[None, :])[0]
-        fact = Factorization(tuple(np.tensordot(theta, f, axes=1) for f in problem.kron))
-        lu = sla.lu_factor(sequential_sum(problem, mu))
+        if n_x < 6:
+            # below the builder's smallest mesh: diffusion2d's sum from its factors
+            nodes, d1 = chebyshev_diff_matrix(n_x)
+            x, d2 = nodes[1:-1, None], (d1 @ d1)[1:-1, 1:-1]
+            a = KroneckerSum((1.0 + mu[0] * x) * d2, (1.0 + mu[1] * x) * d2)
+        else:
+            problem = rbx.build_diffusion2d(n_x=n_x)
+            a = problem.assemble(evaluate_theta_batch(problem, mu[None, :])[0])
+        fact = Factorization(a)
+        lu = sla.lu_factor(explicit(a))
         rng = np.random.default_rng(n_x)
-        for shape in [(problem.n_dof,), (problem.n_dof, 1), (problem.n_dof, 7)]:
+        n = a.shape[0]
+        for shape in [(n,), (n, 1), (n, 7)]:
             b = rng.standard_normal(shape)
             got = fact.solve(b)
             expected = sla.lu_solve(lu, b)
@@ -246,20 +257,19 @@ class TestKroneckerSum:
     def test_singular_factors_fail_with_condition_estimate(self):
         # the eigenvalue 1 of P and -1 - ulp of R leave a Kronecker sum that
         # is singular to working precision
-        left = np.diag([1.0, 2.0, 3.0, 4.0])[None]
-        right = -np.diag([np.nextafter(1.0, 2.0), 5.0, 6.0, 7.0])[None]
-        eye = np.eye(4)
+        a = KroneckerSum(
+            np.diag([1.0, 2.0, 3.0, 4.0]), -np.diag([np.nextafter(1.0, 2.0), 5.0, 6.0, 7.0])
+        )
         problem = AffineProblem(
             box=ParameterBox([0.0], [1.0]),
             theta=lambda mus: np.ones((len(mus), 1)),
-            components=[np.kron(left[0], eye) + np.kron(eye, right[0])],
+            components=[a],
             rhs=np.ones(16),
             output=np.ones(16),
             discretization=TruthDiscretization(np.eye(16)),
             coercivity=ConstantBound(1.0),
-            kron=(left, right),
         )
-        fact = Factorization((left[0], right[0]))
+        fact = Factorization(a)
         for solve in (lambda: truth_solve(problem, [0.5]), lambda: fact.solve(np.ones(16))):
             with pytest.raises(NumericalFailureError, match="dtrsyl") as failure:
                 solve()
