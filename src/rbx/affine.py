@@ -3,7 +3,7 @@
 An :class:`AffineProblem` bundles the parameter box, the coefficient
 functions ``theta_q``, references to the parameter-independent operator
 components ``A_q``, the load/output vectors, and the truth space that owns
-the inner-product matrix.  A problem's ``components`` and
+the inner product.  A problem's ``components`` and
 ``discretization`` must not be reassigned after construction: its
 ``symmetric`` flag and its sparsity ``pattern`` are computed once, on first
 use, from the components it was built with.
@@ -229,6 +229,50 @@ class KroneckerSum:
         """The operator as an explicit sparse matrix."""
         eye = sp.identity(self.left.shape[0])
         return sp.csr_matrix(sp.kron(self.left, eye) + sp.kron(eye, self.right))
+
+
+class SeparableInnerProduct:
+    """The SPD operator ``(W + K) (x) W + W (x) K`` of n = m * m DoFs, kept as its 1-d factors.
+
+    ``W = diag(weights)`` holds positive 1-d quadrature weights and ``K``
+    (``stiffness``) a symmetric positive semidefinite 1-d stiffness, both
+    m x m; the DoF layout is ``KroneckerSum``'s.  ``@`` maps ``vec(V)`` to
+    ``vec((W + K) V W + W V K)`` in O(m^3) for a vector or each column of an
+    (n, k) block, and ``tocsr`` is the one explicit matrix.  With
+    ``D = diag(sqrt(weights))`` and ``R = D^-1 K D^-1`` the operator is
+    ``(D (x) D) ((I + R) (x) I + I (x) R) (D (x) D)``, which
+    ``rbx.truth.Factorization`` solves by fast diagonalization.
+    """
+
+    __array_ufunc__ = None  # NumPy scalars and arrays defer to the methods below
+
+    def __init__(self, weights, stiffness):
+        self.weights = np.asarray(weights, dtype=float)
+        self.stiffness = np.asarray(stiffness, dtype=float)
+        m = self.weights.size
+        if self.weights.shape != (m,) or self.stiffness.shape != (m, m):
+            raise InvalidParameterError(
+                "inner-product factors must be m weights and an m x m stiffness"
+            )
+        if not np.all(self.weights > 0):
+            raise InvalidParameterError("inner-product weights must be positive")
+        self.shape = (m * m, m * m)
+
+    def __matmul__(self, v):
+        v = np.asarray(v, dtype=float)
+        w, k = self.weights, self.stiffness
+        m = w.size
+        # one (m, m) grid per column, as a view when v is a transposed block
+        x = v.reshape(m * m, -1).T.reshape(-1, m, m)
+        out = np.matmul(np.diag(w) + k, x)
+        out *= w
+        out += w[:, None] * (x.reshape(-1, m) @ k).reshape(x.shape)
+        return out.reshape(-1, m * m).T.reshape(v.shape)
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The operator as an explicit sparse matrix."""
+        w, k = sp.diags(self.weights), sp.csr_matrix(self.stiffness)
+        return sp.csr_matrix(sp.kron(w + k, w) + sp.kron(w, k))
 
 
 class SparsePattern:

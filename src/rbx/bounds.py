@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .affine import KroneckerSum, evaluate_theta_batch
+from .affine import evaluate_theta_batch
 from .errors import BoundStrategyError
 
 # relative distance of the certified anchor bound below the eigenvalue estimate
@@ -21,7 +21,7 @@ _ANCHOR_MARGIN = 1e-8
 
 
 def _symmetric_csc(a):
-    a = sp.csc_matrix(a.tocsr() if isinstance(a, KroneckerSum) else a)
+    a = sp.csc_matrix(a.tocsr() if hasattr(a, "tocsr") else a)  # structured operators too
     return (0.5 * (a + a.T)).tocsc()
 
 

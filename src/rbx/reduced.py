@@ -11,11 +11,13 @@ lose half its digits to cancellation.
 
 All arithmetic is float64.  The sweep kernels run on fixed blocks of
 ``DEFAULT_CHUNK`` points, and single-point calls are a batch of one through
-them.  The full sweeps of a greedy run on a symmetric problem instead
-back-substitute through per-point Cholesky factors that ``TrainingSystems``
-grows with the basis; both agree to 1e-12 of the empty-basis estimate.  A
-single-point solve or estimate that comes out non-finite raises
-``NumericalFailureError`` naming the parameter.
+them.  Within a block, ``reduced_solve_batch`` assembles and solves the
+reduced systems in tiles of ``SOLVE_TILE`` points, so a block never stores
+all its reduced matrices at once.  The full sweeps of a greedy run on a
+symmetric problem instead back-substitute through per-point Cholesky
+factors that ``TrainingSystems`` grows with the basis; both agree to 1e-12
+of the empty-basis estimate.  A single-point solve or estimate that comes
+out non-finite raises ``NumericalFailureError`` naming the parameter.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from .truth import TruthDiscretization, TruthSolution, riesz_solve
 REJECTION_RTOL = 1e-10
 RESIDUAL_BASIS_RTOL = 1e-12
 DEFAULT_CHUNK = 4096
+# points per assembled-and-solved tile of reduced systems: at N = 67 one
+# tile's matrices take 2.3 MB, a 4096-point block's 147 MB
+SOLVE_TILE = 64
 
 
 @dataclass
@@ -330,16 +335,26 @@ def reduced_solve_batch(
     model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, n: int
 ) -> np.ndarray:
     """Batched Galerkin solves in the leading ``n``-dimensional space; rows
-    index parameters.  Counts nothing: callers count their reduced solves."""
+    index parameters.  Counts nothing: callers count their reduced solves.
+
+    Tiles of ``SOLVE_TILE`` points are assembled and solved in turn; both
+    kernels work point by point, so no solution depends on the tiling.  A
+    singular system raises ``NumericalFailureError`` with its tile's largest
+    condition number.
+    """
+    out = np.empty((thetas.shape[0], n))
     if n == 0:
-        return np.zeros((thetas.shape[0], 0))
-    mats = np.einsum("iq,qmn->imn", thetas, model.reduced_components[:, :n, :n])
-    rhs = scales[:, None] * model.reduced_rhs[None, :n]
-    try:
-        return np.linalg.solve(mats, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.max(np.linalg.cond(mats)))
-        raise NumericalFailureError(f"singular reduced system: {exc}", cond)
+        return out
+    comps, rhs = model.reduced_components[:, :n, :n], model.reduced_rhs[None, :n]
+    for start in range(0, thetas.shape[0], SOLVE_TILE):
+        sl = slice(start, start + SOLVE_TILE)
+        mats = np.einsum("iq,qmn->imn", thetas[sl], comps)
+        try:
+            out[sl] = np.linalg.solve(mats, (scales[sl, None] * rhs)[..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.max(np.linalg.cond(mats)))
+            raise NumericalFailureError(f"singular reduced system: {exc}", cond)
+    return out
 
 
 def augmented_weights(thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -348,7 +363,7 @@ def augmented_weights(thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray
     (b, n), q = coeffs.shape, thetas.shape[1]
     w = np.empty((b, 1 + n * q))
     w[:, 0] = scales
-    np.multiply(coeffs[:, :, None], thetas[:, None, :], out=w[:, 1:].reshape(b, n, q))
+    np.einsum("ij,iq->ijq", coeffs, thetas, out=w[:, 1:].reshape(b, n, q))
     return w
 
 

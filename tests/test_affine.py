@@ -1,5 +1,7 @@
 """Parameter box, affine containers, coefficient evaluation, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,15 +11,16 @@ from rbx.affine import (
     AffineProblem,
     KroneckerSum,
     ParameterBox,
+    SeparableInnerProduct,
     TrainingSet,
     evaluate_theta_batch,
     rhs_scale_batch,
     sample_training_set,
 )
 from rbx.bounds import ConstantBound
-from rbx.errors import InvalidParameterError, ResourceError
+from rbx.errors import InvalidParameterError, NumericalFailureError, ResourceError
 from rbx.greedy import GreedyConfig, run_greedy
-from rbx.truth import TruthDiscretization, truth_solve
+from rbx.truth import Factorization, TruthDiscretization, riesz_solve, truth_solve
 
 from conftest import explicit
 from test_golden_traces import EXPECTED
@@ -307,3 +310,61 @@ class TestKroneckerSum:
         expected = EXPECTED[("diffusion", "cdm")]
         assert model.snapshot_indices == expected["snapshot_indices"]
         assert trace.certified is expected["certified"]
+
+
+class TestSeparableInnerProduct:
+    """diffusion2d's X = (W + K) (x) W + W (x) K, kept as its 1-d factors."""
+
+    def test_matmul_matches_explicit_matrix(self, diffusion_small):
+        x = diffusion_small.discretization.x_inner
+        assert isinstance(x, SeparableInnerProduct)
+        explicit_x = x.tocsr()
+        n = x.shape[0]
+        rng = np.random.default_rng(5)
+        wide = rng.standard_normal((n, 10))
+        rows = rng.standard_normal((7, n))
+        blocks = (wide[:, :1].copy(), wide[:, :7].copy(), wide[:, 3:], rows.T)
+        for v in (rng.standard_normal(n),) + blocks:
+            got = x @ v
+            want = explicit_x @ v
+            assert got.shape == v.shape
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_explicit_form_is_symmetric_positive_definite(self, diffusion_small):
+        a = diffusion_small.discretization.x_inner.tocsr()
+        assert (a != a.T).nnz == 0
+        assert np.linalg.eigvalsh(a.toarray()).min() > 0
+
+    def test_fast_diagonalization_solves(self, diffusion_small):
+        x = diffusion_small.discretization.x_inner
+        fact = Factorization(x, spd=True)
+        rng = np.random.default_rng(6)
+        n = x.shape[0]
+        rows = rng.standard_normal((7, n))
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 1)), rows.T):
+            u = fact.solve(b)
+            assert u.shape == b.shape
+            assert np.linalg.norm(x.tocsr() @ u - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_factors_are_checked(self):
+        with pytest.raises(InvalidParameterError, match="positive"):
+            SeparableInnerProduct([1.0, 0.0], np.eye(2))
+        with pytest.raises(InvalidParameterError, match="m x m"):
+            SeparableInnerProduct([1.0, 1.0], np.eye(3))
+        # W (x) W + K (x) W + W (x) K = -3 I: not SPD
+        with pytest.raises(NumericalFailureError) as failure:
+            Factorization(SeparableInnerProduct(np.ones(3), -2.0 * np.eye(3)), spd=True)
+        assert failure.value.condition_estimate == pytest.approx(1.0)
+
+    def test_set_up_and_riesz_path_form_no_dense_operator(self):
+        # a dense X at n_x = 35 holds 1089^2 floats (9.5 MB); the build, a
+        # product and a Riesz solve stay within a fraction of one
+        tracemalloc.start()
+        try:
+            problem = rbx.build_diffusion2d(35)
+            problem.discretization.x_apply(problem.rhs)
+            riesz_solve(problem.discretization, problem.rhs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, f"peak {peak / 1e6:.1f} MB"

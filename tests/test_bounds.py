@@ -14,7 +14,8 @@ import scipy.sparse as sp
 
 import rbx
 from rbx import AffineProblem, MinThetaBound, ParameterBox, TruthDiscretization
-from rbx.affine import KroneckerSum
+from rbx.affine import KroneckerSum, SeparableInnerProduct
+from rbx.bounds import _certified_anchor_alpha
 from rbx.errors import BoundStrategyError
 
 from conftest import sequential_sum
@@ -133,3 +134,27 @@ def test_kronecker_sum_anchor_matches_dense_components():
     assert problem.symmetric
     (value,) = problem.coercivity.lower_bound_batch(problem, np.array([[1.0, 1.5]]))
     assert value == pytest.approx(0.95100464468843, rel=1e-12)
+
+
+def test_structured_inner_product_anchor_matches_its_explicit_form():
+    # the anchor takes the explicit form of a structured X, so MinThetaBound
+    # certifies a problem whose X is a SeparableInnerProduct
+    m = 6
+    lap = 49.0 * (2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+    zero = np.zeros((m, m))
+    x = SeparableInnerProduct(np.linspace(0.5, 1.5, m), lap / 49.0)
+    problem = AffineProblem(
+        box=ParameterBox([0.5, 0.5], [2.0, 2.0]),
+        theta=lambda mus: np.asarray(mus, dtype=float).copy(),
+        components=[KroneckerSum(lap, zero), KroneckerSum(zero, lap)],
+        rhs=np.ones(m * m),
+        output=np.ones(m * m),
+        discretization=TruthDiscretization(x),
+        coercivity=MinThetaBound(anchor_mu=[1.0, 1.0]),
+    )
+    a = problem.assemble(np.ones(2))
+    alpha = _certified_anchor_alpha(a, x.tocsr())
+    assert alpha > 0
+    assert _certified_anchor_alpha(a, x) == alpha
+    (value,) = problem.coercivity.lower_bound_batch(problem, np.array([[1.0, 1.0]]))
+    assert value == alpha

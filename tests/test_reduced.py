@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from rbx.reduced import (
     reconstruct,
     reduced_output,
     reduced_solve,
+    reduced_solve_batch,
     residual_dual_norm_sq,
     residual_norm_sq_batch,
 )
@@ -102,7 +105,7 @@ def per_column_fold(disc, basis, vectors, rtol):
 
 def x_orthonormal_basis(disc, k, seed):
     """k X-orthonormal columns from a Cholesky factor of X, independent of the fold."""
-    x = disc.x_inner.toarray() if hasattr(disc.x_inner, "toarray") else np.asarray(disc.x_inner)
+    x = disc.x_inner.tocsr().toarray()
     inv_lt = scipy.linalg.solve_triangular(np.linalg.cholesky(x), np.eye(x.shape[0]), lower=True).T
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((x.shape[0], k)))
     return inv_lt @ q  # (L^-T q)^T X (L^-T q) = q^T q
@@ -453,6 +456,54 @@ class TestBatchedSweeps:
         after = counters.snapshot()
         assert after["estimator_evals"] == base["estimator_evals"] + 25
         assert after["sweep_evals_global"] == base["sweep_evals_global"] + 25
+
+
+class TestTiledReducedSolve:
+    """``reduced_solve_batch`` assembles and solves ``SOLVE_TILE`` points at a time."""
+
+    @staticmethod
+    def stored_model(n, q, seed):
+        # two stored rows more than the solve uses, so that the truncated
+        # components are a strided view, as in a sweep below the basis size
+        rng = np.random.default_rng(seed)
+        size = n + 2
+        comps = rng.standard_normal((q, size, size)) + size * np.eye(size)
+        return SimpleNamespace(reduced_components=comps, reduced_rhs=rng.standard_normal(size)), rng
+
+    @pytest.mark.parametrize("n", [0, 1, 51])
+    @pytest.mark.parametrize("b", [1, 63, 64, 65, 4097])
+    def test_tiles_match_the_one_shot_solve(self, b, n):
+        model, rng = self.stored_model(n, 3, seed=b + n)
+        thetas, scales = rng.random((b, 3)), rng.random(b)
+        got = reduced_solve_batch(model, thetas, scales, n)
+        mats = np.einsum("iq,qmn->imn", thetas, model.reduced_components[:, :n, :n])
+        rhs = scales[:, None] * model.reduced_rhs[None, :n]
+        want = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        assert got.shape == (b, n)
+        np.testing.assert_array_equal(got, want)
+
+    def test_singular_system_in_a_later_tile_raises(self):
+        model, rng = self.stored_model(5, 3, seed=7)
+        model.reduced_components[0, 4, :] = 0.0  # A_0 alone is singular
+        b = reduced.SOLVE_TILE + 10
+        thetas = rng.random((b, 3))
+        thetas[b - 3] = [1.0, 0.0, 0.0]
+        with pytest.raises(NumericalFailureError, match="singular") as failure:
+            reduced_solve_batch(model, thetas, rng.random(b), 5)
+        assert failure.value.condition_estimate > 1e12
+
+    def test_block_of_solves_stores_no_block_of_matrices(self):
+        # the 4096 reduced matrices of size 67 would take 147 MB at once
+        b, n = 4096, 67
+        model, rng = self.stored_model(n, 9, seed=3)
+        thetas, scales = rng.random((b, 9)), rng.random(b)
+        tracemalloc.start()
+        try:
+            reduced_solve_batch(model, thetas, scales, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * b * n * n * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSinglePointIsBatchOfOne:

@@ -221,7 +221,7 @@ def thermal_setup(thermal_small, thermal_train_small):
 
 
 def dense(a):
-    return a.toarray() if hasattr(a, "toarray") else np.asarray(a)
+    return a.tocsr().toarray() if hasattr(a, "tocsr") else np.asarray(a)
 
 
 def batch_inputs(model, problem, points):

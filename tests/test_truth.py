@@ -172,7 +172,7 @@ class TestDiffusionProblem:
         np.testing.assert_allclose(got, exact, rtol=1e-10)
 
     def test_x_inner_spd(self, diffusion_small):
-        xm = diffusion_small.discretization.x_inner
+        xm = diffusion_small.discretization.x_inner.tocsr().toarray()
         np.testing.assert_allclose(xm, xm.T, atol=1e-12)
         vals = np.linalg.eigvalsh(xm)
         assert vals.min() > 0
