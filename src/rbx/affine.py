@@ -12,14 +12,16 @@ use, from the components it was built with.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .errors import InvalidParameterError, ResourceError
+from .errors import InvalidParameterError, NumericalFailureError, ResourceError
 
 # Hard cap on training-set size: number of float64 entries (points * dims).
 TRAINING_CAP_ENTRIES = 50_000_000
@@ -152,7 +154,10 @@ class AffineProblem:
     @cached_property
     def symmetric(self) -> bool:
         """Whether every component equals its transpose exactly (computed once)."""
-        return all(_equals_transpose(a) for a in self.components)
+        return all(
+            a.symmetric if hasattr(a, "symmetric") else (as_csr(a) != as_csr(a).T).nnz == 0
+            for a in self.components
+        )
 
     @cached_property
     def pattern(self) -> Optional[SparsePattern]:
@@ -206,6 +211,11 @@ class KroneckerSum:
     def T(self) -> KroneckerSum:
         return KroneckerSum(self.left.T, self.right.T)
 
+    @property
+    def symmetric(self) -> bool:
+        """Whether the operator equals its transpose exactly."""
+        return np.array_equal(self.left, self.left.T) and np.array_equal(self.right, self.right.T)
+
     def __matmul__(self, v):
         v = np.asarray(v, dtype=float)
         m = self.left.shape[0]
@@ -230,6 +240,34 @@ class KroneckerSum:
         eye = sp.identity(self.left.shape[0])
         return sp.csr_matrix(sp.kron(self.left, eye) + sp.kron(eye, self.right))
 
+    def factorize(self):
+        """Solve function of the operator by Bartels-Stewart.
+
+        With ``P = left = Zp Tp Zp^T`` and ``R = right = Zr Tr Zr^T`` (real Schur
+        forms), ``vec(B)`` has the solution ``vec(U)`` of ``P U + U R^T = B``,
+        ``U = Zp Y Zr^T``, where ``dtrsyl`` solves ``Tp Y + Y Tr^T = Zp^T B Zr``
+        in O(m^3), one column at a time.  Close eigenvalues of ``P`` and ``-R``
+        raise ``NumericalFailureError`` with a condition estimate.
+        """
+        tp, zp = sla.schur(self.left, output="real")
+        tr, zr = sla.schur(self.right, output="real")
+        m = self.left.shape[0]
+
+        def solve(b):
+            b = np.asarray(b, dtype=float)
+            c = zp.T @ b.reshape(m, m, -1).transpose(2, 0, 1) @ zr
+            for j in range(c.shape[0]):
+                y, scale, info = sla.lapack.dtrsyl(tp, tr, c[j], tranb="T")
+                if info != 0:
+                    raise NumericalFailureError(
+                        f"Sylvester solve of the Kronecker sum failed (dtrsyl info {info})",
+                        condition_estimate=condition_estimate(self),
+                    )
+                c[j] = y / scale
+            return (zp @ c @ zr.T).transpose(1, 2, 0).reshape(b.shape)
+
+        return solve
+
 
 class SeparableInnerProduct:
     """The SPD operator ``(W + K) (x) W + W (x) K`` of n = m * m DoFs, kept as its 1-d factors.
@@ -238,10 +276,8 @@ class SeparableInnerProduct:
     (``stiffness``) a symmetric positive semidefinite 1-d stiffness, both
     m x m; the DoF layout is ``KroneckerSum``'s.  ``@`` maps ``vec(V)`` to
     ``vec((W + K) V W + W V K)`` in O(m^3) for a vector or each column of an
-    (n, k) block, and ``tocsr`` is the one explicit matrix.  With
-    ``D = diag(sqrt(weights))`` and ``R = D^-1 K D^-1`` the operator is
-    ``(D (x) D) ((I + R) (x) I + I (x) R) (D (x) D)``, which
-    ``rbx.truth.Factorization`` solves by fast diagonalization.
+    (n, k) block, ``factorize`` solves by fast diagonalization, and
+    ``tocsr`` is the one explicit matrix.
     """
 
     __array_ufunc__ = None  # NumPy scalars and arrays defer to the methods below
@@ -274,6 +310,37 @@ class SeparableInnerProduct:
         w, k = sp.diags(self.weights), sp.csr_matrix(self.stiffness)
         return sp.csr_matrix(sp.kron(w + k, w) + sp.kron(w, k))
 
+    def factorize(self):
+        """Solve function of the operator by fast diagonalization (Lynch, Rice & Thomas, 1964).
+
+        With ``s = sqrt(weights)`` and ``R = K / (s s^T) = U diag(sigma) U^T``
+        (one ``eigh``), the operator is ``S ((I + R) (x) I + I (x) R) S`` with
+        ``S = diag(s) (x) diag(s)``, so ``vec(B)`` has the solution ``vec(S^-1
+        U Y U^T S^-1)`` with ``Y = (U^T (S^-1 B) U) / (1 + sigma_i + sigma_j)``:
+        four m x m products per column and no Sylvester solve.
+        """
+        s = np.sqrt(self.weights)
+        sigma, u = np.linalg.eigh(self.stiffness / np.outer(s, s))
+        denominators = 1.0 + sigma[:, None] + sigma[None, :]
+        if not denominators.min() > 0:
+            raise NumericalFailureError(
+                "inner product is not SPD: its stiffness has a negative eigenvalue",
+                condition_estimate=condition_estimate(self),
+            )
+        scale = 1.0 / np.outer(s, s)
+        m = s.size
+
+        def solve(b):
+            b = np.asarray(b, dtype=float)
+            y = b.reshape(m * m, -1).T.reshape(-1, m, m) * scale
+            y = (u.T @ y).reshape(-1, m) @ u
+            y = y.reshape(-1, m, m) / denominators
+            y = (u @ y).reshape(-1, m) @ u.T
+            y = y.reshape(-1, m, m) * scale
+            return y.reshape(-1, m * m).T.reshape(b.shape)
+
+        return solve
+
 
 class SparsePattern:
     """The union sparsity pattern of square sparse matrices ``M_q``.
@@ -281,7 +348,7 @@ class SparsePattern:
     ``values`` (Q, nnz) holds each matrix's entries on the union's canonical
     CSR ``indptr``/``indices``, so ``assemble(c)`` forms ``sum_q c_q M_q``
     as one product, with no sparse additions.  ``band`` lays the pattern
-    out for LAPACK's banded Cholesky (see ``rbx.truth.Factorization``).
+    out for LAPACK's banded Cholesky (see ``rbx.truth.factorize``).
     """
 
     def __init__(self, matrices):
@@ -323,12 +390,20 @@ class SparsePattern:
         return order, bandwidth, lower, slots
 
 
-def _equals_transpose(a) -> bool:
-    if isinstance(a, KroneckerSum):
-        return bool(np.array_equal(a.left, a.left.T) and np.array_equal(a.right, a.right.T))
-    if sp.issparse(a):
-        return (a != a.T).nnz == 0
-    return bool(np.array_equal(a, a.T))
+def as_csr(a) -> sp.csr_matrix:
+    """An operator's explicit form: its ``tocsr()`` if it has one, else a CSR copy."""
+    return a.tocsr() if hasattr(a, "tocsr") else sp.csr_matrix(a)
+
+
+def condition_estimate(a) -> float:
+    """1-norm condition estimate from a sparse LU of ``a``'s explicit form; nan if it fails."""
+    a = as_csr(a)
+    try:
+        lu = spla.splu(a.tocsc())
+        op = spla.LinearOperator(a.shape, matvec=lu.solve, rmatvec=partial(lu.solve, trans="T"))
+        return float(spla.onenormest(op) * spla.onenormest(a))
+    except Exception:
+        return float("nan")
 
 
 def evaluate_theta_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:

@@ -10,10 +10,9 @@ garbage.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .affine import evaluate_theta_batch
+from .affine import as_csr, evaluate_theta_batch
 from .errors import BoundStrategyError
 
 # relative distance of the certified anchor bound below the eigenvalue estimate
@@ -21,7 +20,7 @@ _ANCHOR_MARGIN = 1e-8
 
 
 def _symmetric_csc(a):
-    a = sp.csc_matrix(a.tocsr() if hasattr(a, "tocsr") else a)  # structured operators too
+    a = as_csr(a).tocsc()
     return (0.5 * (a + a.T)).tocsc()
 
 

@@ -6,8 +6,8 @@
     List the built-in problems with their defaults.
 
 Exit codes: 0 on success, 1 when a run fails (a failed truth solve, an
-inapplicable coercivity bound, artifact writing), 2 on configuration errors
-(bad JSON, unknown fields, invalid values).
+inapplicable coercivity bound, artifact writing, memory exhaustion), 2 on
+configuration errors (bad JSON, unknown fields, invalid values).
 """
 
 from __future__ import annotations

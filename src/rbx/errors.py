@@ -14,7 +14,7 @@ class ConfigurationError(RbxError, ValueError):
 
 
 class ResourceError(RbxError, RuntimeError):
-    """A requested allocation exceeds a configured cap."""
+    """A requested allocation exceeds a configured cap or the memory available."""
 
 
 class NumericalFailureError(RbxError, RuntimeError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .reduced import (
     extend_basis,
 )
 from .surrogate import GENERATOR_RTOL, cdm_build_offline, cdm_construct, smm_construct
-from .truth import Factorization, TruthSolution, truth_solve
+from .truth import TruthSolution, truth_solve
 
 DEFAULT_SMM_BUDGET_GROWTH = 2
 DEFAULT_CDM_BUDGET_GROWTH = 20
@@ -198,7 +198,7 @@ def argmax_sweep(
 
 class _Run:
     """One greedy run: its model, trace, training systems, excluded indices,
-    timers, and cdm's anchor factorizations and generator factor.  The
+    timers, and cdm's anchor solves and generator factor.  The
     constructor draws and accepts the seed snapshot."""
 
     def __init__(self, problem: AffineProblem, train: TrainingSet, config: GreedyConfig):
@@ -207,8 +207,8 @@ class _Run:
         self.problem = problem
         self.train = train
         self.config = config
-        self.systems = TrainingSystems.evaluate(problem, train.points, capacity=config.n_max)
-        self.anchors: list[Factorization] = []
+        self.systems = TrainingSystems.evaluate(problem, train.points, keep_factor=True)
+        self.anchors: list[Callable] = []
         self.generators = GeneratorFactor(problem.n_dof, GENERATOR_RTOL)
         self.truth_seconds = 0.0
         self.surrogate_seconds = 0.0
@@ -230,11 +230,11 @@ class _Run:
         return snap
 
     def accept(self, snap: TruthSolution, idx: int) -> None:
-        """Extend the basis with ``snap``; a cdm run keeps the factorizations
+        """Extend the basis with ``snap``; a cdm run keeps the solve functions
         of its first ``CDM_ANCHORS`` accepted snapshots as anchors."""
         extend_basis(self.model, snap, idx)
         if self.config.method == "cdm" and len(self.anchors) < CDM_ANCHORS:
-            self.anchors.append(snap.factorization)
+            self.anchors.append(snap.solve)
 
     def sweep(
         self, outer_loop: int, domain: Optional[list[int]] = None

@@ -358,9 +358,9 @@ def run_experiment(
     """Run all configured methods and write the artifact directory.
 
     A run that raises an ``RbxError`` (a failed truth solve, an inapplicable
-    coercivity bound) or fails to write its artifacts leaves an ``INCOMPLETE``
-    marker naming the error and re-raises; a marker left in the directory by
-    an earlier run is removed first.
+    coercivity bound; running out of memory becomes ``ResourceError``) or
+    fails to write its artifacts leaves an ``INCOMPLETE`` marker naming the
+    error and re-raises; an earlier run's marker is removed first.
     """
     if workers is not None:
         config.workers = _at_least_one(workers, "workers")
@@ -373,6 +373,9 @@ def run_experiment(
     marker.unlink(missing_ok=True)
     try:
         results = run_methods(config)
+    except MemoryError as exc:
+        _mark_incomplete(marker, f"run failed: ResourceError: out of memory: {exc}")
+        raise ResourceError(f"out of memory: {exc}") from exc
     except RbxError as exc:
         _mark_incomplete(marker, f"run failed: {type(exc).__name__}: {exc}")
         raise

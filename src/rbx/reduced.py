@@ -23,6 +23,7 @@ out non-finite raises ``NumericalFailureError`` naming the parameter.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -117,7 +118,7 @@ def orthonormal_fold(disc: TruthDiscretization, basis, vectors, rtol: float):
     coords = np.zeros((k0 + m, m))
     for _ in range(2 if k0 else 0):
         # (X V)^T B, not B^T (X V): about 3x faster for a tall basis, thin block
-        h = disc.x_apply(v.T).T @ basis
+        h = (disc.x_inner @ v.T).T @ basis
         v -= h @ basis.T
         coords[:k0] += h.T
     q, xq, kept, loss = np.empty_like(v), np.empty_like(v), 0, False
@@ -127,7 +128,7 @@ def orthonormal_fold(disc: TruthDiscretization, basis, vectors, rtol: float):
             h = xq[:kept] @ v[j]
             v[j] -= h @ q[:kept]
             c += h
-        xv = disc.x_apply(v[j])
+        xv = disc.x_inner @ v[j]
         nrm = math.sqrt(max(float(np.dot(v[j], xv)), 0.0))
         if nrm > rtol * math.hypot(float(np.linalg.norm(coords[: k0 + kept, j])), nrm):
             loss |= nrm < float(np.linalg.norm(c))
@@ -379,24 +380,31 @@ class CholeskyRows:
     """Per-point Cholesky factors L_i L_i^T = M_i of the reduced matrices.
 
     Row k of every factor (the entries L_i[k, :k+1] for all b points) is one
-    contiguous (k + 1, b) block of a single buffer, at offset b k (k + 1) / 2,
-    so the rows a basis extension adds are appended and the buffer's
-    unwritten rows cost no resident memory.  ``z`` keeps the forward-
+    contiguous (k + 1, b) block, allocated with its (b,) row of ``z`` when a
+    sweep first borders it (``allocate``), so the factor holds
+    b N (N + 1) / 2 floats at basis size N.  ``z`` keeps the forward-
     substituted loads L_i^{-1} s_i f, so a solve only back-substitutes.
     Every kernel works point by point, with elementwise operations and
     per-point contractions, so a point's factor does not depend on how the
     points are chunked or threaded, nor on the BLAS.
     """
 
-    def __init__(self, n_points: int, capacity: int):
+    def __init__(self, n_points: int):
         self.b = n_points
         self.rows = 0
-        self._buf = np.empty(n_points * (capacity * (capacity + 1) // 2))
-        self._z = np.empty((capacity, n_points))
+        self._rows: list[np.ndarray] = []
+        self._z: list[np.ndarray] = []
 
-    def _row(self, k: int) -> np.ndarray:
-        start = self.b * (k * (k + 1) // 2)
-        return self._buf[start : start + self.b * (k + 1)].reshape(k + 1, self.b)
+    def allocate(self, n: int) -> None:
+        """Allocate the rows below ``n`` that no earlier call allocated."""
+        for k in range(len(self._rows), n):
+            # own memory map: rows on the malloc heap fragment it (tb-classical peak RSS +12-30%)
+            try:
+                buf = mmap.mmap(-1, 8 * max((k + 1) * self.b, 1))
+            except OSError as exc:  # numpy reports a refused allocation as MemoryError
+                raise MemoryError(f"cannot map factor row {k}: {exc}") from exc
+            self._rows.append(np.frombuffer(buf)[: (k + 1) * self.b].reshape(k + 1, self.b))
+            self._z.append(np.empty(self.b))
 
     def border(
         self, model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, n: int, sl: slice
@@ -409,7 +417,7 @@ class CholeskyRows:
         right-hand side; on the new rows it is the Cholesky factorization of
         the Schur complement, each column in two per-point contractions
         (``einsum``).  Pivots are the squared diagonal entries; the rows are
-        only valid where every pivot is positive.
+        only valid where every pivot is positive, and must be allocated.
         """
         k0, p, b = self.rows, n - self.rows, thetas.shape[0]
         comps = model.reduced_components
@@ -427,31 +435,31 @@ class CholeskyRows:
                 m0 = max(0, j - k0)
                 col = x[j, m0:]
                 np.einsum("qm,qb->mb", comps[:, j, k0 + m0 : n], th, out=col)
-                row_j = self._row(j)[:, sl] if j < k0 else x[: j + 1, j - k0]
+                row_j = self._rows[j][:, sl] if j < k0 else x[: j + 1, j - k0]
                 col -= np.einsum("lmb,lb->mb", x[:j, m0:], row_j[:j])
                 if j < k0:
                     col /= row_j[j]
-                    z_j = self._z[j, sl]
+                    z_j = self._z[j][sl]
                 else:
                     np.minimum(pivots, col[0], out=pivots)
                     np.sqrt(col[0], out=col[0])
                     col[1:] /= col[0]
-                    z_j = self._z[j, sl] = acc[m0] / col[0]
+                    z_j = self._z[j][sl] = acc[m0] / col[0]
                 if j + 1 < n:
                     m1 = m0 + (j >= k0)
                     np.multiply(x[j, m1:], z_j, out=tmp[: p - m1])
                     acc[m1:] -= tmp[: p - m1]
         for m in range(p):
-            self._row(k0 + m)[:, sl] = x[: k0 + m + 1, m]
+            self._rows[k0 + m][:, sl] = x[: k0 + m + 1, m]
         return pivots
 
     def solve(self, n: int, sl: slice) -> np.ndarray:
         """Back-substitute L^T c = z for the points ``sl``; rows index points."""
-        c = self._z[:n, sl].copy()
+        c = np.array([z[sl] for z in self._z[:n]]).reshape(n, len(range(self.b)[sl]))
         tmp = np.empty_like(c)
         with np.errstate(divide="ignore", invalid="ignore"):
             for k in range(n - 1, -1, -1):
-                row_k = self._row(k)[:, sl]
+                row_k = self._rows[k][:, sl]
                 c[k] /= row_k[k]
                 np.multiply(row_k[:k], c[k], out=tmp[:k])
                 c[:k] -= tmp[:k]
@@ -466,10 +474,9 @@ class TrainingSystems:
     coercivity bounds of its training set once, in ``evaluate``, and shares
     them between its full sweeps, surrogate sweeps (``restrict``) and
     ``cdm_construct``; ``evaluate`` first rejects points outside the
-    problem's box.  On symmetric problems ``evaluate`` with a positive
-    ``capacity`` (the largest basis a full sweep will see) also keeps a
-    ``CholeskyRows`` factor of every point's reduced matrix, which
-    ``estimate_batch`` borders by the rows the basis gained since its
+    problem's box.  On symmetric problems ``evaluate`` with ``keep_factor``
+    also keeps a ``CholeskyRows`` factor of every point's reduced matrix,
+    which ``estimate_batch`` borders by the rows the basis gained since its
     previous call.  A factor serves the one model it is grown with and holds
     b N (N + 1) / 2 floats at basis size N.  ``coeffs`` holds the reduced
     solutions (rows: points) of the latest ``estimate_batch`` call.
@@ -484,12 +491,10 @@ class TrainingSystems:
 
     @classmethod
     def evaluate(
-        cls, problem: AffineProblem, points: np.ndarray, capacity: int = 0
+        cls, problem: AffineProblem, points: np.ndarray, keep_factor: bool = False
     ) -> "TrainingSystems":
         points = problem.box.validate_rows(points)
-        factor = None
-        if capacity > 0 and problem.symmetric:
-            factor = CholeskyRows(points.shape[0], min(capacity, problem.n_dof))
+        factor = CholeskyRows(points.shape[0]) if keep_factor and problem.symmetric else None
         return cls(
             points,
             evaluate_theta_batch(problem, points),
@@ -526,9 +531,9 @@ def estimate_batch(
     A non-positive or non-finite pivot raises ``NumericalFailureError``
     naming the first such point.  ``workers > 1`` fans the blocks out over
     threads; the model is only read, and every block writes a disjoint
-    slice of the output and of the factor.  The blocks do not move with
-    ``workers``, and so neither does any estimate (OpenBLAS rounds a row of
-    a product differently with the number of rows).
+    slice of the output and of the factor (its rows allocated first).  The
+    blocks do not move with ``workers``, and so neither does any estimate
+    (OpenBLAS rounds a row of a product differently with the number of rows).
     """
     mus = np.asarray(mus, dtype=float)
     n = model.n if n is None else int(n)
@@ -540,7 +545,8 @@ def estimate_batch(
     elif systems.points is not mus and not np.array_equal(systems.points, mus):
         raise InvalidParameterError("systems were evaluated at other parameters than mus")
     factor = systems.factor
-    grow = factor is not None and n > factor.rows
+    if grow := factor is not None and n > factor.rows:
+        factor.allocate(n)
     pivots = np.full(b, np.inf)
     coeffs = systems.coeffs = np.empty((b, n))
     deltas = np.empty(b)

@@ -32,7 +32,7 @@ from .reduced import (
     augmented_weights,
     reduced_solve_batch,
 )
-from .truth import Factorization, apply_operator_inverse
+from .truth import apply_operator_inverse
 
 PIVOT_DROP_RTOL = 1e-12
 GENERATOR_RTOL = 1e-9
@@ -128,10 +128,10 @@ def cdm_build_offline(
     model: ReducedModel,
     problem: AffineProblem,
     factor: GeneratorFactor,
-    anchors: list[Factorization],
+    anchors: list[Callable],
 ) -> None:
-    """Grow ``factor`` to the model's basis, with the inverses of ``anchors`` as its solvers."""
-    solvers = [lambda b, fact=fact: apply_operator_inverse(problem, fact, b) for fact in anchors]
+    """Grow ``factor`` to the model's basis, with the anchor solves ``anchors`` as its solvers."""
+    solvers = [lambda b, s=solve: apply_operator_inverse(problem, s, b) for solve in anchors]
     factor.grow(problem, model.basis, solvers)
 
 

@@ -11,8 +11,8 @@ Dirichlet data on the top edge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -26,6 +26,7 @@ from .affine import (
     ParameterBox,
     SeparableInnerProduct,
     SparsePattern,
+    condition_estimate,
     evaluate_theta_batch,
     rhs_scale_batch,
 )
@@ -87,100 +88,33 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
 # factorizations
 
 
-class Factorization:
-    """``solve`` through a Cholesky factorization (``spd``) or an LU one.
+def factorize(a, spd: bool = False, pattern: Optional[SparsePattern] = None):
+    """Solve function of ``a`` (``solve(b)``, b (n,) or (n, k)); the one place that picks a route.
 
-    A sparse SPD matrix is factorized by LAPACK's banded Cholesky in the
-    reverse Cuthill-McKee order of its ``SparsePattern``: pass ``pattern``
-    when ``matrix`` was assembled on it, so that its order and band layout
-    are reused; otherwise it is built from ``matrix``.  Other sparse
-    matrices go through SuperLU, dense ones through LAPACK's Cholesky or LU,
-    a ``KroneckerSum`` through Bartels-Stewart on its m x m factors and a
-    ``SeparableInnerProduct`` through fast diagonalization, whatever
-    ``spd``.  A Cholesky factorization of a matrix that is not SPD raises
-    ``NumericalFailureError``.
+    A structured operator (``KroneckerSum``, ``SeparableInnerProduct``)
+    factorizes itself, whatever ``spd``.  A sparse SPD matrix gets LAPACK's
+    banded Cholesky in the reverse Cuthill-McKee order of its
+    ``SparsePattern``: pass ``pattern`` when ``a`` was assembled on it, so
+    that its order and band layout are reused; otherwise it is built from
+    ``a``.  Other sparse matrices get SuperLU, dense ones LAPACK's Cholesky
+    (``spd``) or LU.  A Cholesky factorization of a matrix that is not SPD
+    raises ``NumericalFailureError`` with a condition estimate.
     """
-
-    def __init__(self, matrix, spd: bool = False, pattern: Optional[SparsePattern] = None):
-        if isinstance(matrix, KroneckerSum):
-            self.solve = _bartels_stewart(matrix.left, matrix.right)
-        elif isinstance(matrix, SeparableInnerProduct):
-            self.solve = _fast_diagonalization(matrix)
-        elif sp.issparse(matrix) and spd:
-            if pattern is None:
-                pattern = SparsePattern([matrix])
-                matrix = pattern.assemble(np.ones(1))
-            self.solve = _banded_cholesky(pattern, matrix)
-        elif sp.issparse(matrix):
-            self.solve = spla.splu(matrix.tocsc()).solve
-        elif spd:
-            try:
-                self.solve = partial(sla.cho_solve, sla.cho_factor(matrix))
-            except sla.LinAlgError as exc:
-                raise NumericalFailureError(f"matrix is not SPD: {exc}")
-        else:
-            self.solve = partial(sla.lu_solve, sla.lu_factor(matrix))
-
-
-def _bartels_stewart(p: np.ndarray, r: np.ndarray):
-    """Solve function of the Kronecker sum ``P (x) I + I (x) R`` (m x m factors).
-
-    ``vec(B)`` has the solution ``vec(U)`` of ``P U + U R^T = B``.  With
-    the real Schur forms ``P = Zp Tp Zp^T``, ``R = Zr Tr Zr^T`` it is
-    ``U = Zp Y Zr^T``, where ``dtrsyl`` solves ``Tp Y + Y Tr^T = Zp^T B Zr``
-    in O(m^3), one column at a time.  Close eigenvalues of ``P`` and ``-R``
-    raise ``NumericalFailureError`` with a condition estimate.
-    """
-    tp, zp = sla.schur(p, output="real")
-    tr, zr = sla.schur(r, output="real")
-    m = p.shape[0]
-
-    def solve(b):
-        b = np.asarray(b, dtype=float)
-        c = zp.T @ b.reshape(m, m, -1).transpose(2, 0, 1) @ zr
-        for j in range(c.shape[0]):
-            y, scale, info = lapack.dtrsyl(tp, tr, c[j], tranb="T")
-            if info != 0:
-                raise NumericalFailureError(
-                    f"Sylvester solve of the Kronecker sum failed (dtrsyl info {info})",
-                    condition_estimate=_condition_estimate(KroneckerSum(p, r)),
-                )
-            c[j] = y / scale
-        return (zp @ c @ zr.T).transpose(1, 2, 0).reshape(b.shape)
-
-    return solve
-
-
-def _fast_diagonalization(x: SeparableInnerProduct):
-    """Solve function of ``x`` by fast diagonalization (Lynch, Rice & Thomas, 1964).
-
-    With ``s = sqrt(weights)`` and ``R = K / (s s^T) = U diag(sigma) U^T``
-    (one ``eigh``), ``x`` is ``S ((I + R) (x) I + I (x) R) S`` with
-    ``S = diag(s) (x) diag(s)``, so ``vec(B)`` has the solution ``vec(S^-1 U Y
-    U^T S^-1)`` with ``Y = (U^T (S^-1 B) U) / (1 + sigma_i + sigma_j)``:
-    four m x m products per column and no Sylvester solve.
-    """
-    s = np.sqrt(x.weights)
-    sigma, u = np.linalg.eigh(x.stiffness / np.outer(s, s))
-    denominators = 1.0 + sigma[:, None] + sigma[None, :]
-    if not denominators.min() > 0:
-        raise NumericalFailureError(
-            "inner product is not SPD: its stiffness has a negative eigenvalue",
-            condition_estimate=_condition_estimate(x),
-        )
-    scale = 1.0 / np.outer(s, s)
-    m = s.size
-
-    def solve(b):
-        b = np.asarray(b, dtype=float)
-        y = b.reshape(m * m, -1).T.reshape(-1, m, m) * scale
-        y = (u.T @ y).reshape(-1, m) @ u
-        y = y.reshape(-1, m, m) / denominators
-        y = (u @ y).reshape(-1, m) @ u.T
-        y = y.reshape(-1, m, m) * scale
-        return y.reshape(-1, m * m).T.reshape(b.shape)
-
-    return solve
+    if hasattr(a, "factorize"):
+        return a.factorize()
+    if sp.issparse(a) and spd:
+        if pattern is None:
+            pattern = SparsePattern([a])
+            a = pattern.assemble(np.ones(1))
+        return _banded_cholesky(pattern, a)
+    if sp.issparse(a):
+        return spla.splu(a.tocsc()).solve
+    if spd:
+        try:
+            return partial(sla.cho_solve, sla.cho_factor(a))
+        except sla.LinAlgError as exc:
+            raise NumericalFailureError(f"matrix is not SPD: {exc}", condition_estimate(a))
+    return partial(sla.lu_solve, sla.lu_factor(a))
 
 
 def _banded_cholesky(pattern: SparsePattern, matrix):
@@ -193,7 +127,7 @@ def _banded_cholesky(pattern: SparsePattern, matrix):
     if info != 0:
         raise NumericalFailureError(
             f"matrix is not SPD: banded Cholesky failed at pivot {info}",
-            condition_estimate=_condition_estimate(matrix),
+            condition_estimate=condition_estimate(matrix),
         )
 
     def solve(b):
@@ -206,20 +140,6 @@ def _banded_cholesky(pattern: SparsePattern, matrix):
     return solve
 
 
-def _condition_estimate(a) -> float:
-    a = a.tocsr() if hasattr(a, "tocsr") else a  # a structured operator's explicit form
-    try:
-        if sp.issparse(a):
-            lu = spla.splu(a.tocsc())
-            op = spla.LinearOperator(
-                a.shape, matvec=lu.solve, rmatvec=partial(lu.solve, trans="T")
-            )
-            return float(spla.onenormest(op) * spla.onenormest(a))
-        return float(np.linalg.cond(a, 1))
-    except Exception:
-        return float("nan")
-
-
 # ---------------------------------------------------------------------------
 # discretization containers
 
@@ -230,36 +150,31 @@ class TruthDiscretization:
 
     ``x_inner`` is an SPD operator, not necessarily a matrix: a dense array,
     a sparse matrix or a ``SeparableInnerProduct``, any of which supports
-    ``@`` on a vector or an (n, k) block and ``Factorization``.  The truth
-    space also holds the problem's work ``counters`` and, once a Riesz
-    solve asks for it, the factorization of ``x_inner``.
+    ``@`` on a vector or an (n, k) block and ``factorize``.  It also holds the
+    problem's work ``counters`` and ``x_solve``, the cached solve of ``x_inner``.
     """
 
     x_inner: object
     counters: Counters = field(default_factory=Counters)
-    _x_fact: Optional[Factorization] = field(default=None, repr=False)
 
-    def x_factorization(self) -> Factorization:
-        if self._x_fact is None:
-            self._x_fact = Factorization(self.x_inner, spd=True)
-        return self._x_fact
-
-    def x_apply(self, v):
-        return self.x_inner @ v
+    @cached_property
+    def x_solve(self) -> Callable:
+        """Solve function of ``x_inner``, uncounted (``riesz_solve`` counts)."""
+        return factorize(self.x_inner, spd=True)
 
 
 @dataclass
 class TruthSolution:
-    """A truth solution with the factorization of its operator A(mu)."""
+    """A truth solution with the solve function of its operator A(mu)."""
 
     mu: np.ndarray
     coefficients: np.ndarray
-    factorization: Factorization
+    solve: Callable
 
 
 def x_norm(disc: TruthDiscretization, v: np.ndarray) -> float:
     """Norm induced by the discretization's inner-product matrix."""
-    val = float(np.dot(v, disc.x_apply(v)))
+    val = float(np.dot(v, disc.x_inner @ v))
     return float(np.sqrt(max(val, 0.0)))
 
 
@@ -267,29 +182,30 @@ def riesz_solve(disc: TruthDiscretization, functional: np.ndarray) -> np.ndarray
     """Riesz representer of a functional given by its coefficient vector."""
     n_rhs = 1 if functional.ndim == 1 else functional.shape[1]
     disc.counters.riesz_solves += n_rhs
-    return disc.x_factorization().solve(functional)
+    return disc.x_solve(functional)
 
 
 def apply_operator_inverse(
-    problem: AffineProblem, fact: Factorization, rhs_block: np.ndarray
+    problem: AffineProblem, solve: Callable, rhs_block: np.ndarray
 ) -> np.ndarray:
-    """Solve ``A(mu) X = rhs_block`` through ``fact``, a factorization of ``A(mu)``.
+    """Solve ``A(mu) X = rhs_block`` through ``solve``, the solve function of ``A(mu)``.
 
     Counts one truth solve per right-hand side.
     """
     n_rhs = 1 if rhs_block.ndim == 1 else rhs_block.shape[1]
     problem.discretization.counters.truth_solves += n_rhs
-    return fact.solve(rhs_block)
+    return solve(rhs_block)
 
 
 def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     """Direct solve of the truth system at one parameter.
 
     ``A(mu)`` is assembled once (``AffineProblem.assemble``) and factorized
-    by the route its type and ``AffineProblem.symmetric`` choose (a
-    symmetric problem is SPD, because every problem is coercive).  This is
-    the package's only factorization of ``A(mu)``; it is counted and
-    returned on the solution.  A failed factorization, or a relative
+    by the route ``factorize`` picks from its type and
+    ``AffineProblem.symmetric`` (a symmetric problem is SPD, because every
+    problem is coercive).  This is the package's only factorization of
+    ``A(mu)``; it is counted, and its solve function is returned on the
+    solution.  A failed factorization, or a relative
     residual ``||A(mu) u - b||`` above ``SOLVE_RTOL``, raises
     ``NumericalFailureError`` carrying a condition estimate of ``A(mu)``.
     """
@@ -297,21 +213,21 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     theta = evaluate_theta_batch(problem, mu[None, :])[0]
     a = problem.assemble(theta)
     try:
-        fact = Factorization(a, spd=problem.symmetric, pattern=problem.pattern)
+        solve = factorize(a, spd=problem.symmetric, pattern=problem.pattern)
     except Exception as exc:
         raise NumericalFailureError(
-            f"factorization of A(mu) failed: {exc}", condition_estimate=_condition_estimate(a)
+            f"factorization of A(mu) failed: {exc}", condition_estimate=condition_estimate(a)
         )
     problem.discretization.counters.truth_factorizations += 1
     b = rhs_scale_batch(problem, mu[None, :])[0] * problem.rhs
-    u = apply_operator_inverse(problem, fact, b)
+    u = apply_operator_inverse(problem, solve, b)
     resid = np.linalg.norm(a @ u - b)
     if resid > SOLVE_RTOL * max(np.linalg.norm(b), 1e-300):
         raise NumericalFailureError(
             f"truth solve residual {resid:.3e} exceeds {SOLVE_RTOL:.1e} * ||b||",
-            condition_estimate=_condition_estimate(a),
+            condition_estimate=condition_estimate(a),
         )
-    return TruthSolution(mu=mu, coefficients=u, factorization=fact)
+    return TruthSolution(mu=mu, coefficients=u, solve=solve)
 
 
 # ---------------------------------------------------------------------------

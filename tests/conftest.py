@@ -148,7 +148,7 @@ def direct_residual_dual_norm_sq(model, problem, mu, sol):
     lifted = model.basis[:, : sol.n] @ sol.coeffs
     a = sequential_sum(problem, mu)
     r = rhs_scale_batch(problem, np.atleast_2d(mu))[0] * problem.rhs - a @ lifted
-    rep = problem.discretization.x_factorization().solve(r)
+    rep = problem.discretization.x_solve(r)
     return float(np.dot(rep, r))
 
 

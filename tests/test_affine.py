@@ -20,7 +20,7 @@ from rbx.affine import (
 from rbx.bounds import ConstantBound
 from rbx.errors import InvalidParameterError, NumericalFailureError, ResourceError
 from rbx.greedy import GreedyConfig, run_greedy
-from rbx.truth import Factorization, TruthDiscretization, riesz_solve, truth_solve
+from rbx.truth import TruthDiscretization, factorize, riesz_solve, truth_solve
 
 from conftest import explicit
 from test_golden_traces import EXPECTED
@@ -294,9 +294,9 @@ class TestKroneckerSum:
     def test_symmetric_reads_the_factors(self):
         p, r = self.factors()
         sym_p, sym_r = p + p.T, r + r.T
-        assert affine._equals_transpose(KroneckerSum(sym_p, sym_r))
-        assert not affine._equals_transpose(KroneckerSum(sym_p, r))
-        assert not affine._equals_transpose(KroneckerSum(p, sym_r))
+        assert KroneckerSum(sym_p, sym_r).symmetric
+        assert not KroneckerSum(sym_p, r).symmetric
+        assert not KroneckerSum(p, sym_r).symmetric
 
     def test_offline_path_forms_no_explicit_operator(self, diffusion_small, monkeypatch):
         # the golden diffusion cdm run never needs an n_dof x n_dof operator
@@ -337,12 +337,12 @@ class TestSeparableInnerProduct:
 
     def test_fast_diagonalization_solves(self, diffusion_small):
         x = diffusion_small.discretization.x_inner
-        fact = Factorization(x, spd=True)
+        solve = factorize(x, spd=True)
         rng = np.random.default_rng(6)
         n = x.shape[0]
         rows = rng.standard_normal((7, n))
         for b in (rng.standard_normal(n), rng.standard_normal((n, 1)), rows.T):
-            u = fact.solve(b)
+            u = solve(b)
             assert u.shape == b.shape
             assert np.linalg.norm(x.tocsr() @ u - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -353,7 +353,7 @@ class TestSeparableInnerProduct:
             SeparableInnerProduct([1.0, 1.0], np.eye(3))
         # W (x) W + K (x) W + W (x) K = -3 I: not SPD
         with pytest.raises(NumericalFailureError) as failure:
-            Factorization(SeparableInnerProduct(np.ones(3), -2.0 * np.eye(3)), spd=True)
+            factorize(SeparableInnerProduct(np.ones(3), -2.0 * np.eye(3)), spd=True)
         assert failure.value.condition_estimate == pytest.approx(1.0)
 
     def test_set_up_and_riesz_path_form_no_dense_operator(self):
@@ -362,7 +362,7 @@ class TestSeparableInnerProduct:
         tracemalloc.start()
         try:
             problem = rbx.build_diffusion2d(35)
-            problem.discretization.x_apply(problem.rhs)
+            problem.discretization.x_inner @ problem.rhs
             riesz_solve(problem.discretization, problem.rhs)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -409,7 +409,7 @@ class TestParameterDependentLoad:
             error = rbx.x_norm(problem.discretization, exact - rbx.reconstruct(model, sol))
             assert error <= single[-1]
         # a symmetric problem: the sweep borders a fresh Cholesky factor
-        systems = TrainingSystems.evaluate(problem, mus, capacity=model.n)
+        systems = TrainingSystems.evaluate(problem, mus, keep_factor=True)
         assert systems.factor is not None
         batch = rbx.estimate_batch(model, problem, mus, systems=systems)
         empty = rbx.estimate_batch(model, problem, mus, n=0)
@@ -625,9 +625,9 @@ class TestOneFactorizationPerSnapshot:
 
         def checked(model, problem, factor, anchors):
             v = np.linspace(1.0, 2.0, problem.n_dof)
-            for m, fact in enumerate(anchors):
+            for m, solve in enumerate(anchors):
                 a = sequential_sum(problem, model.snapshot_params[m])
-                np.testing.assert_allclose(fact.solve(a @ v), v, rtol=1e-8)
+                np.testing.assert_allclose(solve(a @ v), v, rtol=1e-8)
             anchor_counts.append(len(anchors))
             return real_build(model, problem, factor, anchors)
 

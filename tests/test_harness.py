@@ -1,7 +1,9 @@
 """Experiment harness: config handling, artifacts, CLI, public surface."""
 
+import errno
 import importlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -446,6 +448,30 @@ class TestCli:
         monkeypatch.setattr(rbx.greedy, "truth_solve", real)
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 0
         assert (out / "summary.json").is_file() and not marker.exists()
+
+    def test_memory_exhaustion_exits_1_and_leaves_marker(self, tmp_path, capsys, monkeypatch):
+        # the training factor's rows are mapped as sweeps border them; a
+        # refused mapping keeps the failure contract
+        raw = tiny_config_dict(
+            problem={"name": "thermalblock", "nodes_per_side": 7},
+            training={"kind": "random", "count": 50, "seed": 0},
+            methods=["classical"],
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        refusal = OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        def refused(fileno, length):
+            raise refusal
+
+        monkeypatch.setattr(rbx.reduced, "mmap", SimpleNamespace(mmap=refused))
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        reason = f"out of memory: cannot map factor row 0: {refusal}"
+        assert err == f"run failed: {reason}\n"
+        assert (out / "INCOMPLETE").read_text() == f"run failed: ResourceError: {reason}\n"
+        assert not (out / "summary.json").exists()
 
 
 PUBLIC_NAMES = [

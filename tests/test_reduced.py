@@ -47,12 +47,12 @@ def thermal_model(thermal_small, thermal_train_small):
 class TestBasis:
     def test_gram_identity(self, diffusion_model):
         basis = diffusion_model.basis
-        gram = basis.T @ diffusion_model.disc.x_apply(basis)
+        gram = basis.T @ (diffusion_model.disc.x_inner @ basis)
         np.testing.assert_allclose(gram, np.eye(diffusion_model.n), atol=1e-10)
 
     def test_gram_identity_sparse_inner(self, thermal_model):
         basis = thermal_model.basis
-        gram = basis.T @ thermal_model.disc.x_apply(basis)
+        gram = basis.T @ (thermal_model.disc.x_inner @ basis)
         np.testing.assert_allclose(gram, np.eye(thermal_model.n), atol=1e-10)
 
     def test_snapshot_coordinates_reproduce_snapshots(self, diffusion_small, diffusion_model):
@@ -79,7 +79,7 @@ class TestBasis:
 
         model = ReducedModel(diffusion_small)
         snap = TruthSolution(
-            mu=np.zeros(2), coefficients=np.zeros(diffusion_small.n_dof), factorization=None
+            mu=np.zeros(2), coefficients=np.zeros(diffusion_small.n_dof), solve=None
         )
         with pytest.raises(BasisRejectionError):
             extend_basis(model, snap)
@@ -93,7 +93,7 @@ def per_column_fold(disc, basis, vectors, rtol):
         k = basis.shape[1]
         v = vectors[:, j].copy()
         for _ in range(2 if k else 0):
-            h = basis.T @ disc.x_apply(v)
+            h = basis.T @ (disc.x_inner @ v)
             v -= basis @ h
             coords[:k, j] += h
         nrm = x_norm(disc, v)
@@ -112,7 +112,7 @@ def x_orthonormal_basis(disc, k, seed):
 
 
 def x_gram(disc, basis):
-    return basis.T @ disc.x_apply(basis)
+    return basis.T @ (disc.x_inner @ basis)
 
 
 @pytest.fixture(params=["diffusion_small", "thermal_small"])
@@ -172,7 +172,7 @@ class TestOrthonormalFold:
         seen, gaps = [], []
 
         def project(basis, vectors):
-            return basis @ (basis.T @ disc.x_apply(vectors))
+            return basis @ (basis.T @ (disc.x_inner @ vectors))
 
         def checked(disc_, basis, vectors, rtol):
             grown, coords = real(disc_, basis, vectors, rtol)
@@ -183,8 +183,8 @@ class TestOrthonormalFold:
             # columns (a direction kept at a remainder near rtol is fixed only
             # to rounding over rtol, so the bases themselves may differ there)
             gap = project(grown, vectors) - project(ref, vectors)
-            scale = np.sqrt(np.einsum("ij,ij->j", vectors, disc.x_apply(vectors)))
-            gaps.append(float((np.sqrt(np.einsum("ij,ij->j", gap, disc.x_apply(gap))) / scale).max()))
+            scale = np.sqrt(np.einsum("ij,ij->j", vectors, disc.x_inner @ vectors))
+            gaps.append(float((np.sqrt(np.einsum("ij,ij->j", gap, disc.x_inner @ gap)) / scale).max()))
             seen.append((rtol, vectors.shape[1], grown.shape[1] - k0))
             return grown, coords
 
@@ -278,7 +278,7 @@ class TestResidualDualNorm:
         sol = ReducedSolution(mu=mu, coeffs=np.zeros(0))
         got = residual_dual_norm_sq(model, mu, sol)
         f = diffusion_small.rhs
-        rep = diffusion_small.discretization.x_factorization().solve(f)
+        rep = diffusion_small.discretization.x_solve(f)
         np.testing.assert_allclose(got, float(f @ rep), rtol=1e-10)
 
     def test_zero_load_is_rejected(self, fold_problem):
@@ -358,7 +358,7 @@ class TestBatchedSweeps:
         model, _ = build_model(thermal_small, thermal_train_small, n_target=3)
         rng = np.random.default_rng(18)
         mus = 0.1 + rng.random((2 * 4096 + 100, 9)) * 9.9
-        runs = {w: TrainingSystems.evaluate(thermal_small, mus, capacity=8) for w in (1, 2)}
+        runs = {w: TrainingSystems.evaluate(thermal_small, mus, keep_factor=True) for w in (1, 2)}
         for border in range(2):
             if border:
                 for j in (0, 1):
@@ -372,7 +372,7 @@ class TestBatchedSweeps:
             np.testing.assert_array_equal(two.coeffs, one.coeffs)
             assert one.factor.rows == two.factor.rows == model.n
             for k in range(model.n):
-                np.testing.assert_array_equal(two.factor._row(k), one.factor._row(k))
+                np.testing.assert_array_equal(two.factor._rows[k], one.factor._rows[k])
 
     def test_factor_does_not_depend_on_the_border_schedule(self, thermal_small, monkeypatch):
         # cdm borders all rows a round added in one call, classical one row
@@ -383,13 +383,13 @@ class TestBatchedSweeps:
 
         def grown(model, schedule, workers=1, chunk=4096, b=5000):
             monkeypatch.setattr(reduced, "DEFAULT_CHUNK", chunk)
-            points, cap = train.points[:b], model.n
-            systems = TrainingSystems.evaluate(thermal_small, points, capacity=cap)
+            points = train.points[:b]
+            systems = TrainingSystems.evaluate(thermal_small, points, keep_factor=True)
             for n in schedule:
                 deltas = estimate_batch(
                     model, thermal_small, points, n=n, workers=workers, systems=systems
                 )
-            written = systems.factor._buf[: b * cap * (cap + 1) // 2]
+            written = np.concatenate([row.ravel() for row in systems.factor._rows])
             return written, systems.coeffs, deltas
 
         cdm = grown(model, [12])
@@ -405,6 +405,21 @@ class TestBatchedSweeps:
                 single = grown(m, schedule, chunk=1, b=40)
                 np.testing.assert_array_equal(single[0], wide[0])
                 np.testing.assert_array_equal(single[1], wide[1])
+
+    def test_factor_holds_only_the_bordered_rows(self, thermal_small, thermal_train_small):
+        # n_max (100 by default) caps the basis, not the factor: after a full
+        # sweep at N rows the factor holds b N (N + 1) / 2 floats
+        from rbx.greedy import GreedyConfig, _Run
+
+        run = _Run(thermal_small, thermal_train_small, GreedyConfig(eps_tol=1e-300))
+        assert run.config.n_max == 100
+        for _ in range(3):
+            run.extend(*run.sweep(0))
+        run.sweep(0)
+        factor, b, n = run.systems.factor, thermal_train_small.n_train, run.model.n
+        assert factor.rows == n == 4
+        assert sum(row.nbytes for row in factor._rows) == 8 * b * n * (n + 1) // 2
+        assert sum(z.nbytes for z in factor._z) == 8 * b * n
 
     def test_augmented_weights_are_the_broadcast_products(self):
         rng = np.random.default_rng(20)

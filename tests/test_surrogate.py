@@ -202,7 +202,7 @@ class TestPivotedCholesky:
 
 def anchor_factorizations(problem, model, q):
     """The operator factorizations at the model's first ``q`` snapshots."""
-    return [truth_solve(problem, mu).factorization for mu in model.snapshot_params[:q]]
+    return [truth_solve(problem, mu).solve for mu in model.snapshot_params[:q]]
 
 
 def build_offline(model, problem, facts, rtol=GENERATOR_RTOL):

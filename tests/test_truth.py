@@ -9,16 +9,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import rbx
-from rbx.affine import AffineProblem, KroneckerSum, ParameterBox, evaluate_theta_batch
+from rbx.affine import AffineProblem, KroneckerSum, ParameterBox, as_csr, evaluate_theta_batch
 from rbx.bounds import ConstantBound
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.truth import (
-    Factorization,
     TruthDiscretization,
     apply_operator_inverse,
     chebyshev_diff_matrix,
     chebyshev_lobatto_nodes,
     clenshaw_curtis_weights,
+    factorize,
     riesz_solve,
     truth_solve,
     x_norm,
@@ -80,8 +80,8 @@ class TestFactorizations:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
         b = rng.standard_normal(12)
-        dense = Factorization(a).solve(b)
-        sparse = Factorization(sp.csr_matrix(a)).solve(b)
+        dense = factorize(a)(b)
+        sparse = factorize(sp.csr_matrix(a))(b)
         np.testing.assert_allclose(dense, sparse, rtol=1e-10)
         np.testing.assert_allclose(a @ dense, b, rtol=1e-10)
 
@@ -90,12 +90,14 @@ class TestFactorizations:
         f = rng.standard_normal((10, 10))
         a = f @ f.T + 10.0 * np.eye(10)
         b = rng.standard_normal(10)
-        np.testing.assert_allclose(a @ Factorization(a, spd=True).solve(b), b, rtol=1e-10)
+        np.testing.assert_allclose(a @ factorize(a, spd=True)(b), b, rtol=1e-10)
 
     def test_spd_rejects_indefinite_dense(self):
-        bad = np.diag([1.0, -1.0])
-        with pytest.raises(NumericalFailureError):
-            Factorization(bad, spd=True)
+        bad = np.diag([2.0, -1.0])
+        with pytest.raises(NumericalFailureError) as failure:
+            factorize(bad, spd=True)
+        estimate = failure.value.condition_estimate
+        assert np.isfinite(estimate) and estimate > 1.0
 
     @pytest.mark.parametrize("s", [7, 19])
     def test_sparse_spd_matches_spsolve(self, s):
@@ -110,25 +112,41 @@ class TestFactorizations:
         patterns = [None, problem.pattern, None]
         for a, pattern in zip(matrices, patterns):
             expected = spla.spsolve(a.tocsc(), b)
-            got = Factorization(a, spd=True, pattern=pattern).solve(b)
+            got = factorize(a, spd=True, pattern=pattern)(b)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
-    def test_sparse_spd_keeps_right_hand_side_shapes(self, thermal_small):
-        fact = Factorization(thermal_small.discretization.x_inner, spd=True)
-        x = thermal_small.discretization.x_inner.toarray()
+    @pytest.mark.parametrize(
+        "route", ["kronecker-sum", "separable", "sparse-spd", "superlu", "dense-spd", "dense-lu"]
+    )
+    def test_every_route_keeps_right_hand_side_shapes(self, route, diffusion_small, thermal_small):
+        # each route solves vectors, single columns and blocks in their own
+        # shape, and agrees with spsolve on the explicit form
+        kron = diffusion_small.assemble(np.array([1.0, 0.3, -0.6]))
+        x = thermal_small.discretization.x_inner
+        a, spd = {
+            "kronecker-sum": (kron, False),
+            "separable": (diffusion_small.discretization.x_inner, True),
+            "sparse-spd": (x, True),
+            "superlu": (kron.tocsr(), False),
+            "dense-spd": (x.toarray(), True),
+            "dense-lu": (kron.tocsr().toarray(), False),
+        }[route]
+        solve = factorize(a, spd=spd)
+        explicit_a = as_csr(a).tocsc()
         rng = np.random.default_rng(2)
-        for shape in [(thermal_small.n_dof,), (thermal_small.n_dof, 1), (thermal_small.n_dof, 5)]:
+        for shape in [(a.shape[0],), (a.shape[0], 1), (a.shape[0], 5)]:
             b = rng.standard_normal(shape)
-            got = fact.solve(b)
+            got = solve(b)
             assert got.shape == shape
-            np.testing.assert_allclose(x @ got, b, atol=1e-12)
+            expected = spla.spsolve(explicit_a, b).reshape(shape)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_spd_rejects_indefinite_sparse(self):
         diagonal = np.full(12, 2.0)
         diagonal[5] = -3.0
         bad = sp.diags([-np.ones(11), diagonal, -np.ones(11)], [-1, 0, 1], format="csr")
         with pytest.raises(NumericalFailureError) as failure:
-            Factorization(bad, spd=True)
+            factorize(bad, spd=True)
         assert failure.value.condition_estimate > 1.0
 
 
@@ -152,8 +170,8 @@ class TestDiffusionProblem:
         f = (1.0 + mu[0] * x) * (-2.0 * (1.0 - y**2)) + (1.0 + mu[1] * y) * (
             -2.0 * (1.0 - x**2)
         )
-        fact = Factorization(sequential_sum(diffusion_small, mu))
-        recovered = apply_operator_inverse(diffusion_small, fact, f)
+        solve = factorize(sequential_sum(diffusion_small, mu))
+        recovered = apply_operator_inverse(diffusion_small, solve, f)
         np.testing.assert_allclose(recovered, u, atol=1e-8)
 
     def test_rhs_samples_the_load_field(self, diffusion_small):
@@ -233,13 +251,13 @@ class TestKroneckerSum:
         else:
             problem = rbx.build_diffusion2d(n_x=n_x)
             a = problem.assemble(evaluate_theta_batch(problem, mu[None, :])[0])
-        fact = Factorization(a)
+        solve = factorize(a)
         lu = sla.lu_factor(explicit(a))
         rng = np.random.default_rng(n_x)
         n = a.shape[0]
         for shape in [(n,), (n, 1), (n, 7)]:
             b = rng.standard_normal(shape)
-            got = fact.solve(b)
+            got = solve(b)
             expected = sla.lu_solve(lu, b)
             assert got.shape == shape
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -248,7 +266,7 @@ class TestKroneckerSum:
         sol = truth_solve(diffusion_small, [-0.45, 0.8])
         block = np.random.default_rng(3).standard_normal((diffusion_small.n_dof, 9))
         before = diffusion_small.counters.truth_solves
-        got = apply_operator_inverse(diffusion_small, sol.factorization, block)
+        got = apply_operator_inverse(diffusion_small, sol.solve, block)
         assert diffusion_small.counters.truth_solves == before + 9
         lu = sla.lu_factor(sequential_sum(diffusion_small, sol.mu))
         expected = sla.lu_solve(lu, block)
@@ -269,10 +287,10 @@ class TestKroneckerSum:
             discretization=TruthDiscretization(np.eye(16)),
             coercivity=ConstantBound(1.0),
         )
-        fact = Factorization(a)
-        for solve in (lambda: truth_solve(problem, [0.5]), lambda: fact.solve(np.ones(16))):
+        solve = factorize(a)
+        for failing in (lambda: truth_solve(problem, [0.5]), lambda: solve(np.ones(16))):
             with pytest.raises(NumericalFailureError, match="dtrsyl") as failure:
-                solve()
+                failing()
             estimate = failure.value.condition_estimate
             assert np.isfinite(estimate) and estimate > 1e15
 
@@ -342,7 +360,7 @@ class TestRieszMachinery:
         disc = diffusion_small.discretization
         f = rng.standard_normal(diffusion_small.n_dof)
         rep = riesz_solve(disc, f)
-        np.testing.assert_allclose(disc.x_apply(rep), f, atol=1e-9)
+        np.testing.assert_allclose(disc.x_inner @ rep, f, atol=1e-9)
 
     def test_riesz_counts_columns(self, thermal_small):
         disc = thermal_small.discretization
@@ -355,6 +373,6 @@ class TestRieszMachinery:
         disc = thermal_small.discretization
         v = rng.standard_normal(thermal_small.n_dof)
         w = rng.standard_normal(thermal_small.n_dof)
-        assert abs(v @ disc.x_apply(w) - w @ disc.x_apply(v)) < 1e-10
+        assert abs(v @ (disc.x_inner @ w) - w @ (disc.x_inner @ v)) < 1e-10
         assert x_norm(disc, v) > 0
 
