@@ -396,14 +396,17 @@ def as_csr(a) -> sp.csr_matrix:
 
 
 def condition_estimate(a) -> float:
-    """1-norm condition estimate from a sparse LU of ``a``'s explicit form; nan if it fails."""
+    """1-norm condition estimate from a sparse LU of ``a``'s explicit form.
+
+    inf when the LU finds ``a`` exactly singular, nan if it fails otherwise.
+    """
     a = as_csr(a)
     try:
         lu = spla.splu(a.tocsc())
         op = spla.LinearOperator(a.shape, matvec=lu.solve, rmatvec=partial(lu.solve, trans="T"))
         return float(spla.onenormest(op) * spla.onenormest(a))
-    except Exception:
-        return float("nan")
+    except Exception as exc:
+        return float("inf") if "exactly singular" in str(exc) else float("nan")
 
 
 def evaluate_theta_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:

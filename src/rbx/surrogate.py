@@ -26,6 +26,7 @@ import scipy.linalg
 from .affine import AffineProblem
 from .errors import ConfigurationError, NumericalFailureError
 from .reduced import (
+    DEFAULT_CHUNK,
     GeneratorFactor,
     ReducedModel,
     TrainingSystems,
@@ -140,31 +141,40 @@ def approx_error_coords(
     factor: GeneratorFactor,
     thetas: np.ndarray,
     scales: np.ndarray,
-    weights: np.ndarray,
+    coeffs: np.ndarray,
 ) -> np.ndarray:
     """Coordinates in ``factor.basis`` of the approximate truth errors.
 
-    Row i approximates the error of the reduced solution whose Galerkin
-    residual has the weights ``weights[i]`` (``augmented_weights``) at the
+    Row i approximates the error of the reduced solution ``coeffs[i]`` at the
     parameter of ``thetas[i]``/``scales[i]`` as a blend of the anchor
-    inverses applied to that residual.  The blend weights are the snapshot
-    coefficients of a reduced solve in the span of the anchors' snapshots
-    (the stored upper-triangular change of basis inverted), so the blend is
-    exact at anchor parameters.  The truth vector is ``factor.basis @ row``
-    and its X-norm the row's 2-norm.
+    inverses applied to its Galerkin residual.  The blend weights are the
+    snapshot coefficients of a reduced solve in the span of the anchors'
+    snapshots (the stored upper-triangular change of basis inverted), so the
+    blend is exact at anchor parameters.  The truth vector is
+    ``factor.basis @ row`` and its X-norm the row's 2-norm.
+
+    The rows are blended in blocks of ``DEFAULT_CHUNK`` points straight into
+    the one returned array; a block's residual weights, anchor solves and
+    product buffer are all it allocates, whatever the number of points.
     """
-    w = weights
-    q = factor.coords.shape[0]
-    cq = reduced_solve_batch(model, thetas, scales, q)
-    model.counters.reduced_solves += w.shape[0]
-    beta = scipy.linalg.solve_triangular(model.snapshot_in_basis[:q, :q], cq.T, lower=False).T
-    y = np.zeros((w.shape[0], factor.basis.shape[1]))
-    term = np.empty_like(y)
-    for m in range(q):
-        np.matmul(w, factor.coords[m, :, : w.shape[1]].T, out=term)
-        term *= beta[:, m, None]
-        y += term
-    model.counters.approx_error_evals += w.shape[0]
+    q, b = factor.coords.shape[0], coeffs.shape[0]
+    upper = model.snapshot_in_basis[:q, :q]
+    y = np.zeros((b, factor.basis.shape[1]))
+    for start in range(0, b, DEFAULT_CHUNK):
+        sl = slice(start, start + DEFAULT_CHUNK)
+        w = augmented_weights(thetas[sl], scales[sl], coeffs[sl])
+        cq = reduced_solve_batch(model, thetas[sl], scales[sl], q)
+        beta = scipy.linalg.solve_triangular(upper, cq.T, lower=False).T
+        rows = y[sl]
+        term = np.empty_like(rows)
+        for m in range(q):
+            out = rows if m == 0 else term
+            np.matmul(w, factor.coords[m, :, : w.shape[1]].T, out=out)
+            out *= beta[:, m, None]
+            if m:
+                rows += term
+        model.counters.reduced_solves += len(rows)
+        model.counters.approx_error_evals += len(rows)
     return y
 
 
@@ -176,11 +186,13 @@ def cdm_construct(
     Every training point's approximate error is a short coordinate vector y
     in the X-orthonormal generator basis, so error norms are ||y|| and the
     error Gramian is Y Y^T, positive semidefinite by construction.  Points
-    whose error norm falls below the floor are discarded and the survivors'
-    Gramian is pivoted column by column.  It keeps the squared error norms
+    whose error norm falls below the floor get a zero row and a zero
+    diagonal, so they can never be a pivot, and the Gramian is pivoted
+    column by column on Y where it lies.  It keeps the squared error norms
     on its diagonal, so pivots balance error magnitude against directional
     novelty, which makes the surrogate domains rich in badly-approximated
-    points.
+    points.  Besides Y (b x r_V) the build holds only the pivot factor
+    (budget x b) and ``approx_error_coords``' block temporaries.
 
     The errors are those of the reduced solutions that the latest full
     sweep (``estimate_batch``) left on ``systems.coeffs`` at the model's
@@ -191,8 +203,7 @@ def cdm_construct(
         return np.zeros(0, dtype=int)
     if systems.coeffs is None or systems.coeffs.shape[1] != model.n:
         raise ConfigurationError("cdm_construct needs a full sweep at the current basis size")
-    weights = augmented_weights(systems.thetas, systems.scales, systems.coeffs)
-    y = approx_error_coords(model, factor, systems.thetas, systems.scales, weights)
+    y = approx_error_coords(model, factor, systems.thetas, systems.scales, systems.coeffs)
     norm_sq = np.einsum("br,br->b", y, y)
     norms = np.sqrt(norm_sq)
     bad = np.flatnonzero(~np.isfinite(norms))
@@ -203,10 +214,11 @@ def cdm_construct(
             f"mu = {systems.points[j]}"
         )
     floor = max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * float(norms.max(initial=0.0)))
-    admissible = np.flatnonzero(norms > floor)
-    if admissible.size == 0:
+    below = norms <= floor
+    if below.all():
         return np.zeros(0, dtype=int)
-    ya = y[admissible]
-    pivots, _ = pivoted_cholesky(lambda j: ya @ ya[j], norm_sq[admissible], max_steps=budget)
+    y[below] = 0.0
+    norm_sq[below] = 0.0
+    pivots, _ = pivoted_cholesky(lambda j: y @ y[j], norm_sq, max_steps=budget)
     model.counters.pivoted_cholesky_steps += len(pivots)
-    return admissible[pivots]
+    return pivots

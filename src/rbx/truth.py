@@ -205,8 +205,8 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     ``AffineProblem.symmetric`` (a symmetric problem is SPD, because every
     problem is coercive).  This is the package's only factorization of
     ``A(mu)``; it is counted, and its solve function is returned on the
-    solution.  A failed factorization, or a relative
-    residual ``||A(mu) u - b||`` above ``SOLVE_RTOL``, raises
+    solution.  A failed factorization, or a relative residual
+    ``||A(mu) u - b||`` that is not finite or above ``SOLVE_RTOL``, raises
     ``NumericalFailureError`` carrying a condition estimate of ``A(mu)``.
     """
     mu = problem.box.validate(mu)
@@ -222,7 +222,7 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     b = rhs_scale_batch(problem, mu[None, :])[0] * problem.rhs
     u = apply_operator_inverse(problem, solve, b)
     resid = np.linalg.norm(a @ u - b)
-    if resid > SOLVE_RTOL * max(np.linalg.norm(b), 1e-300):
+    if not resid <= SOLVE_RTOL * max(np.linalg.norm(b), 1e-300):  # a NaN residual fails too
         raise NumericalFailureError(
             f"truth solve residual {resid:.3e} exceeds {SOLVE_RTOL:.1e} * ||b||",
             condition_estimate=condition_estimate(a),

@@ -1,6 +1,7 @@
 """Parameter box, affine containers, coefficient evaluation, sampling."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,31 @@ class TestAffineProblem:
         assert thermal_small.n_terms == 9
         assert thermal_small.dim == 9
         assert thermal_small.n_dof == 42  # 7*7 nodes minus the clamped top row
+
+    def test_condition_estimate_of_a_singular_matrix_is_inf(self):
+        # SuperLU refuses an exactly singular matrix; its condition is inf
+        assert affine.condition_estimate(np.diag([1.0, 0.0])) == np.inf
+        assert affine.condition_estimate(np.diag([1.0, 2.0])) == pytest.approx(2.0)
+
+    def test_failing_dense_truth_solve_reports_inf(self):
+        # LAPACK's LU only warns on an exact zero pivot: with the warning an
+        # error the factorization fails, without it the solution's NaN
+        # residual does, and both report the singular matrix's inf
+        problem = AffineProblem(
+            box=ParameterBox([0.0], [1.0]),
+            theta=lambda mus: np.ones((len(mus), 1)),
+            components=[np.array([[1.0, 1.0], [0.0, 0.0]])],
+            rhs=np.ones(2),
+            output=np.ones(2),
+            discretization=TruthDiscretization(np.eye(2)),
+            coercivity=ConstantBound(1.0),
+        )
+        for action, failed in (("error", "factorization"), ("ignore", "residual")):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                with pytest.raises(NumericalFailureError, match=failed) as failure:
+                    truth_solve(problem, [0.5])
+            assert failure.value.condition_estimate == np.inf
 
 
 class TestKroneckerSum:

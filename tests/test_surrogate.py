@@ -1,5 +1,7 @@
 """Surrogate-domain constructors checked against hand cases and brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,9 @@ import scipy.linalg
 import rbx
 from rbx.affine import evaluate_theta_batch, rhs_scale_batch
 from rbx.errors import ConfigurationError, NumericalFailureError
+from rbx.greedy import CDM_ANCHORS
 from rbx.reduced import (
+    DEFAULT_CHUNK,
     GeneratorFactor,
     TrainingSystems,
     augmented_weights,
@@ -18,6 +22,8 @@ from rbx.reduced import (
 )
 from rbx.surrogate import (
     GENERATOR_RTOL,
+    NORM_FLOOR_ABS,
+    NORM_FLOOR_RTOL,
     approx_error_coords,
     cdm_build_offline,
     cdm_construct,
@@ -242,7 +248,7 @@ def kernel_errors(model, offline, problem, points, n=None):
     """Truth-space approximate errors (columns) through the cdm kernel."""
     thetas, scales, coeffs = batch_inputs(model, problem, points)
     coeffs = coeffs if n is None else reduced_solve_batch(model, thetas, scales, n)
-    y = approx_error_coords(model, offline, thetas, scales, augmented_weights(thetas, scales, coeffs))
+    y = approx_error_coords(model, offline, thetas, scales, coeffs)
     return offline.basis @ y.T
 
 
@@ -358,17 +364,14 @@ class TestCachedInverseOffline:
         # the anchors of a cdm round at basis size 20: the generator rule
         # drops the round-off directions that 1e-12 keeps, and the blend's
         # error norms do not move beyond that round-off
-        from rbx.greedy import CDM_ANCHORS
-
         train = rbx.sample_training_set(thermal_small.box, kind="random", count=300, seed=0)
         model, _ = build_model(thermal_small, train, n_target=20)
         facts = anchor_factorizations(thermal_small, model, CDM_ANCHORS)
         systems = swept(model, thermal_small, train.points)
-        weights = augmented_weights(systems.thetas, systems.scales, systems.coeffs)
 
         def round_at(rtol):
             offline = build_offline(model, thermal_small, facts, rtol)
-            y = approx_error_coords(model, offline, systems.thetas, systems.scales, weights)
+            y = approx_error_coords(model, offline, systems.thetas, systems.scales, systems.coeffs)
             return offline.basis.shape[1], np.linalg.norm(y, axis=1)
 
         rank, norms = round_at(GENERATOR_RTOL)
@@ -448,9 +451,7 @@ class TestCachedInverseConstruct:
     def test_factor_path_matches_explicit_error_block(self, thermal_setup):
         problem, train, model, offline = thermal_setup
         thetas, scales, coeffs = batch_inputs(model, problem, train.points)
-        y = approx_error_coords(
-            model, offline, thetas, scales, augmented_weights(thetas, scales, coeffs)
-        )
+        y = approx_error_coords(model, offline, thetas, scales, coeffs)
         block = explicit_error_block(model, offline, problem, train.points)
         gram = block.T @ dense(problem.discretization.x_inner) @ block
         norms = np.sqrt(np.diag(gram))
@@ -526,3 +527,70 @@ class TestCachedInverseConstruct:
         assert str(info.value) == (
             f"non-finite approximate error norm nan at training index {bad}, mu = {mu}"
         )
+
+
+@pytest.fixture(scope="module")
+def three_blocks():
+    """A cdm round on thermalblock 7 over 9000 random points (three blocks)."""
+    problem = rbx.build_thermal_block(nodes_per_side=7)
+    train = rbx.sample_training_set(problem.box, kind="random", count=9000, seed=5)
+    model, _ = build_model(problem, train, n_target=10)
+    offline = build_offline(model, problem, anchor_factorizations(problem, model, CDM_ANCHORS))
+    return problem, model, offline, swept(model, problem, train.points)
+
+
+def floor_of(norms):
+    return max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * norms.max())
+
+
+class TestBlockwiseConstruct:
+    def test_peak_memory_is_the_blend_and_the_pivot_factor(self, three_blocks):
+        # Y (b x r_V) and the pivot factor (budget x b) per point, and the
+        # weights and product buffer of at most two blocks besides
+        problem, model, offline, systems = three_blocks
+        b, budget = systems.coeffs.shape[0], 20
+        r_v, q = offline.basis.shape[1], offline.coords.shape[0]
+        assert b > 2 * DEFAULT_CHUNK
+        tracemalloc.start()
+        try:
+            picked = cdm_construct(model, offline, systems, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert picked.size == budget
+        blocks = 2 * DEFAULT_CHUNK * (1 + model.n * problem.n_terms + r_v + q)
+        limit = 8 * (b * (r_v + budget) + blocks)
+        assert peak < limit, f"peak {peak / 1e6:.2f} MB, limit {limit / 1e6:.2f} MB"
+
+    def test_picks_are_the_pivots_of_the_admissible_gramian(self, three_blocks):
+        # the blend over the whole set at once, the floor applied by
+        # dropping rows, and the survivors' Gramian pivoted column by column
+        problem, model, offline, systems = three_blocks
+        thetas, scales, coeffs = systems.thetas, systems.scales, systems.coeffs
+        q = offline.coords.shape[0]
+        w = augmented_weights(thetas, scales, coeffs)
+        cq = reduced_solve_batch(model, thetas, scales, q)
+        beta = scipy.linalg.solve_triangular(model.snapshot_in_basis[:q, :q], cq.T).T
+        y = sum(beta[:, m, None] * (w @ offline.coords[m, :, : w.shape[1]].T) for m in range(q))
+        norms = np.linalg.norm(y, axis=1)
+        adm = np.flatnonzero(norms > floor_of(norms))
+        assert adm.size < coeffs.shape[0]
+        ya = y[adm]
+        explicit, _ = pivoted_cholesky(lambda j: ya @ ya[j], norms[adm] ** 2, max_steps=30)
+        picked = cdm_construct(model, offline, systems, budget=30)
+        np.testing.assert_array_equal(picked, adm[explicit])
+
+    def test_snapshot_parameters_are_never_picked(self, thermal_setup):
+        # their errors sit under the floor; a budget above the blend's rank
+        # runs the pivot until only they and round-off remain
+        problem, train, model, offline = thermal_setup
+        systems = swept(model, problem, train.points)
+        norms = np.linalg.norm(
+            approx_error_coords(model, offline, systems.thetas, systems.scales, systems.coeffs),
+            axis=1,
+        )
+        snapshots = np.asarray(model.snapshot_indices)
+        assert np.all(norms[snapshots] <= floor_of(norms))
+        picked = cdm_construct(model, offline, systems, budget=train.n_train)
+        assert 0 < picked.size < train.n_train - snapshots.size
+        assert not set(picked.tolist()) & set(snapshots.tolist())
