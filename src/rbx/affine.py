@@ -1,10 +1,10 @@
 """Affine-parametric problem descriptions.
 
-An :class:`AffineProblem` bundles the parameter box, the coefficient
-functions ``theta_q``, references to the parameter-independent operator
-components ``A_q``, the load/output vectors, and the truth space that owns
-the inner product.  A problem's ``components`` and
-``discretization`` must not be reassigned after construction: its
+An :class:`AffineProblem` bundles the parameter box (``validate_rows`` is
+its one check), the coefficient functions ``theta_q``, references to the
+parameter-independent operator components ``A_q``, the load/output vectors,
+and the truth space that owns the inner product.  A problem's ``components``
+and ``discretization`` must not be reassigned after construction: its
 ``symmetric`` flag and its sparsity ``pattern`` are computed once, on first
 use, from the components it was built with.
 """
@@ -48,19 +48,9 @@ class ParameterBox:
     def dim(self) -> int:
         return self.lower.size
 
-    def validate(self, mu) -> np.ndarray:
-        """Return ``mu`` as a float vector, raising if it is not admissible."""
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (self.dim,):
-            raise InvalidParameterError(
-                f"parameter has shape {mu.shape}, expected ({self.dim},)"
-            )
-        if not (np.all(mu >= self.lower) and np.all(mu <= self.upper)):
-            raise InvalidParameterError(f"parameter {mu} lies outside the box")
-        return mu
-
     def validate_rows(self, mus) -> np.ndarray:
-        """``validate`` for parameter rows, naming the first inadmissible row."""
+        """``mus`` as float rows (b, p), naming the first row outside the box: the
+        box's one check, which takes one ``mu`` as ``np.asarray(mu, dtype=float)[None]``."""
         mus = np.asarray(mus, dtype=float)
         if mus.ndim != 2 or mus.shape[1] != self.dim:
             raise InvalidParameterError(
@@ -409,15 +399,19 @@ def condition_estimate(a) -> float:
         return float("inf") if "exactly singular" in str(exc) else float("nan")
 
 
+def checked_shape(name: str, out, shape: tuple) -> np.ndarray:
+    """The return ``out`` of a problem's callable ``name`` as floats; a shape other
+    than ``shape`` raises ``InvalidParameterError``."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise InvalidParameterError(f"{name} returned shape {out.shape}, expected {shape}")
+    return out
+
+
 def evaluate_theta_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
     """Coefficient rows (b, Q) of the parameter rows ``mus`` (b, p)."""
     mus = np.asarray(mus, dtype=float)
-    out = np.asarray(problem.theta(mus), dtype=float)
-    if out.shape != (mus.shape[0], problem.n_terms):
-        raise InvalidParameterError(
-            f"theta returned shape {out.shape}, expected ({mus.shape[0]}, {problem.n_terms})"
-        )
-    return out
+    return checked_shape("theta", problem.theta(mus), (mus.shape[0], problem.n_terms))
 
 
 def rhs_scale_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
@@ -425,7 +419,7 @@ def rhs_scale_batch(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
     mus = np.asarray(mus, dtype=float)
     if problem.rhs_theta is None:
         return np.ones(mus.shape[0])
-    return np.asarray(problem.rhs_theta(mus), dtype=float)
+    return checked_shape("rhs_theta", problem.rhs_theta(mus), (mus.shape[0],))
 
 
 def sample_training_set(

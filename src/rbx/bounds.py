@@ -2,9 +2,11 @@
 
 Each strategy exposes ``lower_bound_batch(problem, mus)``, one bound per
 parameter row; a single parameter is a batch of one.  Positivity of the
-returned values is part of the contract; strategies raise
-``BoundStrategyError`` where their assumptions fail instead of returning
-garbage.
+returned values is part of the contract, which ``rbx.reduced`` checks where
+the bounds enter (``TrainingSystems.evaluate``, ``error_estimate``): a return
+not of shape (b,) raises ``InvalidParameterError``, a bound <= 0 or +inf
+``NumericalFailureError``.  Strategies raise ``BoundStrategyError`` where
+their assumptions fail instead of returning garbage.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class MinThetaBound:
 
     def _ensure_anchor(self, problem):
         if self._anchor_theta is None:
-            mu = problem.box.validate(self.anchor_mu)
-            theta = evaluate_theta_batch(problem, mu[None, :])[0]
+            mus = problem.box.validate_rows(self.anchor_mu[None])
+            theta = evaluate_theta_batch(problem, mus)[0]
             if np.any(theta <= 0):
                 raise BoundStrategyError("anchor coefficients must be positive")
             self._anchor_theta = theta

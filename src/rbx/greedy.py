@@ -31,11 +31,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .affine import AffineProblem, TrainingSet
-from .errors import BasisRejectionError, ConfigurationError, NumericalFailureError
+from .errors import BasisRejectionError, ConfigurationError
 from .reduced import (
     GeneratorFactor,
     ReducedModel,
     TrainingSystems,
+    check_points,
     error_estimate,
     estimate_batch,
     extend_basis,
@@ -48,6 +49,15 @@ DEFAULT_CDM_BUDGET_GROWTH = 20
 DEFAULT_CDM_K_DAMP = 10
 CDM_ANCHORS = 5
 _METHODS = ("classical", "smm", "cdm")
+
+
+def _integer(value, name: str, at_least_one: bool = False) -> int:
+    """``value`` as an int: a setting's one integer rule (a bool is not an integer)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if at_least_one and value < 1:
+        raise ConfigurationError(f"{name} must be at least 1, got {value}")
+    return int(value)
 
 
 @dataclass
@@ -83,11 +93,7 @@ class GreedyConfig:
         if not self.eps_tol > 0:
             raise ConfigurationError(f"eps_tol must be positive, got {self.eps_tol}")
         for name in ("n_max", "k_damp", "m_growth", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise ConfigurationError(f"{name} must be at least 1, got {value}")
+            _integer(getattr(self, name), name, at_least_one=name != "seed")
 
     def budget(self, ell: int) -> int:
         return self.m_growth * (ell + 1)
@@ -182,13 +188,7 @@ def argmax_sweep(
     if points.shape[0] == 0:
         raise ConfigurationError("cannot sweep an empty domain")
     deltas = estimate_batch(model, problem, points, kind=kind, workers=workers, systems=swept)
-    bad = np.flatnonzero(~np.isfinite(deltas))
-    if bad.size:
-        j = int(bad[0])
-        index = j if domain is None else int(domain[j])
-        raise NumericalFailureError(
-            f"non-finite estimate {deltas[j]} at training index {index}, mu = {points[j]}"
-        )
+    check_points("non-finite estimate", deltas, ~np.isfinite(deltas), points, domain)
     if domain is None:
         return deltas
     field = np.full(systems.points.shape[0], -np.inf)

@@ -21,7 +21,6 @@ into place, so it is either complete or absent.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -32,7 +31,7 @@ import numpy as np
 from . import __version__
 from .affine import AffineProblem, TrainingSet, sample_training_set
 from .errors import ConfigurationError, RbxError, ResourceError
-from .greedy import _METHODS, GreedyConfig, GreedyTrace, run_greedy
+from .greedy import _METHODS, GreedyConfig, GreedyTrace, _integer, run_greedy
 from .reduced import ReducedModel
 from .truth import build_diffusion2d, build_thermal_block
 
@@ -69,19 +68,6 @@ def _object(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
     return dict(value)
-
-
-def _integer(value, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _at_least_one(value, key: str) -> int:
-    value = _integer(value, key)
-    if value < 1:
-        raise ConfigurationError(f"{key} must be at least 1")
-    return value
 
 
 def _fmt(x) -> str:
@@ -170,8 +156,8 @@ class ExperimentConfig:
                 raise ConfigurationError(f"unknown {block_name} keys: {sorted(bad)}")
         greedy_common.setdefault("eps_tol", entry["default_eps_tol"])
 
-        repetitions = _at_least_one(raw.get("repetitions", 1), "repetitions")
-        workers = _at_least_one(raw.get("workers", 1), "workers")
+        repetitions = _integer(raw.get("repetitions", 1), "repetitions", at_least_one=True)
+        workers = _integer(raw.get("workers", 1), "workers", at_least_one=True)
         output_dir = raw.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigurationError(f"output_dir must be a string, got {output_dir!r}")
@@ -363,7 +349,7 @@ def run_experiment(
     error and re-raises; an earlier run's marker is removed first.
     """
     if workers is not None:
-        config.workers = _at_least_one(workers, "workers")
+        config.workers = _integer(workers, "workers", at_least_one=True)
     # a bad problem or training setting fails here, before any output exists
     probe = config.build_problem()
     train = config.build_training(probe.box)

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .affine import AffineProblem, evaluate_theta_batch, rhs_scale_batch
+from .affine import AffineProblem, checked_shape, evaluate_theta_batch, rhs_scale_batch
 from .errors import BasisRejectionError, InvalidParameterError, NumericalFailureError
 from .truth import TruthDiscretization, TruthSolution, riesz_solve
 
@@ -265,15 +265,46 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
 # solves and outputs
 
 
-def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSolution:
-    """Galerkin solve in the leading ``n``-dimensional reduced space, as a batch of one."""
-    mu = model.problem.box.validate(mu)
+def _rows(problem: AffineProblem, mus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameter rows checked against the box, with their coefficients and load scales."""
+    mus = problem.box.validate_rows(mus)
+    return mus, evaluate_theta_batch(problem, mus), rhs_scale_batch(problem, mus)
+
+
+def _truncation(model: ReducedModel, n: Optional[int]) -> int:
+    """The truncation size ``n`` (the whole basis when None), checked against the basis."""
     n = model.n if n is None else int(n)
     if not 0 <= n <= model.n:
         raise ValueError(f"truncation size {n} out of range")
-    mus = mu[None, :]
-    thetas = evaluate_theta_batch(model.problem, mus)
-    scales = rhs_scale_batch(model.problem, mus)
+    return n
+
+
+def check_points(what: str, values, failed, points, indices=None) -> None:
+    """Raise ``NumericalFailureError`` at the first point where ``failed`` holds, naming
+    its value, its training index (``indices[j]`` of row ``j`` when given) and its mu."""
+    bad = np.flatnonzero(failed)
+    if bad.size:
+        j = int(bad[0])
+        i = j if indices is None else int(indices[j])
+        raise NumericalFailureError(f"{what} {values[j]} at training index {i}, mu = {points[j]}")
+
+
+def _coercivity(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
+    """The coercivity bounds (b,) of the checked rows ``mus``."""
+    bound = problem.coercivity.lower_bound_batch(problem, mus)
+    return checked_shape("lower_bound_batch", bound, (mus.shape[0],))
+
+
+def _check_coercivity(alphas: np.ndarray, mus: np.ndarray) -> None:
+    """A bound <= 0 or +inf certifies nothing; NaN is left to the estimate it makes."""
+    check_points("coercivity bound", alphas, (alphas <= 0) | (alphas == np.inf), mus)
+
+
+def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSolution:
+    """Galerkin solve in the leading ``n``-dimensional reduced space, as a batch of one."""
+    mus, thetas, scales = _rows(model.problem, np.asarray(mu, dtype=float)[None])
+    mu = mus[0]
+    n = _truncation(model, n)
     model.counters.reduced_solves += 1
     try:
         coeffs = reduced_solve_batch(model, thetas, scales, n)[0]
@@ -303,9 +334,7 @@ def residual_dual_norm_sq(model: ReducedModel, mu, sol: ReducedSolution) -> floa
 
     ``residual_norm_sq_batch`` on one row.
     """
-    mus = model.problem.box.validate(mu)[None, :]
-    thetas = evaluate_theta_batch(model.problem, mus)
-    scales = rhs_scale_batch(model.problem, mus)
+    _, thetas, scales = _rows(model.problem, np.asarray(mu, dtype=float)[None])
     return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None, :])[0])
 
 
@@ -316,15 +345,17 @@ def error_estimate(
     sol: Optional[ReducedSolution] = None,
     kind: str = "other",
 ) -> float:
-    """Certified error bound sqrt(residual dual norm^2) / coercivity bound."""
+    """Certified bound sqrt(residual dual norm^2) / coercivity bound; the residual checks mu."""
     if sol is None:
         sol = reduced_solve(model, mu)
     rsq = residual_dual_norm_sq(model, mu, sol)
     model.counters.count_estimates(1, kind)
-    alpha = problem.coercivity.lower_bound_batch(problem, problem.box.validate(mu)[None, :])[0]
-    delta = float(np.sqrt(rsq) / alpha)
+    mus = np.asarray(mu, dtype=float)[None]
+    alphas = _coercivity(problem, mus)
+    delta = float(np.sqrt(rsq) / alphas[0])
     if not math.isfinite(delta):
         raise NumericalFailureError(f"non-finite error estimate {delta} at mu = {mu}")
+    _check_coercivity(alphas, mus)
     return delta
 
 
@@ -473,8 +504,8 @@ class TrainingSystems:
     A greedy run evaluates the coefficient functions, load scales and
     coercivity bounds of its training set once, in ``evaluate``, and shares
     them between its full sweeps, surrogate sweeps (``restrict``) and
-    ``cdm_construct``; ``evaluate`` first rejects points outside the
-    problem's box.  On symmetric problems ``evaluate`` with ``keep_factor``
+    ``cdm_construct``; ``evaluate`` rejects points outside the problem's box
+    and coercivity bounds <= 0 or +inf.  On symmetric problems ``evaluate`` with ``keep_factor``
     also keeps a ``CholeskyRows`` factor of every point's reduced matrix,
     which ``estimate_batch`` borders by the rows the basis gained since its
     previous call.  A factor serves the one model it is grown with and holds
@@ -493,15 +524,11 @@ class TrainingSystems:
     def evaluate(
         cls, problem: AffineProblem, points: np.ndarray, keep_factor: bool = False
     ) -> "TrainingSystems":
-        points = problem.box.validate_rows(points)
+        points, thetas, scales = _rows(problem, points)
         factor = CholeskyRows(points.shape[0]) if keep_factor and problem.symmetric else None
-        return cls(
-            points,
-            evaluate_theta_batch(problem, points),
-            rhs_scale_batch(problem, points),
-            problem.coercivity.lower_bound_batch(problem, points),
-            factor,
-        )
+        alphas = _coercivity(problem, points)
+        _check_coercivity(alphas, points)
+        return cls(points, thetas, scales, alphas, factor)
 
     def restrict(self, domain: np.ndarray) -> "TrainingSystems":
         """The data of the points ``domain``, without a factor or solutions."""
@@ -536,9 +563,7 @@ def estimate_batch(
     (OpenBLAS rounds a row of a product differently with the number of rows).
     """
     mus = np.asarray(mus, dtype=float)
-    n = model.n if n is None else int(n)
-    if not 0 <= n <= model.n:
-        raise ValueError(f"truncation size {n} out of range")
+    n = _truncation(model, n)
     b = mus.shape[0]
     if systems is None:
         systems = TrainingSystems.evaluate(problem, mus)
@@ -570,13 +595,7 @@ def estimate_batch(
     else:
         list(map(block, starts))
     if grow:
-        bad = np.flatnonzero(~(pivots > 0))
-        if bad.size:
-            j = int(bad[0])
-            raise NumericalFailureError(
-                f"non-positive or non-finite pivot {pivots[j]} at training index {j}, "
-                f"mu = {systems.points[j]}"
-            )
+        check_points("non-positive or non-finite pivot", pivots, ~(pivots > 0), systems.points)
         factor.rows = n
     model.counters.reduced_solves += b
     model.counters.count_estimates(b, kind)

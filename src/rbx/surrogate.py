@@ -24,13 +24,14 @@ import numpy as np
 import scipy.linalg
 
 from .affine import AffineProblem
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import ConfigurationError
 from .reduced import (
     DEFAULT_CHUNK,
     GeneratorFactor,
     ReducedModel,
     TrainingSystems,
     augmented_weights,
+    check_points,
     reduced_solve_batch,
 )
 from .truth import apply_operator_inverse
@@ -206,13 +207,7 @@ def cdm_construct(
     y = approx_error_coords(model, factor, systems.thetas, systems.scales, systems.coeffs)
     norm_sq = np.einsum("br,br->b", y, y)
     norms = np.sqrt(norm_sq)
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        j = int(bad[0])
-        raise NumericalFailureError(
-            f"non-finite approximate error norm {norms[j]} at training index {j}, "
-            f"mu = {systems.points[j]}"
-        )
+    check_points("non-finite approximate error norm", norms, ~np.isfinite(norms), systems.points)
     floor = max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * float(norms.max(initial=0.0)))
     below = norms <= floor
     if below.all():

@@ -209,8 +209,8 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
     ``||A(mu) u - b||`` that is not finite or above ``SOLVE_RTOL``, raises
     ``NumericalFailureError`` carrying a condition estimate of ``A(mu)``.
     """
-    mu = problem.box.validate(mu)
-    theta = evaluate_theta_batch(problem, mu[None, :])[0]
+    mus = problem.box.validate_rows(np.asarray(mu, dtype=float)[None])
+    theta = evaluate_theta_batch(problem, mus)[0]
     a = problem.assemble(theta)
     try:
         solve = factorize(a, spd=problem.symmetric, pattern=problem.pattern)
@@ -219,7 +219,7 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
             f"factorization of A(mu) failed: {exc}", condition_estimate=condition_estimate(a)
         )
     problem.discretization.counters.truth_factorizations += 1
-    b = rhs_scale_batch(problem, mu[None, :])[0] * problem.rhs
+    b = rhs_scale_batch(problem, mus)[0] * problem.rhs
     u = apply_operator_inverse(problem, solve, b)
     resid = np.linalg.norm(a @ u - b)
     if not resid <= SOLVE_RTOL * max(np.linalg.norm(b), 1e-300):  # a NaN residual fails too
@@ -227,7 +227,7 @@ def truth_solve(problem: AffineProblem, mu) -> TruthSolution:
             f"truth solve residual {resid:.3e} exceeds {SOLVE_RTOL:.1e} * ||b||",
             condition_estimate=condition_estimate(a),
         )
-    return TruthSolution(mu=mu, coefficients=u, solve=solve)
+    return TruthSolution(mu=mus[0], coefficients=u, solve=solve)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def sequential_sum(problem, mu):
     Kronecker sums a dense one."""
     from rbx.affine import evaluate_theta_batch
 
-    theta = evaluate_theta_batch(problem, problem.box.validate(mu)[None, :])[0]
+    theta = evaluate_theta_batch(problem, problem.box.validate_rows(np.asarray(mu)[None]))[0]
     acc = explicit(problem.components[0]) * theta[0]
     for t, a in zip(theta[1:], problem.components[1:]):
         acc = acc + t * explicit(a)

@@ -28,26 +28,39 @@ from test_golden_traces import EXPECTED
 
 
 class TestParameterBox:
+    # a single parameter is checked as a row of one
     def test_dim_and_contains(self):
         box = ParameterBox([0.0, -1.0], [1.0, 2.0])
         assert box.dim == 2
-        box.validate([0.5, 0.0])
-        with pytest.raises(InvalidParameterError):
-            box.validate([1.5, 0.0])
-        with pytest.raises(InvalidParameterError):
-            box.validate([0.5])
+        box.validate_rows(np.asarray([0.5, 0.0])[None])
+        with pytest.raises(InvalidParameterError, match="at row 0 lies outside the box"):
+            box.validate_rows(np.asarray([1.5, 0.0])[None])
+        with pytest.raises(InvalidParameterError, match=r"shape \(1, 1\), expected \(b, 2\)"):
+            box.validate_rows(np.asarray([0.5])[None])
 
     def test_validate_passes_through_interior_point(self):
         box = ParameterBox([0.0], [1.0])
-        mu = box.validate([0.25])
-        assert mu.dtype == float and mu.shape == (1,)
+        mus = box.validate_rows(np.asarray([0.25], dtype=float)[None])
+        assert mus.dtype == float and mus.shape == (1, 1) and mus[0, 0] == 0.25
 
-    def test_validate_rejects_outside_and_wrong_shape(self):
+    def test_validate_rejects_outside_and_wrong_shape(self, thermal_small):
+        from rbx.reduced import ReducedModel, extend_basis, reduced_solve
+
         box = ParameterBox([0.0, 0.0], [1.0, 1.0])
-        with pytest.raises(InvalidParameterError):
-            box.validate([2.0, 0.5])
-        with pytest.raises(InvalidParameterError):
-            box.validate([0.5])
+        for mu in ([2.0, 0.5], [0.5], [[0.5, 0.5]]):
+            with pytest.raises(InvalidParameterError):
+                box.validate_rows(np.asarray(mu, dtype=float)[None])
+        # a (1, p) row is not a single parameter
+        mu = np.full(thermal_small.dim, 2.0)
+        model = ReducedModel(thermal_small)
+        extend_basis(model, truth_solve(thermal_small, mu))
+        for call in (truth_solve, lambda problem, mu: reduced_solve(model, mu)):
+            with pytest.raises(InvalidParameterError, match=r"shape \(1, 1, 9\)"):
+                call(thermal_small, mu[None])
+            with pytest.raises(InvalidParameterError, match="outside the box"):
+                call(thermal_small, np.full(thermal_small.dim, 1e3))
+            with pytest.raises(InvalidParameterError, match=r"expected \(b, 9\)"):
+                call(thermal_small, mu[:-1])
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,6 +219,63 @@ class TestNonFiniteEstimates:
             error_estimate(model, problem, mu)
         with pytest.raises(NumericalFailureError, match="non-finite error estimate nan at mu = "):
             error_estimate(model, problem, mu, sol=sol)
+
+
+class TestProblemCallableReturns:
+    # a callable's return is checked where it enters, so no run certifies on
+    # a bound that certifies nothing, and no sweep dies in numpy broadcasting
+
+    @staticmethod
+    def _train(problem):
+        return rbx.sample_training_set(problem.box, kind="random", count=200, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (-1.0, NumericalFailureError, "coercivity bound -1.0 at training index {}, mu = "),
+            (np.inf, NumericalFailureError, "coercivity bound inf at training index {}, mu = "),
+            ("column", InvalidParameterError, r"lower_bound_batch returned shape \(\d+, 1\)"),
+        ],
+        ids=["negative", "infinite", "column"],
+    )
+    def test_false_coercivity_bound_certifies_nothing(
+        self, thermal_small, bad, error, message, monkeypatch
+    ):
+        from rbx.reduced import error_estimate, extend_basis
+        from rbx.truth import truth_solve
+
+        def lower_bound_batch(problem, mus):
+            if bad == "column":
+                return np.ones((len(mus), 1))
+            values = np.ones(len(mus))
+            values[-1] = bad
+            return values
+
+        train = self._train(thermal_small)
+        model = ReducedModel(thermal_small)
+        extend_basis(model, truth_solve(thermal_small, train.points[0]), 0)
+        strategy = SimpleNamespace(lower_bound_batch=lower_bound_batch)
+        monkeypatch.setattr(thermal_small, "coercivity", strategy)
+        with pytest.raises(error, match=message.format(train.n_train - 1)):
+            run_greedy(thermal_small, train, GreedyConfig(eps_tol=1e-6))
+        with pytest.raises(error, match=message.format(0)):
+            error_estimate(model, thermal_small, train.points[1])
+
+    @pytest.mark.parametrize(
+        "scales",
+        [lambda b: np.ones((b, 1)), lambda b: 1.0, lambda b: np.ones(b + 1)],
+        ids=["column", "scalar", "one-too-many"],
+    )
+    def test_rhs_theta_must_return_one_scale_per_row(self, thermal_small, scales, monkeypatch):
+        from rbx.truth import truth_solve
+
+        monkeypatch.setattr(thermal_small, "rhs_theta", lambda mus: scales(len(mus)))
+        message = r"rhs_theta returned shape .*, expected \(1,\)"
+        with pytest.raises(InvalidParameterError, match=message):
+            truth_solve(thermal_small, np.full(thermal_small.dim, 2.0))
+        with pytest.raises(InvalidParameterError, match=r"expected \(200,\)"):
+            run_greedy(thermal_small, self._train(thermal_small), GreedyConfig(eps_tol=1e-6))
+        assert thermal_small.counters.truth_solves == 0
 
 
 class TestClassicalCounting:

@@ -77,10 +77,14 @@ class TestConfigParsing:
             )
 
     def test_repetitions_and_workers_positive(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_dict(tiny_config_dict(repetitions=0))
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_dict(tiny_config_dict(workers=0))
+        # one integer rule, from the config root and from a greedy block
+        for overrides, key in [
+            ({"repetitions": 0}, "repetitions"),
+            ({"workers": 0}, "workers"),
+            ({"greedy": {"eps_tol": 1.0, "n_max": 0}}, "n_max"),
+        ]:
+            with pytest.raises(ConfigurationError, match=f"{key} must be at least 1, got 0"):
+                ExperimentConfig.from_dict(tiny_config_dict(**overrides))
 
     def test_training_keys_checked(self):
         raw = {"problem": "thermalblock", "training": {"kind": "random", "cuont": 50}}

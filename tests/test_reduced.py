@@ -581,6 +581,29 @@ class TestSinglePointIsBatchOfOne:
             expected[bucket[kind]] += 1
         assert counters.snapshot() == expected
 
+    def test_certified_query_checks_the_box_twice(self, thermal_small, thermal_model, monkeypatch):
+        # reduced_solve and the residual each check mu and evaluate theta; the
+        # coercivity row reuses the residual's check and evaluates theta again
+        from rbx.affine import ParameterBox
+
+        mu = np.full(thermal_small.dim, 2.5)
+        error_estimate(thermal_model, thermal_small, mu)  # the bound's anchor, once
+        calls = {"box": 0, "theta": 0}
+
+        def counted(key, f):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+
+            return wrapper
+
+        for name in [name for name in vars(ParameterBox) if name.startswith("validate")]:
+            monkeypatch.setattr(ParameterBox, name, counted("box", getattr(ParameterBox, name)))
+        monkeypatch.setattr(thermal_small, "theta", counted("theta", thermal_small.theta))
+        sol = reduced_solve(thermal_model, mu)
+        error_estimate(thermal_model, thermal_small, mu, sol=sol)
+        assert calls["box"] <= 2 and calls["theta"] <= 3, calls
+
     def test_singular_system_reports_condition(self, diffusion_small, diffusion_model):
         from rbx.errors import NumericalFailureError
 
