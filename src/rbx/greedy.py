@@ -121,6 +121,7 @@ class OuterLoopRecord:
     ell: int
     e_ell: float  # full-sweep maximum opening the round
     m_budget: int
+    candidates: int  # points that full sweep left above eps_tol
     surrogate_size: int
     n_added_inner: int
 
@@ -188,7 +189,7 @@ def argmax_sweep(
     if points.shape[0] == 0:
         raise ConfigurationError("cannot sweep an empty domain")
     deltas = estimate_batch(model, problem, points, kind=kind, workers=workers, systems=swept)
-    check_points("non-finite estimate", deltas, ~np.isfinite(deltas), points, domain)
+    check_points("non-finite estimate", deltas, ~np.isfinite(deltas), systems.points, domain)
     if domain is None:
         return deltas
     field = np.full(systems.points.shape[0], -np.inf)
@@ -265,21 +266,26 @@ class _Run:
     def surrogate(self, ell: int, e_ell: float, field: np.ndarray) -> list[int]:
         """Surrogate domain of round ``ell`` from its full sweep (``field``,
         maximum ``e_ell``), without already excluded indices, recorded as an
-        ``OuterLoopRecord``.  Classical runs have none: they build, time and
-        record nothing."""
+        ``OuterLoopRecord`` with the number of points the sweep left above
+        ``eps_tol``.  cdm blends and pivots only those points; smm's level
+        ladder starts at the tolerance.  Classical runs have none: they
+        build, time and record nothing."""
         config = self.config
         if config.method == "classical":
             return []
         start = time.perf_counter()
         budget = config.budget(ell)
+        above = field > config.eps_tol
         if config.method == "smm":
             picked = smm_construct(field, config.eps_tol, budget)
         else:
             cdm_build_offline(self.model, self.problem, self.generators, self.anchors)
-            picked = cdm_construct(self.model, self.generators, self.systems, budget)
+            candidates = np.flatnonzero(above)
+            picked = cdm_construct(self.model, self.generators, self.systems, budget, candidates)
         self.surrogate_seconds += time.perf_counter() - start
         pending = [int(i) for i in picked if int(i) not in self.excluded]
-        self.trace.outer_loops.append(OuterLoopRecord(ell, e_ell, budget, len(pending), 0))
+        record = OuterLoopRecord(ell, e_ell, budget, int(above.sum()), len(pending), 0)
+        self.trace.outer_loops.append(record)
         return pending
 
     def extend(self, field: np.ndarray, record: IterationRecord) -> Optional[int]:

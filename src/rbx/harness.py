@@ -310,6 +310,8 @@ def _summarize(
             entry["outer_loops"] = len(tr.outer_loops)
             sars = [rec.sar for rec in tr.outer_loops]
             entry["mean_sar"] = float(np.mean(sars)) if sars else 0.0
+            if method == "cdm":
+                entry["candidates"] = sum(rec.candidates for rec in tr.outer_loops)
             if classical is not None:
                 cl_wall = min(classical.wall_ms_all or [classical.trace.wall_ms_total])
                 my_wall = min(res.wall_ms_all or [tr.wall_ms_total])

@@ -280,13 +280,14 @@ def _truncation(model: ReducedModel, n: Optional[int]) -> int:
 
 
 def check_points(what: str, values, failed, points, indices=None) -> None:
-    """Raise ``NumericalFailureError`` at the first point where ``failed`` holds, naming
-    its value, its training index (``indices[j]`` of row ``j`` when given) and its mu."""
+    """Raise ``NumericalFailureError`` at the first row j where ``failed`` holds, naming
+    its value, its training index i (``indices[j]`` when given, else j) and its mu,
+    ``points[i]`` of the training set ``points``."""
     bad = np.flatnonzero(failed)
     if bad.size:
         j = int(bad[0])
         i = j if indices is None else int(indices[j])
-        raise NumericalFailureError(f"{what} {values[j]} at training index {i}, mu = {points[j]}")
+        raise NumericalFailureError(f"{what} {values[j]} at training index {i}, mu = {points[i]}")
 
 
 def _coercivity(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
@@ -295,9 +296,9 @@ def _coercivity(problem: AffineProblem, mus: np.ndarray) -> np.ndarray:
     return checked_shape("lower_bound_batch", bound, (mus.shape[0],))
 
 
-def _check_coercivity(alphas: np.ndarray, mus: np.ndarray) -> None:
+def _false_coercivity(alphas: np.ndarray) -> np.ndarray:
     """A bound <= 0 or +inf certifies nothing; NaN is left to the estimate it makes."""
-    check_points("coercivity bound", alphas, (alphas <= 0) | (alphas == np.inf), mus)
+    return (alphas <= 0) | (alphas == np.inf)
 
 
 def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSolution:
@@ -355,7 +356,8 @@ def error_estimate(
     delta = float(np.sqrt(rsq) / alphas[0])
     if not math.isfinite(delta):
         raise NumericalFailureError(f"non-finite error estimate {delta} at mu = {mu}")
-    _check_coercivity(alphas, mus)
+    if _false_coercivity(alphas)[0]:
+        raise NumericalFailureError(f"coercivity bound {alphas[0]} at mu = {mus[0]}")
     return delta
 
 
@@ -527,7 +529,7 @@ class TrainingSystems:
         points, thetas, scales = _rows(problem, points)
         factor = CholeskyRows(points.shape[0]) if keep_factor and problem.symmetric else None
         alphas = _coercivity(problem, points)
-        _check_coercivity(alphas, points)
+        check_points("coercivity bound", alphas, _false_coercivity(alphas), points)
         return cls(points, thetas, scales, alphas, factor)
 
     def restrict(self, domain: np.ndarray) -> "TrainingSystems":

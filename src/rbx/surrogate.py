@@ -4,21 +4,23 @@ Two constructors are provided.  The slow-margin constructor picks, for each
 of a ladder of error levels between the tolerance and the current worst
 estimate, the training point whose estimate sits closest above that level.
 The pivoting constructor builds a cheap approximation of the truth error
-vector at every training point out of a few anchor operator inverses, as a
+vector at every candidate point out of a few anchor operator inverses, as a
 short coordinate vector in a ``reduced.GeneratorFactor`` whose solvers are
 those inverses, and runs a pivoted Cholesky factorization of the error
-Gramian so that the pivots enumerate training points whose errors are large
-and mutually independent.
+Gramian so that the pivots enumerate candidates whose errors are large and
+mutually independent.
 
 Both return plain arrays of training-set indices; the greedy driver calls
 one of them once per outer round, on the data of that round's full sweep,
-and drops indices that already entered the basis or were rejected.
+and drops indices that already entered the basis or were rejected.  cdm's
+candidates are the points that sweep left above the tolerance; smm's level
+ladder starts at the tolerance.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -143,12 +145,13 @@ def approx_error_coords(
     thetas: np.ndarray,
     scales: np.ndarray,
     coeffs: np.ndarray,
+    rows: np.ndarray,
 ) -> np.ndarray:
     """Coordinates in ``factor.basis`` of the approximate truth errors.
 
-    Row i approximates the error of the reduced solution ``coeffs[i]`` at the
-    parameter of ``thetas[i]``/``scales[i]`` as a blend of the anchor
-    inverses applied to its Galerkin residual.  The blend weights are the
+    Row k approximates the error of the reduced solution ``coeffs[i]`` at the
+    parameter of ``thetas[i]``/``scales[i]``, with i = ``rows[k]``, as a
+    blend of the anchor inverses applied to its Galerkin residual.  The blend weights are the
     snapshot coefficients of a reduced solve in the span of the anchors'
     snapshots (the stored upper-triangular change of basis inverted), so the
     blend is exact at anchor parameters.  The truth vector is
@@ -158,57 +161,76 @@ def approx_error_coords(
     the one returned array; a block's residual weights, anchor solves and
     product buffer are all it allocates, whatever the number of points.
     """
-    q, b = factor.coords.shape[0], coeffs.shape[0]
+    q = factor.coords.shape[0]
+    b = len(rows)
     upper = model.snapshot_in_basis[:q, :q]
     y = np.zeros((b, factor.basis.shape[1]))
     for start in range(0, b, DEFAULT_CHUNK):
         sl = slice(start, start + DEFAULT_CHUNK)
-        w = augmented_weights(thetas[sl], scales[sl], coeffs[sl])
-        cq = reduced_solve_batch(model, thetas[sl], scales[sl], q)
+        pick = rows[sl]
+        th, sc = thetas[pick], scales[pick]
+        w = augmented_weights(th, sc, coeffs[pick])
+        cq = reduced_solve_batch(model, th, sc, q)
         beta = scipy.linalg.solve_triangular(upper, cq.T, lower=False).T
-        rows = y[sl]
-        term = np.empty_like(rows)
+        block = y[sl]
+        term = np.empty_like(block)
         for m in range(q):
-            out = rows if m == 0 else term
+            out = block if m == 0 else term
             np.matmul(w, factor.coords[m, :, : w.shape[1]].T, out=out)
             out *= beta[:, m, None]
             if m:
-                rows += term
-        model.counters.reduced_solves += len(rows)
-        model.counters.approx_error_evals += len(rows)
+                block += term
+        model.counters.reduced_solves += len(block)
+        model.counters.approx_error_evals += len(block)
     return y
 
 
 def cdm_construct(
-    model: ReducedModel, factor: GeneratorFactor, systems: TrainingSystems, budget: int
+    model: ReducedModel,
+    factor: GeneratorFactor,
+    systems: TrainingSystems,
+    budget: int,
+    candidates: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Pick up to ``budget`` training indices by error-direction pivoting.
+    """Pick up to ``budget`` of the training indices ``candidates`` (every
+    training point when omitted) by error-direction pivoting.
 
-    Every training point's approximate error is a short coordinate vector y
-    in the X-orthonormal generator basis, so error norms are ||y|| and the
-    error Gramian is Y Y^T, positive semidefinite by construction.  Points
-    whose error norm falls below the floor get a zero row and a zero
-    diagonal, so they can never be a pivot, and the Gramian is pivoted
+    The greedy passes the points its latest full sweep left above the
+    tolerance, the ones still to resolve.  Every candidate's approximate
+    error is a short coordinate vector y in the X-orthonormal generator
+    basis, so error norms are ||y|| and the error Gramian is Y Y^T, positive
+    semidefinite by construction.  Candidates whose error norm falls below
+    the floor (relative to the largest candidate norm) get a zero row and a
+    zero diagonal, so they can never be a pivot, and the Gramian is pivoted
     column by column on Y where it lies.  It keeps the squared error norms
     on its diagonal, so pivots balance error magnitude against directional
     novelty, which makes the surrogate domains rich in badly-approximated
-    points.  Besides Y (b x r_V) the build holds only the pivot factor
-    (budget x b) and ``approx_error_coords``' block temporaries.
+    points.  Besides Y (c x r_V for c candidates) the build holds only the
+    pivot factor (budget x c) and ``approx_error_coords``' block temporaries.
 
     The errors are those of the reduced solutions that the latest full
     sweep (``estimate_batch``) left on ``systems.coeffs`` at the model's
     current basis size.  A non-finite error norm raises
-    ``NumericalFailureError`` naming the first such training point.
+    ``NumericalFailureError`` naming the training index of the first such
+    candidate.
     """
     if factor.coords.shape[0] == 0 or budget == 0:
         return np.zeros(0, dtype=int)
     if systems.coeffs is None or systems.coeffs.shape[1] != model.n:
         raise ConfigurationError("cdm_construct needs a full sweep at the current basis size")
-    y = approx_error_coords(model, factor, systems.thetas, systems.scales, systems.coeffs)
+    if candidates is None:
+        candidates = np.arange(systems.points.shape[0])
+    candidates = np.asarray(candidates, dtype=int)
+    if candidates.size == 0:
+        return candidates
+    y = approx_error_coords(
+        model, factor, systems.thetas, systems.scales, systems.coeffs, candidates
+    )
     norm_sq = np.einsum("br,br->b", y, y)
     norms = np.sqrt(norm_sq)
-    check_points("non-finite approximate error norm", norms, ~np.isfinite(norms), systems.points)
-    floor = max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * float(norms.max(initial=0.0)))
+    failed = ~np.isfinite(norms)
+    check_points("non-finite approximate error norm", norms, failed, systems.points, candidates)
+    floor = max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * float(norms.max()))
     below = norms <= floor
     if below.all():
         return np.zeros(0, dtype=int)
@@ -216,4 +238,4 @@ def cdm_construct(
     norm_sq[below] = 0.0
     pivots, _ = pivoted_cholesky(lambda j: y @ y[j], norm_sq, max_steps=budget)
     model.counters.pivoted_cholesky_steps += len(pivots)
-    return pivots
+    return candidates[pivots]

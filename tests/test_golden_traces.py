@@ -60,12 +60,12 @@ EXPECTED = {
         "certified": True,
         "counters": {
             "truth_solves": 454, "truth_factorizations": 29, "riesz_solves": 88,
-            "reduced_solves": 1476, "estimator_evals": 1116, "sweep_evals_global": 420,
-            "sweep_evals_surrogate": 668, "reproduction_checks": 28,
-            "approx_error_evals": 360, "pivoted_cholesky_steps": 163,
+            "reduced_solves": 1342, "estimator_evals": 1086, "sweep_evals_global": 420,
+            "sweep_evals_surrogate": 638, "reproduction_checks": 28,
+            "approx_error_evals": 256, "pivoted_cholesky_steps": 133,
         },
         "outer_loops": [
-            (40, 2, 2), (60, 14, 3), (80, 36, 4), (100, 40, 5), (120, 39, 8), (140, 32, 0),
+            (40, 2, 2), (60, 14, 3), (80, 36, 4), (100, 40, 5), (120, 39, 8), (140, 2, 0),
         ],
     },
     ("thermal", "classical"): {
@@ -107,9 +107,9 @@ EXPECTED = {
         "certified": True,
         "counters": {
             "truth_solves": 1020, "truth_factorizations": 25, "riesz_solves": 226,
-            "reduced_solves": 2030, "estimator_evals": 1280, "sweep_evals_global": 900,
+            "reduced_solves": 1973, "estimator_evals": 1280, "sweep_evals_global": 900,
             "sweep_evals_surrogate": 356, "reproduction_checks": 24,
-            "approx_error_evals": 750, "pivoted_cholesky_steps": 95,
+            "approx_error_evals": 693, "pivoted_cholesky_steps": 95,
         },
         "outer_loops": [(40, 8, 3), (60, 24, 4), (80, 24, 3), (100, 24, 7), (120, 15, 2)],
     },

@@ -230,16 +230,31 @@ class TestProblemCallableReturns:
         return rbx.sample_training_set(problem.box, kind="random", count=200, seed=0)
 
     @pytest.mark.parametrize(
-        "bad, error, message",
+        "bad, error, message, point_message",
         [
-            (-1.0, NumericalFailureError, "coercivity bound -1.0 at training index {}, mu = "),
-            (np.inf, NumericalFailureError, "coercivity bound inf at training index {}, mu = "),
-            ("column", InvalidParameterError, r"lower_bound_batch returned shape \(\d+, 1\)"),
+            (
+                -1.0,
+                NumericalFailureError,
+                "coercivity bound -1.0 at training index {}, mu = ",
+                r"^coercivity bound -1.0 at mu = \[",
+            ),
+            (
+                np.inf,
+                NumericalFailureError,
+                "coercivity bound inf at training index {}, mu = ",
+                r"^coercivity bound inf at mu = \[",
+            ),
+            (
+                "column",
+                InvalidParameterError,
+                r"lower_bound_batch returned shape \(\d+, 1\)",
+                r"lower_bound_batch returned shape \(1, 1\)",
+            ),
         ],
         ids=["negative", "infinite", "column"],
     )
     def test_false_coercivity_bound_certifies_nothing(
-        self, thermal_small, bad, error, message, monkeypatch
+        self, thermal_small, bad, error, message, point_message, monkeypatch
     ):
         from rbx.reduced import error_estimate, extend_basis
         from rbx.truth import truth_solve
@@ -258,7 +273,8 @@ class TestProblemCallableReturns:
         monkeypatch.setattr(thermal_small, "coercivity", strategy)
         with pytest.raises(error, match=message.format(train.n_train - 1)):
             run_greedy(thermal_small, train, GreedyConfig(eps_tol=1e-6))
-        with pytest.raises(error, match=message.format(0)):
+        # an online query is named by its parameter alone
+        with pytest.raises(error, match=point_message):
             error_estimate(model, thermal_small, train.points[1])
 
     @pytest.mark.parametrize(
@@ -625,6 +641,38 @@ class TestEnhancedLoop:
             assert last.chosen_index is None
         assert model.n <= config.n_max
         assert trace.n_final == model.n
+
+    def test_cdm_domains_hold_only_uncertified_points(self, thermal_small, monkeypatch):
+        # cdm pivots only over the points the round's full sweep left above
+        # eps_tol; at this tolerance a pivot over the whole set would put
+        # certified points into the surrogate domains
+        import rbx.greedy as greedy_module
+
+        real = greedy_module.argmax_sweep
+        sweeps = []
+
+        def recording(model, problem, systems, domain=None, **kwargs):
+            field = real(model, problem, systems, domain=domain, **kwargs)
+            sweeps.append((domain, field))
+            return field
+
+        monkeypatch.setattr(greedy_module, "argmax_sweep", recording)
+        train = rbx.sample_training_set(thermal_small.box, kind="random", count=300, seed=0)
+        config = GreedyConfig(eps_tol=1e-1, seed=0, method="cdm")
+        _, trace = run_greedy(thermal_small, train, config)
+        fulls = [field for domain, field in sweeps if domain is None]
+        assert [rec.candidates for rec in trace.outer_loops] == [
+            int(np.count_nonzero(field > config.eps_tol)) for field in fulls[:-1]
+        ]
+        assert trace.outer_loops[-1].candidates < train.n_train // 2
+        domains = 0
+        for domain, field in sweeps:
+            if domain is None:
+                full = field
+                continue
+            domains += 1
+            assert np.all(full[domain] > config.eps_tol), domain
+        assert domains > 0
 
     def test_custom_constructor_hook(self, thermal_small, thermal_train_small, monkeypatch):
         # the driver looks the constructor up in its module, so a patched one

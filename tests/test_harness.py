@@ -246,6 +246,10 @@ class TestRunExperiment:
             assert "speedup_vs_classical" in entry
             assert "mean_sar" in entry and 0.0 <= entry["mean_sar"] <= 1.0
             assert entry["eval_ratio_bound"] > 0
+        # cdm blends one approximate error per candidate per round
+        cdm = summary["methods"]["cdm"]
+        assert cdm["candidates"] == cdm["counters"]["approx_error_evals"]
+        assert "candidates" not in summary["methods"]["smm"]
 
     def test_determinism_modulo_wall_times(self, tmp_path):
         config = ExperimentConfig.from_dict(tiny_config_dict())

@@ -248,7 +248,7 @@ def kernel_errors(model, offline, problem, points, n=None):
     """Truth-space approximate errors (columns) through the cdm kernel."""
     thetas, scales, coeffs = batch_inputs(model, problem, points)
     coeffs = coeffs if n is None else reduced_solve_batch(model, thetas, scales, n)
-    y = approx_error_coords(model, offline, thetas, scales, coeffs)
+    y = approx_error_coords(model, offline, thetas, scales, coeffs, np.arange(coeffs.shape[0]))
     return offline.basis @ y.T
 
 
@@ -371,7 +371,10 @@ class TestCachedInverseOffline:
 
         def round_at(rtol):
             offline = build_offline(model, thermal_small, facts, rtol)
-            y = approx_error_coords(model, offline, systems.thetas, systems.scales, systems.coeffs)
+            rows = np.arange(systems.coeffs.shape[0])
+            y = approx_error_coords(
+                model, offline, systems.thetas, systems.scales, systems.coeffs, rows
+            )
             return offline.basis.shape[1], np.linalg.norm(y, axis=1)
 
         rank, norms = round_at(GENERATOR_RTOL)
@@ -451,7 +454,7 @@ class TestCachedInverseConstruct:
     def test_factor_path_matches_explicit_error_block(self, thermal_setup):
         problem, train, model, offline = thermal_setup
         thetas, scales, coeffs = batch_inputs(model, problem, train.points)
-        y = approx_error_coords(model, offline, thetas, scales, coeffs)
+        y = approx_error_coords(model, offline, thetas, scales, coeffs, np.arange(coeffs.shape[0]))
         block = explicit_error_block(model, offline, problem, train.points)
         gram = block.T @ dense(problem.discretization.x_inner) @ block
         norms = np.sqrt(np.diag(gram))
@@ -543,6 +546,25 @@ def floor_of(norms):
     return max(NORM_FLOOR_ABS, NORM_FLOOR_RTOL * norms.max())
 
 
+def whole_set_blend(model, offline, systems):
+    """Every training point's approximate error coordinates, blended at once."""
+    thetas, scales, coeffs = systems.thetas, systems.scales, systems.coeffs
+    q = offline.coords.shape[0]
+    w = augmented_weights(thetas, scales, coeffs)
+    cq = reduced_solve_batch(model, thetas, scales, q)
+    beta = scipy.linalg.solve_triangular(model.snapshot_in_basis[:q, :q], cq.T).T
+    return sum(beta[:, m, None] * (w @ offline.coords[m, :, : w.shape[1]].T) for m in range(q))
+
+
+def explicit_picks(y, budget):
+    """The floored rows of ``y`` pivoted column by column on their Gramian."""
+    norms = np.linalg.norm(y, axis=1)
+    adm = np.flatnonzero(norms > floor_of(norms))
+    ya = y[adm]
+    explicit, _ = pivoted_cholesky(lambda j: ya @ ya[j], norms[adm] ** 2, max_steps=budget)
+    return adm, adm[explicit]
+
+
 class TestBlockwiseConstruct:
     def test_peak_memory_is_the_blend_and_the_pivot_factor(self, three_blocks):
         # Y (b x r_V) and the pivot factor (budget x b) per point, and the
@@ -566,19 +588,69 @@ class TestBlockwiseConstruct:
         # the blend over the whole set at once, the floor applied by
         # dropping rows, and the survivors' Gramian pivoted column by column
         problem, model, offline, systems = three_blocks
-        thetas, scales, coeffs = systems.thetas, systems.scales, systems.coeffs
-        q = offline.coords.shape[0]
-        w = augmented_weights(thetas, scales, coeffs)
-        cq = reduced_solve_batch(model, thetas, scales, q)
-        beta = scipy.linalg.solve_triangular(model.snapshot_in_basis[:q, :q], cq.T).T
-        y = sum(beta[:, m, None] * (w @ offline.coords[m, :, : w.shape[1]].T) for m in range(q))
-        norms = np.linalg.norm(y, axis=1)
-        adm = np.flatnonzero(norms > floor_of(norms))
-        assert adm.size < coeffs.shape[0]
-        ya = y[adm]
-        explicit, _ = pivoted_cholesky(lambda j: ya @ ya[j], norms[adm] ** 2, max_steps=30)
+        adm, explicit = explicit_picks(whole_set_blend(model, offline, systems), 30)
+        assert adm.size < systems.coeffs.shape[0]
         picked = cdm_construct(model, offline, systems, budget=30)
-        np.testing.assert_array_equal(picked, adm[explicit])
+        np.testing.assert_array_equal(picked, explicit)
+
+    def test_picks_are_the_pivots_of_the_candidates_gramian(self, three_blocks):
+        # the candidates' rows of a whole-set blend, floored among
+        # themselves and pivoted: the construction blends those rows alone,
+        # in two blocks, and maps the pivots back to training indices.  The
+        # candidates are the better-estimated points, so their picks are not
+        # the whole set's
+        problem, model, offline, systems = three_blocks
+        deltas = estimate_batch(model, problem, systems.points, systems=systems)
+        candidates = np.flatnonzero(deltas < np.quantile(deltas, 0.55))
+        assert DEFAULT_CHUNK < candidates.size < systems.coeffs.shape[0]
+        y = whole_set_blend(model, offline, systems)
+        _, explicit = explicit_picks(y[candidates], 30)
+        assert not set(candidates[explicit].tolist()) & set(explicit_picks(y, 30)[1].tolist())
+        picked = cdm_construct(model, offline, systems, budget=30, candidates=candidates)
+        np.testing.assert_array_equal(picked, candidates[explicit])
+
+    def test_picks_are_candidates(self, three_blocks):
+        # every other point is a candidate, so a pivot over the whole set
+        # would all but surely pick some of the others
+        problem, model, offline, systems = three_blocks
+        candidates = np.arange(1, systems.coeffs.shape[0], 2)
+        counters = problem.counters
+        base = counters.approx_error_evals
+        picked = cdm_construct(model, offline, systems, budget=30, candidates=candidates)
+        assert 0 < picked.size <= 30 and np.unique(picked).size == picked.size
+        assert set(picked.tolist()) <= set(candidates.tolist())
+        assert counters.approx_error_evals == base + candidates.size
+
+    def test_no_candidates_pick_nothing(self, thermal_setup):
+        problem, train, model, offline = thermal_setup
+        systems = swept(model, problem, train.points)
+        base = problem.counters.snapshot()
+        none = np.zeros(0, dtype=int)
+        assert cdm_construct(model, offline, systems, budget=8, candidates=none).size == 0
+        assert problem.counters.snapshot() == base
+
+    def test_non_finite_error_norm_names_the_candidates_training_index(
+        self, thermal_setup, monkeypatch
+    ):
+        from rbx import surrogate
+
+        problem, train, model, offline = thermal_setup
+        systems = swept(model, problem, train.points)
+        candidates = np.arange(1, train.n_train, 2)
+        real = surrogate.approx_error_coords
+
+        def poisoned(*args, **kwargs):
+            y = real(*args, **kwargs)
+            y[3] = np.nan
+            return y
+
+        monkeypatch.setattr(surrogate, "approx_error_coords", poisoned)
+        mu = np.array2string(train.points[candidates[3]])
+        with pytest.raises(NumericalFailureError) as info:
+            cdm_construct(model, offline, systems, budget=4, candidates=candidates)
+        assert str(info.value) == (
+            f"non-finite approximate error norm nan at training index {candidates[3]}, mu = {mu}"
+        )
 
     def test_snapshot_parameters_are_never_picked(self, thermal_setup):
         # their errors sit under the floor; a budget above the blend's rank
@@ -586,7 +658,14 @@ class TestBlockwiseConstruct:
         problem, train, model, offline = thermal_setup
         systems = swept(model, problem, train.points)
         norms = np.linalg.norm(
-            approx_error_coords(model, offline, systems.thetas, systems.scales, systems.coeffs),
+            approx_error_coords(
+                model,
+                offline,
+                systems.thetas,
+                systems.scales,
+                systems.coeffs,
+                np.arange(train.n_train),
+            ),
             axis=1,
         )
         snapshots = np.asarray(model.snapshot_indices)
