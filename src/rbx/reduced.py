@@ -13,8 +13,10 @@ All arithmetic is float64.  The sweep kernels run on fixed blocks of
 ``DEFAULT_CHUNK`` points, and single-point calls are a batch of one through
 them.  Within a block, ``reduced_solve_batch`` assembles and solves the
 reduced systems in tiles of ``SOLVE_TILE`` points, so a block never stores
-all its reduced matrices at once.  The full sweeps of a greedy run on a
-symmetric problem instead back-substitute through per-point Cholesky
+all its reduced matrices at once, and ``residual_norm_sq_batch`` forms the
+residual weights, coordinates and norms in tiles of ``SWEEP_TILE`` points,
+so a block holds no block-sized temporary.  The full sweeps of a greedy run
+on a symmetric problem instead back-substitute through per-point Cholesky
 factors that ``TrainingSystems`` grows with the basis; both agree to 1e-12
 of the empty-basis estimate.  A single-point solve or estimate that comes
 out non-finite raises ``NumericalFailureError`` naming the parameter.
@@ -41,6 +43,10 @@ DEFAULT_CHUNK = 4096
 # points per assembled-and-solved tile of reduced systems: at N = 67 one
 # tile's matrices take 2.3 MB, a 4096-point block's 147 MB
 SOLVE_TILE = 64
+# points per tile of a row-wise sweep kernel (residual norms, cdm's blend): at
+# N = 80, Q = 9 a tile's weights and residual coordinates take 5.8 MB, a
+# 4096-point block's 46 MB; a few hundred rows keep the GEMM at full speed
+SWEEP_TILE = 512
 
 
 @dataclass
@@ -404,9 +410,25 @@ def augmented_weights(thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray
 def residual_norm_sq_batch(
     model: ReducedModel, thetas: np.ndarray, scales: np.ndarray, coeffs: np.ndarray
 ) -> np.ndarray:
-    w = augmented_weights(thetas, scales, coeffs)
-    z = w @ model.residual.coords[0, :, : w.shape[1]].T
-    return np.einsum("ij,ij->i", z, z)
+    """Squared residual dual norms (b,) of the reduced solutions ``coeffs``
+    (rows: points, n columns) at the coefficients ``thetas`` and load scales
+    ``scales`` of their points.
+
+    Entry i is ||R w_i||^2, with w_i the augmented weights of point i and R the
+    first 1 + n Q columns of the residual coordinates.  Tiles of
+    ``SWEEP_TILE`` points form their weights, coordinates and norms in turn
+    and write their slice of the output, so the (b,) output is the only
+    array whose size follows b.
+    """
+    b, n = coeffs.shape
+    coords = model.residual.coords[0, :, : 1 + n * thetas.shape[1]]
+    out = np.empty(b)
+    for start in range(0, b, SWEEP_TILE):
+        sl = slice(start, start + SWEEP_TILE)
+        z = augmented_weights(thetas[sl], scales[sl], coeffs[sl]) @ coords.T
+        out[sl] = np.einsum("ij,ij->i", z, z)
+        del z  # else it outlives the next tile's weights
+    return out
 
 
 class CholeskyRows:

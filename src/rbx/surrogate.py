@@ -28,7 +28,7 @@ import scipy.linalg
 from .affine import AffineProblem
 from .errors import ConfigurationError
 from .reduced import (
-    DEFAULT_CHUNK,
+    SWEEP_TILE,
     GeneratorFactor,
     ReducedModel,
     TrainingSystems,
@@ -157,16 +157,16 @@ def approx_error_coords(
     blend is exact at anchor parameters.  The truth vector is
     ``factor.basis @ row`` and its X-norm the row's 2-norm.
 
-    The rows are blended in blocks of ``DEFAULT_CHUNK`` points straight into
-    the one returned array; a block's residual weights, anchor solves and
-    product buffer are all it allocates, whatever the number of points.
+    The rows are blended in tiles of ``SWEEP_TILE`` points straight into the
+    one returned array; a tile's residual weights, anchor solves and product
+    buffer are all it allocates, whatever the number of points.
     """
     q = factor.coords.shape[0]
     b = len(rows)
     upper = model.snapshot_in_basis[:q, :q]
     y = np.zeros((b, factor.basis.shape[1]))
-    for start in range(0, b, DEFAULT_CHUNK):
-        sl = slice(start, start + DEFAULT_CHUNK)
+    for start in range(0, b, SWEEP_TILE):
+        sl = slice(start, start + SWEEP_TILE)
         pick = rows[sl]
         th, sc = thetas[pick], scales[pick]
         w = augmented_weights(th, sc, coeffs[pick])
@@ -206,7 +206,7 @@ def cdm_construct(
     on its diagonal, so pivots balance error magnitude against directional
     novelty, which makes the surrogate domains rich in badly-approximated
     points.  Besides Y (c x r_V for c candidates) the build holds only the
-    pivot factor (budget x c) and ``approx_error_coords``' block temporaries.
+    pivot factor (budget x c) and ``approx_error_coords``' tile temporaries.
 
     The errors are those of the reduced solutions that the latest full
     sweep (``estimate_batch``) left on ``systems.coeffs`` at the model's

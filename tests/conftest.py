@@ -8,6 +8,12 @@ every consumer treats their contents as read-only.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,3 +163,23 @@ def build_model(problem, train, n_target, seed=0):
     config = rbx.GreedyConfig(eps_tol=1e-300, n_max=n_target, seed=seed)
     model, trace = rbx.run_greedy(problem, train, config)
     return model, trace
+
+
+def call_in_subprocess(module: str, function: str, blas_threads: int):
+    """The JSON-encoded result of ``module.function()``, called in a fresh
+    interpreter whose BLAS runs ``blas_threads`` threads; ``module`` is a
+    test module."""
+    paths = [str(Path(rbx.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    script = f"import json, {module}; print(json.dumps({module}.{function}()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    return json.loads(proc.stdout)

@@ -1,11 +1,6 @@
 """Greedy driver: selection, counting identities, determinism, skip policy."""
 
-import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +21,8 @@ from rbx.greedy import (
     _argmax_excluding,
 )
 from rbx.reduced import ReducedModel, TrainingSystems
+
+from conftest import call_in_subprocess
 
 
 def _systems(problem, train):
@@ -535,23 +532,6 @@ def _cdm_grid_indices(**settings):
     return model.snapshot_indices
 
 
-def _cdm_grid_indices_in_subprocess(blas_threads: int):
-    paths = [str(Path(rbx.__file__).resolve().parents[1]), str(Path(__file__).resolve().parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(blas_threads)
-    script = "import json, test_greedy; print(json.dumps(test_greedy._cdm_grid_indices()))"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=300,
-    )
-    return json.loads(proc.stdout)
-
-
 class TestCdmGridRun:
     def test_error_gramian_stays_positive_semidefinite(self):
         with warnings.catch_warnings():
@@ -564,8 +544,9 @@ class TestCdmGridRun:
         from rbx import reduced
 
         reference = _cdm_grid_indices()
-        one_thread = _cdm_grid_indices_in_subprocess(blas_threads=1)
-        assert _cdm_grid_indices_in_subprocess(blas_threads=2) == one_thread == reference
+        one_thread = call_in_subprocess("test_greedy", "_cdm_grid_indices", blas_threads=1)
+        two_threads = call_in_subprocess("test_greedy", "_cdm_grid_indices", blas_threads=2)
+        assert two_threads == one_thread == reference
         # small blocks, so that two workers share every sweep
         monkeypatch.setattr(reduced, "DEFAULT_CHUNK", 64)
         assert _cdm_grid_indices(workers=2) == _cdm_grid_indices(workers=1)

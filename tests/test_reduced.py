@@ -1,6 +1,7 @@
 """Reduced model algebra checked against explicit truth-space computations."""
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -29,7 +30,12 @@ from rbx.reduced import (
 )
 from rbx.truth import truth_solve, x_norm
 
-from conftest import build_model, direct_residual_dual_norm_sq, sequential_sum
+from conftest import (
+    build_model,
+    call_in_subprocess,
+    direct_residual_dual_norm_sq,
+    sequential_sum,
+)
 
 
 @pytest.fixture
@@ -330,6 +336,34 @@ class TestErrorEstimate:
         assert after["estimator_evals"] == base["estimator_evals"] + 1
 
 
+def _tile_boundary_sweeps(workers):
+    """Full sweeps of thermalblock 7 over 2 x 4096 + 700 points with a grown
+    Cholesky factor, bordered at basis sizes 3 and 5.  The last block ends in
+    a partial residual tile (700 = 512 + 188).  Returns, per worker count, the
+    (estimates, reduced solutions) of each sweep, and the systems."""
+    problem = rbx.build_thermal_block(nodes_per_side=7)
+    train = rbx.sample_training_set(problem.box, kind="random", count=150, seed=3)
+    model, _ = build_model(problem, train, n_target=3)
+    rng = np.random.default_rng(18)
+    mus = 0.1 + rng.random((2 * 4096 + 700, problem.dim)) * 9.9
+    runs = {w: TrainingSystems.evaluate(problem, mus, keep_factor=True) for w in workers}
+    sweeps = {w: [] for w in workers}
+    for border in range(2):
+        if border:
+            for j in (0, 1):
+                extend_basis(model, truth_solve(problem, mus[j]), j)
+        for w, systems in runs.items():
+            deltas = estimate_batch(model, problem, mus, workers=w, systems=systems)
+            sweeps[w].append((deltas, systems.coeffs))
+    return sweeps, runs
+
+
+def _tile_boundary_digests():
+    """SHA-256 of each serial sweep's estimates and reduced solutions."""
+    sweeps, _ = _tile_boundary_sweeps(workers=(1,))
+    return [hashlib.sha256(d.tobytes() + c.tobytes()).hexdigest() for d, c in sweeps[1]]
+
+
 class TestBatchedSweeps:
     def test_batch_matches_pointwise(self, diffusion_small, diffusion_model, monkeypatch):
         monkeypatch.setattr(reduced, "DEFAULT_CHUNK", 7)
@@ -353,26 +387,22 @@ class TestBatchedSweeps:
         threaded = estimate_batch(diffusion_model, diffusion_small, mus, workers=2)
         np.testing.assert_array_equal(threaded, serial)
 
-    def test_grown_factor_threaded_matches_serial(self, thermal_small, thermal_train_small):
-        # the default blocks: three of them, over two successive borders
-        model, _ = build_model(thermal_small, thermal_train_small, n_target=3)
-        rng = np.random.default_rng(18)
-        mus = 0.1 + rng.random((2 * 4096 + 100, 9)) * 9.9
-        runs = {w: TrainingSystems.evaluate(thermal_small, mus, keep_factor=True) for w in (1, 2)}
-        for border in range(2):
-            if border:
-                for j in (0, 1):
-                    extend_basis(model, truth_solve(thermal_small, mus[j]), j)
-            deltas = {
-                w: estimate_batch(model, thermal_small, mus, workers=w, systems=systems)
-                for w, systems in runs.items()
-            }
-            np.testing.assert_array_equal(deltas[2], deltas[1])
-            one, two = runs[1], runs[2]
-            np.testing.assert_array_equal(two.coeffs, one.coeffs)
-            assert one.factor.rows == two.factor.rows == model.n
-            for k in range(model.n):
-                np.testing.assert_array_equal(two.factor._rows[k], one.factor._rows[k])
+    def test_grown_factor_threaded_matches_serial(self):
+        # the default blocks: three of them, the last ending in a partial
+        # residual tile, over two successive borders
+        sweeps, runs = _tile_boundary_sweeps(workers=(1, 2))
+        for (deltas_1, coeffs_1), (deltas_2, coeffs_2) in zip(sweeps[1], sweeps[2]):
+            np.testing.assert_array_equal(deltas_2, deltas_1)
+            np.testing.assert_array_equal(coeffs_2, coeffs_1)
+        one, two = runs[1].factor, runs[2].factor
+        assert one.rows == two.rows == 5
+        for k in range(one.rows):
+            np.testing.assert_array_equal(two._rows[k], one._rows[k])
+
+    def test_grown_factor_sweeps_do_not_move_with_blas_threads(self):
+        one_thread = call_in_subprocess("test_reduced", "_tile_boundary_digests", blas_threads=1)
+        two_threads = call_in_subprocess("test_reduced", "_tile_boundary_digests", blas_threads=2)
+        assert two_threads == one_thread == _tile_boundary_digests()
 
     def test_factor_does_not_depend_on_the_border_schedule(self, thermal_small, monkeypatch):
         # cdm borders all rows a round added in one call, classical one row
@@ -519,6 +549,86 @@ class TestTiledReducedSolve:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * b * n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestTiledResidual:
+    """``residual_norm_sq_batch`` forms weights, coordinates and norms
+    ``SWEEP_TILE`` points at a time."""
+
+    @staticmethod
+    def stored_residual(n, q, r, seed):
+        # coordinates of two basis vectors more than the sweep uses, so that
+        # the truncated coordinates are a strided view, as below the basis size
+        rng = np.random.default_rng(seed)
+        coords = rng.standard_normal((1, r, 1 + (n + 2) * q))
+        return SimpleNamespace(residual=SimpleNamespace(coords=coords)), rng
+
+    def test_block_of_norms_stores_no_block_of_coordinates(self):
+        # tb-classical's sizes: a 4096-point block's weights (d = 1 + N Q =
+        # 604 columns) and residual coordinates (r = 342) take 31 MB at once
+        b, n, q, r = 4096, 67, 9, 342
+        model, rng = self.stored_residual(n, q, r, seed=4)
+        thetas, scales, coeffs = rng.random((b, q)), rng.random(b), rng.standard_normal((b, n))
+        tracemalloc.start()
+        try:
+            residual_norm_sq_batch(model, thetas, scales, coeffs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        limit = 0.25 * 8 * b * (1 + n * q + r)
+        assert peak < limit, f"peak {peak / 1e6:.2f} MB, limit {limit / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("b", [1, 511, 512, 513, 4097])
+    def test_tiles_match_the_one_shot_product(self, b):
+        # OpenBLAS may round a row by the product's row count, so a tolerance
+        n, q, r = 12, 9, 40
+        model, rng = self.stored_residual(n, q, r, seed=b)
+        thetas, scales, coeffs = rng.random((b, q)), rng.random(b), rng.standard_normal((b, n))
+        got = residual_norm_sq_batch(model, thetas, scales, coeffs)
+        w = augmented_weights(thetas, scales, coeffs)
+        assert w.shape[1] < model.residual.coords.shape[2]
+        z = w @ model.residual.coords[0, :, : w.shape[1]].T
+        assert got.shape == (b,)
+        np.testing.assert_allclose(got, np.einsum("ij,ij->i", z, z), rtol=1e-12)
+
+    @pytest.mark.parametrize("problem_name", ["thermal", "diffusion"])
+    def test_sweeps_stay_within_the_readme_memory_model(self, problem_name):
+        # README's values per training point at basis size N, plus the block
+        # temporaries of the solves and one residual tile.  The thermal block
+        # borders its factor one row per sweep, as classical does; the
+        # factor's rows are memory maps, which tracemalloc does not see, so
+        # their bytes are added to the traced peak
+        if problem_name == "thermal":
+            problem = rbx.build_thermal_block(nodes_per_side=7)
+            train = rbx.sample_training_set(problem.box, kind="random", count=150, seed=3)
+        else:
+            problem = rbx.build_diffusion2d(n_x=10)
+            train = rbx.sample_training_set(problem.box, kind="grid", n_per_dim=6)
+        model, _ = build_model(problem, train, n_target=12)
+        b = 2 * reduced.DEFAULT_CHUNK + 700
+        rng = np.random.default_rng(21)
+        lo, hi = problem.box.lower, problem.box.upper
+        mus = lo + rng.random((b, problem.dim)) * (hi - lo)
+        n, p, q, r = model.n, problem.dim, problem.n_terms, model.residual.basis.shape[1]
+        tracemalloc.start()
+        try:
+            systems = TrainingSystems.evaluate(problem, mus, keep_factor=True)
+            for size in range(1, n + 1) if problem.symmetric else [n]:
+                estimate_batch(model, problem, mus, n=size, systems=systems)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_point = n + p + q + 4
+        if problem.symmetric:
+            factor = systems.factor
+            peak += sum(row.nbytes for row in factor._rows)
+            per_point += n * (n + 3) // 2
+            block = reduced.DEFAULT_CHUNK * (3 * n + q + 3)
+        else:
+            block = reduced.DEFAULT_CHUNK * n + reduced.SOLVE_TILE * n * n
+        tile = reduced.SWEEP_TILE * (1 + n * q + r)
+        limit = 8 * (b * per_point + block + tile)
+        assert peak < limit, f"peak {peak / 1e6:.2f} MB, limit {limit / 1e6:.2f} MB"
 
 
 class TestSinglePointIsBatchOfOne:

@@ -12,6 +12,7 @@ from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.greedy import CDM_ANCHORS
 from rbx.reduced import (
     DEFAULT_CHUNK,
+    SWEEP_TILE,
     GeneratorFactor,
     TrainingSystems,
     augmented_weights,
@@ -568,7 +569,7 @@ def explicit_picks(y, budget):
 class TestBlockwiseConstruct:
     def test_peak_memory_is_the_blend_and_the_pivot_factor(self, three_blocks):
         # Y (b x r_V) and the pivot factor (budget x b) per point, and the
-        # weights and product buffer of at most two blocks besides
+        # weights and product buffer of at most two blend tiles besides
         problem, model, offline, systems = three_blocks
         b, budget = systems.coeffs.shape[0], 20
         r_v, q = offline.basis.shape[1], offline.coords.shape[0]
@@ -580,8 +581,8 @@ class TestBlockwiseConstruct:
         finally:
             tracemalloc.stop()
         assert picked.size == budget
-        blocks = 2 * DEFAULT_CHUNK * (1 + model.n * problem.n_terms + r_v + q)
-        limit = 8 * (b * (r_v + budget) + blocks)
+        tiles = 2 * SWEEP_TILE * (1 + model.n * problem.n_terms + r_v + q)
+        limit = 8 * (b * (r_v + budget) + tiles)
         assert peak < limit, f"peak {peak / 1e6:.2f} MB, limit {limit / 1e6:.2f} MB"
 
     def test_picks_are_the_pivots_of_the_admissible_gramian(self, three_blocks):
@@ -596,7 +597,7 @@ class TestBlockwiseConstruct:
     def test_picks_are_the_pivots_of_the_candidates_gramian(self, three_blocks):
         # the candidates' rows of a whole-set blend, floored among
         # themselves and pivoted: the construction blends those rows alone,
-        # in two blocks, and maps the pivots back to training indices.  The
+        # tile by tile, and maps the pivots back to training indices.  The
         # candidates are the better-estimated points, so their picks are not
         # the whole set's
         problem, model, offline, systems = three_blocks
