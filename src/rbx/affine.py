@@ -338,7 +338,8 @@ class SparsePattern:
     ``values`` (Q, nnz) holds each matrix's entries on the union's canonical
     CSR ``indptr``/``indices``, so ``assemble(c)`` forms ``sum_q c_q M_q``
     as one product, with no sparse additions.  ``band`` lays the pattern
-    out for LAPACK's banded Cholesky (see ``rbx.truth.factorize``).
+    out for LAPACK's banded Cholesky, and ``cholesky`` factorizes an SPD
+    matrix on the pattern in that layout.
     """
 
     def __init__(self, matrices):
@@ -378,6 +379,56 @@ class SparsePattern:
         bandwidth = int((rows - cols)[lower].max(initial=0))
         slots = cols[lower] * (bandwidth + 1) + (rows - cols)[lower]
         return order, bandwidth, lower, slots
+
+    def cholesky(self, matrix) -> Callable:
+        """Solve function of ``dpbtrf``'s factor of ``matrix``, an SPD CSR on the pattern.
+
+        A matrix that is not positive definite raises ``NumericalFailureError``
+        with a condition estimate.
+        """
+        order, bandwidth, lower, slots = self.band
+        n = self.n
+        ab = np.zeros(n * (bandwidth + 1))
+        ab[slots] = matrix.data[lower]
+        factor, info = sla.lapack.dpbtrf(ab.reshape(n, bandwidth + 1).T, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise NumericalFailureError(
+                f"matrix is not SPD: banded Cholesky failed at pivot {info}",
+                condition_estimate=condition_estimate(matrix),
+            )
+
+        def solve(b):
+            b = np.asarray(b, dtype=float)
+            x, _ = sla.lapack.dpbtrs(factor, b.reshape(n, -1)[order], lower=1, overwrite_b=1)
+            out = np.empty_like(x)
+            out[order] = x
+            return out.reshape(b.shape)
+
+        return solve
+
+
+def factorize(a, spd: bool = False, pattern: Optional[SparsePattern] = None) -> Callable:
+    """Solve function of ``a`` (``solve(b)``, b (n,) or (n, k)); the one place that picks a route.
+
+    A structured operator (``KroneckerSum``, ``SeparableInnerProduct``)
+    factorizes itself, whatever ``spd``.  Any other ``a`` is taken as a
+    sparse matrix (a dense array becomes a CSR copy).  An SPD one gets
+    ``SparsePattern.cholesky``: pass ``pattern`` when ``a`` was assembled on
+    it, so that its order and band layout are reused; otherwise it is built
+    from ``a``.  Others get SuperLU.  A Cholesky factorization of a matrix
+    that is not SPD raises ``NumericalFailureError`` with a condition
+    estimate.
+    """
+    if hasattr(a, "factorize"):
+        return a.factorize()
+    if not sp.issparse(a):
+        a = sp.csr_matrix(a)
+    if not spd:
+        return spla.splu(a.tocsc()).solve
+    if pattern is None:
+        pattern = SparsePattern([a])
+        a = pattern.assemble(np.ones(1))
+    return pattern.cholesky(a)
 
 
 def as_csr(a) -> sp.csr_matrix:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .affine import as_csr, evaluate_theta_batch
-from .errors import BoundStrategyError
+from .affine import as_csr, evaluate_theta_batch, factorize
+from .errors import BoundStrategyError, NumericalFailureError
 
 # relative distance of the certified anchor bound below the eigenvalue estimate
 _ANCHOR_MARGIN = 1e-8
@@ -33,10 +33,9 @@ def _certified_anchor_alpha(a, m) -> float:
     Shift-invert Lanczos about zero, from a fixed start vector so that
     repeated calls agree bit for bit, estimates the eigenvalue closest to
     zero.  The bound sits ``_ANCHOR_MARGIN`` below it and is accepted only
-    when an LU of ``a - alpha m`` that pivots on the diagonal alone keeps a
-    symmetric permutation and has positive pivots: it is then an L D L^T
-    factorization, and by Sylvester's law of inertia ``a - alpha m`` is
-    positive definite.
+    when ``a - alpha m`` has a Cholesky factor (``factorize(..., spd=True)``):
+    ``a - alpha m`` is then positive definite, so every eigenvalue exceeds
+    ``alpha``.
     """
     a = _symmetric_csc(a)
     m = _symmetric_csc(m)
@@ -53,21 +52,12 @@ def _certified_anchor_alpha(a, m) -> float:
         )
     alpha = (1.0 - _ANCHOR_MARGIN) * float(estimate)
     try:
-        lu = spla.splu(
-            (a - alpha * m).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError:  # exactly singular
-        certified = False
-    else:
-        certified = np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0)
-    if not certified:
+        factorize(a - alpha * m, spd=True)
+    except NumericalFailureError:
         raise BoundStrategyError(
-            f"anchor bound (1 - {_ANCHOR_MARGIN:g}) * {estimate:.6e} failed the inertia "
+            f"anchor bound (1 - {_ANCHOR_MARGIN:g}) * {estimate:.6e} failed the Cholesky "
             f"check, so the estimate is not the smallest eigenvalue; {hint}"
-        )
+        ) from None
     return alpha
 
 
@@ -91,8 +81,8 @@ class MinThetaBound:
     The anchor constant alpha_anchor is computed once on first use, unless
     ``anchor_alpha`` gives it: a sparse shift-invert estimate of the smallest
     generalized eigenvalue of the anchor operator against the inner-product
-    matrix, lowered by a relative margin of 1e-8 and certified by an inertia
-    check (see ``_certified_anchor_alpha``).  Time and memory scale with
+    matrix, lowered by a relative margin of 1e-8 and certified by a Cholesky
+    factorization (see ``_certified_anchor_alpha``).  Time and memory scale with
     sparse factorizations of the truth operator, never with n_dof**2 dense
     storage.  A failed estimate or check raises ``BoundStrategyError``; there
     is no dense fallback.

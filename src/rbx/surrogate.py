@@ -20,10 +20,9 @@ ladder starts at the tolerance.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .affine import AffineProblem
 from .errors import ConfigurationError
@@ -171,7 +170,7 @@ def approx_error_coords(
         th, sc = thetas[pick], scales[pick]
         w = augmented_weights(th, sc, coeffs[pick])
         cq = reduced_solve_batch(model, th, sc, q)
-        beta = scipy.linalg.solve_triangular(upper, cq.T, lower=False).T
+        beta = np.linalg.solve(upper, cq.T).T
         block = y[sl]
         term = np.empty_like(block)
         for m in range(q):
@@ -190,10 +189,10 @@ def cdm_construct(
     factor: GeneratorFactor,
     systems: TrainingSystems,
     budget: int,
-    candidates: Optional[np.ndarray] = None,
+    candidates: np.ndarray,
 ) -> np.ndarray:
-    """Pick up to ``budget`` of the training indices ``candidates`` (every
-    training point when omitted) by error-direction pivoting.
+    """Pick up to ``budget`` of the training indices ``candidates`` by
+    error-direction pivoting.
 
     The greedy passes the points its latest full sweep left above the
     tolerance, the ones still to resolve.  Every candidate's approximate
@@ -218,8 +217,6 @@ def cdm_construct(
         return np.zeros(0, dtype=int)
     if systems.coeffs is None or systems.coeffs.shape[1] != model.n:
         raise ConfigurationError("cdm_construct needs a full sweep at the current basis size")
-    if candidates is None:
-        candidates = np.arange(systems.points.shape[0])
     candidates = np.asarray(candidates, dtype=int)
     if candidates.size == 0:
         return candidates

@@ -11,23 +11,20 @@ Dirichlet data on the top edge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .affine import (
     AffineProblem,
     KroneckerSum,
     ParameterBox,
     SeparableInnerProduct,
-    SparsePattern,
     condition_estimate,
     evaluate_theta_batch,
+    factorize,
     rhs_scale_batch,
 )
 from .bounds import ConstantBound, MinThetaBound
@@ -82,62 +79,6 @@ def clenshaw_curtis_weights(n: int) -> np.ndarray:
             v -= 2.0 * np.cos(2.0 * k * theta[ii]) / (4.0 * k * k - 1.0)
     w[ii] = 2.0 * v / m
     return w
-
-
-# ---------------------------------------------------------------------------
-# factorizations
-
-
-def factorize(a, spd: bool = False, pattern: Optional[SparsePattern] = None):
-    """Solve function of ``a`` (``solve(b)``, b (n,) or (n, k)); the one place that picks a route.
-
-    A structured operator (``KroneckerSum``, ``SeparableInnerProduct``)
-    factorizes itself, whatever ``spd``.  A sparse SPD matrix gets LAPACK's
-    banded Cholesky in the reverse Cuthill-McKee order of its
-    ``SparsePattern``: pass ``pattern`` when ``a`` was assembled on it, so
-    that its order and band layout are reused; otherwise it is built from
-    ``a``.  Other sparse matrices get SuperLU, dense ones LAPACK's Cholesky
-    (``spd``) or LU.  A Cholesky factorization of a matrix that is not SPD
-    raises ``NumericalFailureError`` with a condition estimate.
-    """
-    if hasattr(a, "factorize"):
-        return a.factorize()
-    if sp.issparse(a) and spd:
-        if pattern is None:
-            pattern = SparsePattern([a])
-            a = pattern.assemble(np.ones(1))
-        return _banded_cholesky(pattern, a)
-    if sp.issparse(a):
-        return spla.splu(a.tocsc()).solve
-    if spd:
-        try:
-            return partial(sla.cho_solve, sla.cho_factor(a))
-        except sla.LinAlgError as exc:
-            raise NumericalFailureError(f"matrix is not SPD: {exc}", condition_estimate(a))
-    return partial(sla.lu_solve, sla.lu_factor(a))
-
-
-def _banded_cholesky(pattern: SparsePattern, matrix):
-    """Solve function of ``dpbtrf``'s factor of ``matrix``, a CSR on ``pattern``."""
-    order, bandwidth, lower, slots = pattern.band
-    n = pattern.n
-    ab = np.zeros(n * (bandwidth + 1))
-    ab[slots] = matrix.data[lower]
-    factor, info = lapack.dpbtrf(ab.reshape(n, bandwidth + 1).T, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise NumericalFailureError(
-            f"matrix is not SPD: banded Cholesky failed at pivot {info}",
-            condition_estimate=condition_estimate(matrix),
-        )
-
-    def solve(b):
-        b = np.asarray(b, dtype=float)
-        x, _ = lapack.dpbtrs(factor, b.reshape(n, -1)[order], lower=1, overwrite_b=1)
-        out = np.empty_like(x)
-        out[order] = x
-        return out.reshape(b.shape)
-
-    return solve
 
 
 # ---------------------------------------------------------------------------

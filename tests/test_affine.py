@@ -1,7 +1,7 @@
 """Parameter box, affine containers, coefficient evaluation, sampling."""
 
+import dataclasses
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +15,14 @@ from rbx.affine import (
     SeparableInnerProduct,
     TrainingSet,
     evaluate_theta_batch,
+    factorize,
     rhs_scale_batch,
     sample_training_set,
 )
 from rbx.bounds import ConstantBound
 from rbx.errors import InvalidParameterError, NumericalFailureError, ResourceError
 from rbx.greedy import GreedyConfig, run_greedy
-from rbx.truth import TruthDiscretization, factorize, riesz_solve, truth_solve
+from rbx.truth import TruthDiscretization, riesz_solve, truth_solve
 
 from conftest import explicit
 from test_golden_traces import EXPECTED
@@ -234,6 +235,11 @@ class TestAffineProblem:
         assert len(built) == 1 and thermal_small.pattern is built[0]
 
     def test_dense_problems_have_no_pattern(self, diffusion_small):
+        # neither dense components nor Kronecker sums have a sparse pattern
+        dense = dataclasses.replace(
+            diffusion_small, components=[explicit(c) for c in diffusion_small.components]
+        )
+        assert dense.pattern is None
         assert diffusion_small.pattern is None
 
     def test_sizes(self, diffusion_small, thermal_small):
@@ -250,9 +256,8 @@ class TestAffineProblem:
         assert affine.condition_estimate(np.diag([1.0, 2.0])) == pytest.approx(2.0)
 
     def test_failing_dense_truth_solve_reports_inf(self):
-        # LAPACK's LU only warns on an exact zero pivot: with the warning an
-        # error the factorization fails, without it the solution's NaN
-        # residual does, and both report the singular matrix's inf
+        # a dense A(mu) is factorized as its CSR copy: SuperLU refuses the
+        # exactly singular matrix, and the failure reports its inf condition
         problem = AffineProblem(
             box=ParameterBox([0.0], [1.0]),
             theta=lambda mus: np.ones((len(mus), 1)),
@@ -262,12 +267,9 @@ class TestAffineProblem:
             discretization=TruthDiscretization(np.eye(2)),
             coercivity=ConstantBound(1.0),
         )
-        for action, failed in (("error", "factorization"), ("ignore", "residual")):
-            with warnings.catch_warnings():
-                warnings.simplefilter(action, RuntimeWarning)
-                with pytest.raises(NumericalFailureError, match=failed) as failure:
-                    truth_solve(problem, [0.5])
-            assert failure.value.condition_estimate == np.inf
+        with pytest.raises(NumericalFailureError, match="factorization") as failure:
+            truth_solve(problem, [0.5])
+        assert failure.value.condition_estimate == np.inf
 
 
 class TestKroneckerSum:

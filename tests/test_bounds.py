@@ -1,8 +1,9 @@
 """The certified coercivity anchor of ``MinThetaBound``.
 
 The anchor is a sparse shift-invert eigenvalue estimate lowered by a 1e-8
-relative margin and certified by an inertia check.  The dense generalized
-eigensolver below is the test's own reference; the library has none.
+relative margin and certified by a Cholesky factorization of the shifted
+operator.  The dense generalized eigensolver below is the test's own
+reference; the library has none.
 """
 
 import tracemalloc
@@ -97,7 +98,7 @@ def test_indefinite_anchor_operator_is_refused():
     a, x = _anchor_pair(problem)
     eigenvalues = sla.eigh(a, x, subset_by_index=[0, 1], eigvals_only=True)
     assert eigenvalues[0] < 0 < eigenvalues[1] < -eigenvalues[0]
-    with pytest.raises(BoundStrategyError, match="inertia check.*anchor_alpha"):
+    with pytest.raises(BoundStrategyError, match="Cholesky check.*anchor_alpha"):
         problem.coercivity.lower_bound_batch(problem, np.ones((1, 1)))
 
 

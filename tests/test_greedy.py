@@ -1,5 +1,6 @@
 """Greedy driver: selection, counting identities, determinism, skip policy."""
 
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from rbx.greedy import (
     _argmax_excluding,
 )
 from rbx.reduced import ReducedModel, TrainingSystems
+from rbx.truth import TruthDiscretization
 
 from conftest import call_in_subprocess
 
@@ -518,6 +520,28 @@ class TestDeterminism:
             [rec.delta_max for rec in a[1].iterations],
             [rec.delta_max for rec in b[1].iterations],
         )
+
+    @pytest.mark.parametrize("method", ["classical", "cdm"])
+    def test_dense_arrays_run_like_their_sparse_twin(self, thermal_train_small, method):
+        # components and X given as dense arrays are factorized as CSR
+        # copies, so the run picks the CSR problem's snapshots
+        runs = []
+        for dense in (False, True):
+            problem = rbx.build_thermal_block(nodes_per_side=7)
+            if dense:
+                x = problem.discretization.x_inner.toarray()
+                problem = dataclasses.replace(
+                    problem,
+                    components=[a.toarray() for a in problem.components],
+                    discretization=TruthDiscretization(x),
+                )
+                assert problem.pattern is None
+            config = GreedyConfig(eps_tol=1e-4, n_max=12, seed=3, method=method)
+            runs.append(run_greedy(problem, thermal_train_small, config))
+        (sparse_model, sparse_trace), (dense_model, dense_trace) = runs
+        assert len(dense_model.snapshot_indices) > 5
+        assert dense_model.snapshot_indices == sparse_model.snapshot_indices
+        assert dense_trace.certified == sparse_trace.certified
 
 
 # cdm on a symmetric 30x30 grid of the small diffusion problem.  Through a

@@ -123,7 +123,7 @@ def x_gram(disc, basis):
 
 @pytest.fixture(params=["diffusion_small", "thermal_small"])
 def fold_problem(request):
-    """Dense X (diffusion n_x=10) and sparse X (thermal block 7)."""
+    """Separable X (diffusion n_x=10) and sparse X (thermal block 7)."""
     return request.getfixturevalue(request.param)
 
 

@@ -432,9 +432,8 @@ class TestCachedInverseError:
         model, _ = build_model(thermal_small, thermal_train_small, n_target=2)
         offline = build_offline(model, thermal_small, [])
         assert offline.coords.shape[0] == 0
-        picked = cdm_construct(
-            model, offline, swept(model, thermal_small, thermal_train_small.points), 4
-        )
+        systems = swept(model, thermal_small, thermal_train_small.points)
+        picked = cdm_construct(model, offline, systems, 4, np.arange(thermal_train_small.n_train))
         assert picked.size == 0
 
     def test_counter(self, thermal_setup):
@@ -447,7 +446,8 @@ class TestCachedInverseError:
 class TestCachedInverseConstruct:
     def test_returns_admissible_unique_indices(self, thermal_setup):
         problem, train, model, offline = thermal_setup
-        picked = cdm_construct(model, offline, swept(model, problem, train.points), budget=8)
+        systems = swept(model, problem, train.points)
+        picked = cdm_construct(model, offline, systems, 8, np.arange(train.n_train))
         assert picked.size <= 8
         assert len(set(picked.tolist())) == picked.size
         assert np.all((picked >= 0) & (picked < train.n_train))
@@ -469,14 +469,16 @@ class TestCachedInverseConstruct:
             np.testing.assert_allclose(
                 y @ y[j], gram[:, j], rtol=0, atol=1e-10 * norms.max() ** 2
             )
-        picked = cdm_construct(model, offline, swept(model, problem, train.points), budget=6)
+        systems = swept(model, problem, train.points)
+        picked = cdm_construct(model, offline, systems, 6, np.arange(train.n_train))
         sub = gram[np.ix_(adm, adm)]
         explicit, _ = pivoted_cholesky(lambda j: sub[:, j], np.diag(sub), max_steps=6)
         np.testing.assert_array_equal(picked, adm[explicit])
 
     def test_ordering_opens_with_the_worst_error(self, thermal_setup):
         problem, train, model, offline = thermal_setup
-        weighted = cdm_construct(model, offline, swept(model, problem, train.points), budget=6)
+        systems = swept(model, problem, train.points)
+        weighted = cdm_construct(model, offline, systems, 6, np.arange(train.n_train))
         assert weighted.size > 0
         # magnitude ordering must open with the worst approximate error,
         # measured in the discretization's inner-product norm
@@ -489,22 +491,23 @@ class TestCachedInverseConstruct:
     def test_zero_budget(self, thermal_setup):
         problem, train, model, offline = thermal_setup
         systems = swept(model, problem, train.points)
-        assert cdm_construct(model, offline, systems, budget=0).size == 0
+        assert cdm_construct(model, offline, systems, 0, np.arange(train.n_train)).size == 0
 
     def test_needs_a_sweep_at_the_current_basis_size(self, thermal_setup):
         problem, train, model, offline = thermal_setup
         unswept = TrainingSystems.evaluate(problem, train.points)
         with pytest.raises(ConfigurationError, match="full sweep"):
-            cdm_construct(model, offline, unswept, budget=4)
+            cdm_construct(model, offline, unswept, 4, np.arange(train.n_train))
         systems = swept(model, problem, train.points)
         extend_basis(model, truth_solve(problem, train.points[1]), 1)
         with pytest.raises(ConfigurationError, match="full sweep"):
-            cdm_construct(model, offline, systems, budget=4)
+            cdm_construct(model, offline, systems, 4, np.arange(train.n_train))
 
     def test_counts_one_eval_per_training_point(self, thermal_setup):
         problem, train, model, offline = thermal_setup
         base = problem.counters.approx_error_evals
-        cdm_construct(model, offline, swept(model, problem, train.points), budget=4)
+        systems = swept(model, problem, train.points)
+        cdm_construct(model, offline, systems, 4, np.arange(train.n_train))
         assert problem.counters.approx_error_evals == base + train.n_train
 
     def test_non_finite_error_norm_stops_the_cdm_run(
@@ -574,9 +577,10 @@ class TestBlockwiseConstruct:
         b, budget = systems.coeffs.shape[0], 20
         r_v, q = offline.basis.shape[1], offline.coords.shape[0]
         assert b > 2 * DEFAULT_CHUNK
+        candidates = np.arange(b)
         tracemalloc.start()
         try:
-            picked = cdm_construct(model, offline, systems, budget)
+            picked = cdm_construct(model, offline, systems, budget, candidates)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -591,7 +595,7 @@ class TestBlockwiseConstruct:
         problem, model, offline, systems = three_blocks
         adm, explicit = explicit_picks(whole_set_blend(model, offline, systems), 30)
         assert adm.size < systems.coeffs.shape[0]
-        picked = cdm_construct(model, offline, systems, budget=30)
+        picked = cdm_construct(model, offline, systems, 30, np.arange(systems.coeffs.shape[0]))
         np.testing.assert_array_equal(picked, explicit)
 
     def test_picks_are_the_pivots_of_the_candidates_gramian(self, three_blocks):
@@ -671,6 +675,6 @@ class TestBlockwiseConstruct:
         )
         snapshots = np.asarray(model.snapshot_indices)
         assert np.all(norms[snapshots] <= floor_of(norms))
-        picked = cdm_construct(model, offline, systems, budget=train.n_train)
+        picked = cdm_construct(model, offline, systems, train.n_train, np.arange(train.n_train))
         assert 0 < picked.size < train.n_train - snapshots.size
         assert not set(picked.tolist()) & set(snapshots.tolist())

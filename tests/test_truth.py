@@ -77,13 +77,14 @@ class TestSpectralPieces:
 
 class TestFactorizations:
     def test_dense_and_sparse_agree(self):
+        # an ndarray is factorized as its CSR copy, by the same route
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
+        f = rng.standard_normal((12, 12))
         b = rng.standard_normal(12)
-        dense = factorize(a)(b)
-        sparse = factorize(sp.csr_matrix(a))(b)
-        np.testing.assert_allclose(dense, sparse, rtol=1e-10)
-        np.testing.assert_allclose(a @ dense, b, rtol=1e-10)
+        for a, spd in ((f + 12.0 * np.eye(12), False), (f @ f.T + 12.0 * np.eye(12), True)):
+            dense = factorize(a, spd=spd)(b)
+            np.testing.assert_array_equal(dense, factorize(sp.csr_matrix(a), spd=spd)(b))
+            np.testing.assert_allclose(a @ dense, b, rtol=1e-10)
 
     def test_spd_handle_solves(self):
         rng = np.random.default_rng(1)
@@ -120,7 +121,8 @@ class TestFactorizations:
     )
     def test_every_route_keeps_right_hand_side_shapes(self, route, diffusion_small, thermal_small):
         # each route solves vectors, single columns and blocks in their own
-        # shape, and agrees with spsolve on the explicit form
+        # shape, and agrees with spsolve on the explicit form; the dense
+        # inputs run the sparse routes on their CSR copies
         kron = diffusion_small.assemble(np.array([1.0, 0.3, -0.6]))
         x = thermal_small.discretization.x_inner
         a, spd = {
