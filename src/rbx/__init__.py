@@ -26,19 +26,15 @@ from .harness import PROBLEMS, ExperimentConfig, run_experiment, run_methods
 from .reduced import (
     error_estimate,
     estimate_batch,
-    extend_basis,
     reconstruct,
     reduced_output,
     reduced_solve,
-    residual_dual_norm_sq,
 )
-from .surrogate import cdm_construct, pivoted_cholesky
 from .truth import (
     TruthDiscretization,
     TruthSolution,
     build_diffusion2d,
     build_thermal_block,
-    riesz_solve,
     truth_solve,
     x_norm,
 )
@@ -65,18 +61,13 @@ __all__ = [
     "run_methods",
     "error_estimate",
     "estimate_batch",
-    "extend_basis",
     "reconstruct",
     "reduced_output",
     "reduced_solve",
-    "residual_dual_norm_sq",
-    "cdm_construct",
-    "pivoted_cholesky",
     "TruthDiscretization",
     "TruthSolution",
     "build_diffusion2d",
     "build_thermal_block",
-    "riesz_solve",
     "truth_solve",
     "x_norm",
 ]

@@ -71,8 +71,8 @@ def _object(value, key: str) -> dict:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return "%.17g" % float(x)
@@ -244,26 +244,25 @@ def run_methods(config: ExperimentConfig) -> dict[str, MethodResult]:
     results: dict[str, MethodResult] = {}
     for method in config.methods:
         gconf = config.greedy_config(method)
-        best: Optional[MethodResult] = None
-        walls = []
-        for _rep in range(config.repetitions):
-            problem = config.build_problem()
-            model, trace = run_greedy(problem, train, gconf)
-            walls.append(trace.wall_ms_total)
-            if best is None:
-                best = MethodResult(method=method, model=model, trace=trace)
-        assert best is not None
-        best.wall_ms_all = walls
-        results[method] = best
+        model, trace = run_greedy(config.build_problem(), train, gconf)
+        walls = [trace.wall_ms_total] + [
+            run_greedy(config.build_problem(), train, gconf)[1].wall_ms_total
+            for _rep in range(config.repetitions - 1)
+        ]
+        results[method] = MethodResult(method, model, trace, walls)
     return results
 
 
 def _csv_header_lines(config: ExperimentConfig) -> list[str]:
     cfg_line = json.dumps(config.resolved(), separators=(",", ":"), default=str)
-    seeds = "training={} greedy={}".format(
-        config.training.get("seed", 0), config.greedy_common.get("seed", 0)
-    )
-    return [f"# config: {cfg_line}", f"# seeds: {seeds}"]
+    # the greedy seed once when every method runs with it, else each method's
+    seeds = {m: config.greedy_config(m).seed for m in config.methods}
+    if len(set(seeds.values())) == 1:
+        greedy = str(seeds[config.methods[0]])
+    else:
+        greedy = ",".join(f"{m}:{seed}" for m, seed in seeds.items())
+    training = config.training.get("seed", 0)
+    return [f"# config: {cfg_line}", f"# seeds: training={training} greedy={greedy}"]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -278,7 +277,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header_lines: list[str], columns: list[str], rows) -> None:
-    lines = header_lines + [",".join(columns)] + [",".join(row) for row in rows]
+    lines = header_lines + [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
     _write_atomic(path, "".join(line + "\n" for line in lines))
 
 
@@ -368,59 +367,26 @@ def run_experiment(
         _mark_incomplete(marker, f"run failed: {type(exc).__name__}: {exc}")
         raise
     headers = _csv_header_lines(config)
+    tables = {  # name: (columns, rows)
+        "convergence.csv": (["method", "n", "delta_max", "cum_estimator_evals", "cum_wall_ms"], []),
+        "sar.csv": (["method", "ell", "E_ell", "M_ell", "N_ell", "sar"], []),
+        "snapshots.csv": (["method", "order"] + [f"mu_{i + 1}" for i in range(probe.dim)], []),
+    }
+    for m in config.methods:
+        trace, model = results[m].trace, results[m].model
+        tables["convergence.csv"][1].extend(
+            (m, r.n, r.delta_max, r.cum_estimator_evals, r.wall_ms) for r in trace.iterations
+        )
+        tables["sar.csv"][1].extend(
+            (m, r.ell, r.e_ell, r.m_budget, r.n_added_inner, r.sar) for r in trace.outer_loops
+        )
+        tables["snapshots.csv"][1].extend(
+            (m, order, *mu) for order, mu in enumerate(model.snapshot_params, start=1)
+        )
 
     try:
-        conv_rows = []
-        for method in config.methods:
-            for rec in results[method].trace.iterations:
-                conv_rows.append(
-                    [
-                        method,
-                        str(rec.n),
-                        _fmt(rec.delta_max),
-                        str(rec.cum_estimator_evals),
-                        _fmt(rec.wall_ms),
-                    ]
-                )
-        _write_csv(
-            target / "convergence.csv",
-            headers,
-            ["method", "n", "delta_max", "cum_estimator_evals", "cum_wall_ms"],
-            conv_rows,
-        )
-
-        sar_rows = []
-        for method in config.methods:
-            for rec in results[method].trace.outer_loops:
-                sar_rows.append(
-                    [
-                        method,
-                        str(rec.ell),
-                        _fmt(rec.e_ell),
-                        str(rec.m_budget),
-                        str(rec.n_added_inner),
-                        _fmt(rec.sar),
-                    ]
-                )
-        _write_csv(
-            target / "sar.csv",
-            headers,
-            ["method", "ell", "E_ell", "M_ell", "N_ell", "sar"],
-            sar_rows,
-        )
-
-        dim = probe.dim
-        snap_rows = []
-        for method in config.methods:
-            for order, mu in enumerate(results[method].model.snapshot_params, start=1):
-                snap_rows.append([method, str(order)] + [_fmt(c) for c in mu])
-        _write_csv(
-            target / "snapshots.csv",
-            headers,
-            ["method", "order"] + [f"mu_{i + 1}" for i in range(dim)],
-            snap_rows,
-        )
-
+        for name, (columns, rows) in tables.items():
+            _write_csv(target / name, headers, columns, rows)
         summary = _summarize(config, results, train)
         _write_atomic(target / "summary.json", json.dumps(summary, indent=2, default=str) + "\n")
     except OSError as exc:

@@ -172,16 +172,15 @@ class GeneratorFactor:
         self.basis = np.zeros((n_dof, 0))
         self.coords = np.zeros((0, 0, 1))
 
-    def grow(self, problem: AffineProblem, basis: np.ndarray, solvers, images=None) -> None:
+    def grow(self, problem: AffineProblem, basis: np.ndarray, solvers) -> None:
         """Fold the generator columns of ``basis`` that each of ``solvers`` lacks.
 
         The solvers are visited in order: the first ``coords.shape[0]`` were
         folded before and lack the columns of the basis vectors added since,
         a new one lacks them all.  Each solves its missing columns and folds
         them with ``orthonormal_fold`` at ``rtol``; when nothing is missing
-        nothing is solved.  ``images``, when given, holds the columns
-        -A_k xi_j of the basis vectors added since the last call, so that a
-        caller who formed them already does not form them twice.
+        nothing is solved.  The columns -A_k xi_j are formed here from
+        ``basis``, once per call for solvers that lack the same columns.
         """
         qa, n = problem.n_terms, basis.shape[1]
         folded_solvers, _, width = self.coords.shape
@@ -190,13 +189,10 @@ class GeneratorFactor:
         def columns(first: int) -> np.ndarray:
             """Generator columns ``first`` onwards: f when ``first`` is 0, then -A_k xi_j."""
             if first not in blocks:
-                if images is not None and first == width:
-                    block = images
-                else:
-                    seen = max(first - 1, 0) // qa
-                    block = -np.stack(
-                        [np.asarray(aq @ basis[:, seen:]) for aq in problem.components], axis=2
-                    ).reshape(problem.n_dof, -1)
+                seen = max(first - 1, 0) // qa
+                block = -np.stack(
+                    [np.asarray(aq @ basis[:, seen:]) for aq in problem.components], axis=2
+                ).reshape(problem.n_dof, -1)
                 if first == 0:
                     block = np.concatenate([problem.rhs[:, None], block], axis=1)
                 blocks[first] = block
@@ -245,11 +241,9 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     model.snapshot_params.append(np.asarray(snapshot.mu, dtype=float))
     model.snapshot_indices.append(train_index)
 
-    # Galerkin blocks; nonsymmetric components also need A^T xi for the new
-    # row.  The images A_q xi also give the Riesz columns -A_q xi.
+    # Galerkin blocks; nonsymmetric components also need A^T xi for the new row
     comps = np.zeros((q, n_old + 1, n_old + 1))
     comps[:, :n_old, :n_old] = model.reduced_components
-    a_xi = np.empty((q, model.problem.n_dof))
     for k, aq in enumerate(problem.components):
         av = aq @ xi
         comps[k, :, n_old] = basis_new.T @ av
@@ -258,12 +252,11 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
         else:
             comps[k, n_old, :] = basis_new.T @ (aq.T @ xi)
         comps[k, n_old, n_old] = float(np.dot(xi, av))
-        a_xi[k] = av
     model.reduced_components = comps
     model.reduced_rhs = np.append(model.reduced_rhs, float(np.dot(problem.rhs, xi)))
     model.reduced_output = np.append(model.reduced_output, float(np.dot(problem.output, xi)))
     model.basis = basis_new
-    model.residual.grow(problem, basis_new, [model._riesz], images=-a_xi.T)
+    model.residual.grow(problem, basis_new, [model._riesz])
     return model
 
 

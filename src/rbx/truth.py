@@ -243,16 +243,12 @@ def _thermal_mesh(s: int):
     xg, yg = np.meshgrid(ax, ax, indexing="xy")  # node = j*s + i at (i*h, j*h)
     coords = np.column_stack([xg.reshape(-1), yg.reshape(-1)])
 
-    tris = []
-    for j in range(s - 1):
-        for i in range(s - 1):
-            n00 = j * s + i
-            n10 = n00 + 1
-            n01 = n00 + s
-            n11 = n01 + 1
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    return h, coords, np.asarray(tris, dtype=np.int64)
+    # cell (i, j), j-major, splits into (n00, n10, n11) and (n00, n11, n01)
+    j, i = np.divmod(np.arange((s - 1) ** 2, dtype=np.int64), s - 1)
+    n00 = j * s + i
+    n01 = n00 + s
+    tris = np.stack([n00, n00 + 1, n01 + 1, n00, n01 + 1, n01], axis=1).reshape(-1, 3)
+    return h, coords, tris
 
 
 def build_thermal_block(nodes_per_side: int = 19):
@@ -293,8 +289,8 @@ def build_thermal_block(nodes_per_side: int = 19):
     for q in range(9):
         mask = block == q
         vals = ke[mask].reshape(-1)
-        r = np.repeat(tris[mask], 3, axis=1).reshape(-1)
-        c = np.tile(tris[mask], (1, 3)).reshape(-1)
+        # each triangle's element matrix takes nine consecutive (row, column) pairs
+        r, c = rows.reshape(-1, 9)[mask].reshape(-1), cols.reshape(-1, 9)[mask].reshape(-1)
         kq = sp.coo_matrix((vals, (r, c)), shape=(n_nodes, n_nodes)).tocsr()
         stiff.append(kq)
 
@@ -304,7 +300,7 @@ def build_thermal_block(nodes_per_side: int = 19):
 
     node_i = np.arange(n_nodes) % s
     node_j = np.arange(n_nodes) // s
-    free = np.flatnonzero(node_j < s - 1)  # the top edge is clamped to zero
+    nf = s * (s - 1)  # the top edge is clamped to zero: the free DoFs come first
 
     # base-edge trace integral: P1 edge mass applied to the constant one
     load_full = np.zeros(n_nodes)
@@ -313,13 +309,10 @@ def build_thermal_block(nodes_per_side: int = 19):
     load_full[bottom[node_i[bottom] == 0]] = h / 2.0
     load_full[bottom[node_i[bottom] == s - 1]] = h / 2.0
 
-    pick = np.ix_(free, free)
-    components = [kq[pick].tocsr() for kq in stiff]
-    ktot = components[0].copy()
-    for kq in components[1:]:
-        ktot = ktot + kq
-    xmat = (mass[pick].tocsr() + ktot).tocsr()
-    rhs = load_full[free]
+    components = [kq[:nf, :nf].tocsr() for kq in stiff]
+    ktot = sum(components[1:], components[0])
+    xmat = (mass[:nf, :nf].tocsr() + ktot).tocsr()
+    rhs = load_full[:nf]
     output = rhs.copy()
 
     return AffineProblem(

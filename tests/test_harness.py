@@ -208,6 +208,67 @@ class TestRunExperiment:
         assert lines[2] == "method,n,delta_max,cum_estimator_evals,cum_wall_ms"
         assert all(line.split(",")[0] in ("classical", "smm", "cdm") for line in lines[3:])
 
+    def test_seeds_line_names_each_method_seed(self, tmp_path):
+        raw = tiny_config_dict(
+            methods=["classical", "cdm"], greedy={"eps_tol": 1e-9, "n_max": 4, "cdm": {"seed": 3}}
+        )
+        target = run_experiment(ExperimentConfig.from_dict(raw), out_dir=tmp_path)
+        for name in ("convergence.csv", "sar.csv", "snapshots.csv"):
+            lines = (target / name).read_text().splitlines()
+            assert lines[1] == "# seeds: training=0 greedy=classical:0,cdm:3"
+
+    @pytest.mark.parametrize(
+        "greedy, line",
+        [
+            ({"seed": 5}, "# seeds: training=0 greedy=5"),
+            ({"classical": {"seed": 2}, "cdm": {"seed": 2}}, "# seeds: training=0 greedy=2"),
+            ({"seed": 5, "cdm": {"seed": 0}}, "# seeds: training=0 greedy=classical:5,cdm:0"),
+        ],
+    )
+    def test_seeds_line_shared_seed_once(self, greedy, line):
+        raw = tiny_config_dict(methods=["classical", "cdm"], greedy={"eps_tol": 1e-9, **greedy})
+        assert harness._csv_header_lines(ExperimentConfig.from_dict(raw))[1] == line
+
+    def test_csv_rows_round_trip_records(self, tmp_path, monkeypatch):
+        config = ExperimentConfig.from_dict(tiny_config_dict())
+        results = {}
+        real = harness.run_methods
+
+        def run_methods(config):
+            results.update(real(config))
+            return results
+
+        monkeypatch.setattr(harness, "run_methods", run_methods)
+        target = run_experiment(config, out_dir=tmp_path)
+
+        def parsed(name, kinds):
+            lines = (target / name).read_text().splitlines()[3:]
+            return [
+                (row[0], *(kind(cell) for kind, cell in zip(kinds, row[1:], strict=True)))
+                for row in (line.split(",") for line in lines)
+            ]
+
+        traces = [(m, results[m].trace) for m in config.methods]
+        convergence = [
+            (m, r.n, r.delta_max, r.cum_estimator_evals, r.wall_ms)
+            for m, trace in traces
+            for r in trace.iterations
+        ]
+        sar = [
+            (m, r.ell, r.e_ell, r.m_budget, r.n_added_inner, r.sar)
+            for m, trace in traces
+            for r in trace.outer_loops
+        ]
+        snapshots = [
+            (m, order, *mu)
+            for m in config.methods
+            for order, mu in enumerate(results[m].model.snapshot_params, start=1)
+        ]
+        assert convergence and sar and snapshots
+        assert parsed("convergence.csv", (int, float, int, float)) == convergence
+        assert parsed("sar.csv", (int, float, int, int, float)) == sar
+        assert parsed("snapshots.csv", (int, float, float)) == snapshots
+
     def test_float_cells_use_full_precision(self, artifact_dir):
         target, _ = artifact_dir
         rows = (target / "convergence.csv").read_text().splitlines()[3:]
@@ -319,6 +380,23 @@ class TestRunExperiment:
         )
         results = harness.run_methods(config)
         assert len(results["classical"].wall_ms_all) == 2
+
+    def test_repetitions_keep_first_model_and_trace(self, monkeypatch):
+        config = ExperimentConfig.from_dict(
+            tiny_config_dict(methods=["classical"], repetitions=2)
+        )
+        runs = []
+        real = harness.run_greedy
+
+        def run_greedy(problem, train, gconf):
+            runs.append(real(problem, train, gconf))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "run_greedy", run_greedy)
+        result = harness.run_methods(config)["classical"]
+        assert len(runs) == 2
+        assert result.model is runs[0][0] and result.trace is runs[0][1]
+        assert result.wall_ms_all == [trace.wall_ms_total for _, trace in runs]
 
     def test_cost_counters_shape(self):
         config = ExperimentConfig.from_dict(tiny_config_dict())
@@ -488,10 +566,9 @@ PUBLIC_NAMES = [
     "InvalidParameterError", "MinThetaBound", "NumericalFailureError",
     "PROBLEMS", "ParameterBox", "RbxError", "ResourceError",
     "TruthDiscretization", "TruthSolution", "__version__", "build_diffusion2d",
-    "build_thermal_block", "cdm_construct", "error_estimate", "estimate_batch",
-    "extend_basis", "pivoted_cholesky", "reconstruct", "reduced_output",
-    "reduced_solve", "residual_dual_norm_sq", "riesz_solve", "run_experiment",
-    "run_greedy", "run_methods", "sample_training_set", "truth_solve", "x_norm",
+    "build_thermal_block", "error_estimate", "estimate_batch", "reconstruct",
+    "reduced_output", "reduced_solve", "run_experiment", "run_greedy",
+    "run_methods", "sample_training_set", "truth_solve", "x_norm",
 ]
 
 # names that left the package namespace but stay in their modules
@@ -500,8 +577,9 @@ MODULE_NAMES = {
     "counters": ["Counters"],
     "greedy": ["GreedyTrace", "IterationRecord", "OuterLoopRecord"],
     "harness": ["MethodResult"],
-    "reduced": ["ReducedModel", "ReducedSolution"],
-    "surrogate": ["smm_construct"],
+    "reduced": ["ReducedModel", "ReducedSolution", "extend_basis", "residual_dual_norm_sq"],
+    "surrogate": ["smm_construct", "cdm_construct", "pivoted_cholesky"],
+    "truth": ["riesz_solve"],
 }
 
 

@@ -14,6 +14,7 @@ from rbx.bounds import ConstantBound
 from rbx.errors import ConfigurationError, NumericalFailureError
 from rbx.truth import (
     TruthDiscretization,
+    _thermal_mesh,
     apply_operator_inverse,
     chebyshev_diff_matrix,
     chebyshev_lobatto_nodes,
@@ -350,6 +351,18 @@ class TestThermalProblem:
     def test_load_total_is_unit_influx(self, thermal_small):
         # the base edge has length one and carries unit flux
         np.testing.assert_allclose(thermal_small.rhs.sum(), 1.0, rtol=1e-13)
+
+    def test_mesh_matches_cell_loop(self):
+        # cell (i, j), j-major, splits into (n00, n10, n11) and (n00, n11, n01)
+        for s in (4, 7, 19):
+            ref = []
+            for j in range(s - 1):
+                for i in range(s - 1):
+                    n00, n01 = j * s + i, (j + 1) * s + i
+                    ref += [(n00, n00 + 1, n01 + 1), (n00, n01 + 1, n01)]
+            tris = _thermal_mesh(s)[2]
+            assert tris.dtype == np.int64
+            np.testing.assert_array_equal(tris, ref)
 
     def test_mesh_alignment_enforced(self):
         with pytest.raises(ConfigurationError):
