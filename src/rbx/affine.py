@@ -333,7 +333,8 @@ class SeparableInnerProduct:
 
 
 class SparsePattern:
-    """The union sparsity pattern of square sparse matrices ``M_q``.
+    """The union sparsity pattern of square sparse matrices ``M_q``, without the
+    entries zero in every ``M_q`` (P1 stiffness leaves exact zeros on hypotenuses).
 
     ``values`` (Q, nnz) holds each matrix's entries on the union's canonical
     CSR ``indptr``/``indices``, so ``assemble(c)`` forms ``sum_q c_q M_q``
@@ -347,12 +348,14 @@ class SparsePattern:
         n = mats[0].shape[0]
         keys = [m.row.astype(np.int64) * n + m.col for m in mats]
         union = np.unique(np.concatenate(keys))
+        values = np.zeros((len(mats), union.size))
+        for q, (m, k) in enumerate(zip(mats, keys)):
+            np.add.at(values[q], np.searchsorted(union, k), m.data)
+        kept = values.any(axis=0)
+        union, self.values = union[kept], values[:, kept]
         self.n = n
         self.indices = union % n
         self.indptr = np.searchsorted(union // n, np.arange(n + 1))
-        self.values = np.zeros((len(mats), union.size))
-        for q, (m, k) in enumerate(zip(mats, keys)):
-            np.add.at(self.values[q], np.searchsorted(union, k), m.data)
 
     def assemble(self, coefs: np.ndarray) -> sp.csr_matrix:
         """``sum_q coefs[q] M_q`` as a CSR matrix on the pattern's indices."""

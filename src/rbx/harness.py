@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -228,7 +228,7 @@ class MethodResult:
     method: str
     model: ReducedModel
     trace: GreedyTrace
-    wall_ms_all: list[float] = field(default_factory=list)
+    wall_ms_all: list[float]
 
 
 def run_methods(config: ExperimentConfig) -> dict[str, MethodResult]:
@@ -301,7 +301,7 @@ def _summarize(
             "wall_ms_all": res.wall_ms_all,
             "wall_ms_truth": tr.wall_ms_truth,
             "wall_ms_surrogate_build": tr.wall_ms_surrogate_build,
-            "estimator_evals": tr.counters.get("estimator_evals", 0),
+            "estimator_evals": tr.counters["estimator_evals"],
             "counters": tr.counters,
             "skipped": len(tr.skipped_indices),
         }
@@ -312,19 +312,12 @@ def _summarize(
             if method == "cdm":
                 entry["candidates"] = sum(rec.candidates for rec in tr.outer_loops)
             if classical is not None:
-                cl_wall = min(classical.wall_ms_all or [classical.trace.wall_ms_total])
-                my_wall = min(res.wall_ms_all or [tr.wall_ms_total])
+                cl_wall, my_wall = min(classical.wall_ms_all), min(res.wall_ms_all)
                 entry["speedup_vs_classical"] = cl_wall / my_wall if my_wall > 0 else float("inf")
-                cl_evals = classical.trace.counters.get("estimator_evals", 0)
-                ratio = entry["estimator_evals"] / cl_evals if cl_evals else float("inf")
+                ratio = entry["estimator_evals"] / classical.trace.counters["estimator_evals"]
                 n_global = sum(1 for r in tr.iterations if r.sweep_kind == "global")
                 m_max = max((r.m_budget for r in tr.outer_loops), default=0)
-                n_classical = classical.trace.n_final
-                bound = (
-                    n_global / n_classical + m_max / train.n_train + 0.05
-                    if n_classical
-                    else float("inf")
-                )
+                bound = n_global / classical.trace.n_final + m_max / train.n_train + 0.05
                 entry["eval_ratio_vs_classical"] = ratio
                 entry["eval_ratio_bound"] = bound
                 entry["eval_ratio_within_bound"] = bool(ratio <= bound)

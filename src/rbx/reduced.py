@@ -51,8 +51,14 @@ SWEEP_TILE = 512
 
 @dataclass
 class ReducedSolution:
+    """Reduced coefficients at the checked parameter ``mu``, with the row that
+    ``reduced_solve`` evaluated there (coefficients ``theta`` (Q,), load
+    ``scale``), which the residual reuses: a query evaluates it once."""
+
     mu: np.ndarray
     coeffs: np.ndarray
+    theta: np.ndarray
+    scale: float
 
     @property
     def n(self) -> int:
@@ -98,10 +104,6 @@ class ReducedModel:
     @property
     def n(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def n_terms(self) -> int:
-        return self.problem.n_terms
 
 
 def orthonormal_fold(disc: TruthDiscretization, basis, vectors, rtol: float):
@@ -225,7 +227,7 @@ def extend_basis(model: ReducedModel, snapshot: TruthSolution, train_index=None)
     """
     problem = model.problem
     n_old = model.n
-    q = model.n_terms
+    q = problem.n_terms
 
     u = np.asarray(snapshot.coefficients, dtype=float)
     basis_new, coords = orthonormal_fold(model.disc, model.basis, u[:, None], REJECTION_RTOL)
@@ -301,7 +303,8 @@ def _false_coercivity(alphas: np.ndarray) -> np.ndarray:
 
 
 def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSolution:
-    """Galerkin solve in the leading ``n``-dimensional reduced space, as a batch of one."""
+    """Galerkin solve in the leading ``n``-dimensional reduced space, as a batch of one:
+    a single-point query's one box check and evaluation of its row."""
     mus, thetas, scales = _rows(model.problem, np.asarray(mu, dtype=float)[None])
     mu = mus[0]
     n = _truncation(model, n)
@@ -312,7 +315,7 @@ def reduced_solve(model: ReducedModel, mu, n: Optional[int] = None) -> ReducedSo
         raise NumericalFailureError(f"{exc} at mu = {mu}", exc.condition_estimate) from exc
     if not np.isfinite(coeffs).all():
         raise NumericalFailureError(f"non-finite reduced coefficients at mu = {mu}")
-    return ReducedSolution(mu=mu, coeffs=coeffs)
+    return ReducedSolution(mu, coeffs, thetas[0], scales[0])
 
 
 def reconstruct(model: ReducedModel, sol: ReducedSolution) -> np.ndarray:
@@ -329,13 +332,11 @@ def reduced_output(model: ReducedModel, sol: ReducedSolution) -> float:
 # residual dual norm
 
 
-def residual_dual_norm_sq(model: ReducedModel, mu, sol: ReducedSolution) -> float:
-    """Squared dual norm of the Galerkin residual at one parameter.
-
-    ``residual_norm_sq_batch`` on one row.
-    """
-    _, thetas, scales = _rows(model.problem, np.asarray(mu, dtype=float)[None])
-    return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None, :])[0])
+def residual_dual_norm_sq(model: ReducedModel, sol: ReducedSolution) -> float:
+    """Squared dual norm of the Galerkin residual of ``sol``: ``residual_norm_sq_batch``
+    on the row ``sol`` was solved with, so it checks and evaluates nothing."""
+    thetas, scales = sol.theta[None], np.atleast_1d(sol.scale)
+    return float(residual_norm_sq_batch(model, thetas, scales, sol.coeffs[None])[0])
 
 
 def error_estimate(
@@ -345,18 +346,20 @@ def error_estimate(
     sol: Optional[ReducedSolution] = None,
     kind: str = "other",
 ) -> float:
-    """Certified bound sqrt(residual dual norm^2) / coercivity bound; the residual checks mu."""
+    """Certified bound sqrt(residual dual norm^2) / coercivity bound on ``sol``'s row
+    (``reduced_solve``'s when omitted; a ``sol`` solved at another mu raises
+    ``InvalidParameterError``); the bound is checked before the division."""
     if sol is None:
         sol = reduced_solve(model, mu)
-    rsq = residual_dual_norm_sq(model, mu, sol)
+    elif not np.array_equal(sol.mu, np.asarray(mu, dtype=float)):
+        raise InvalidParameterError(f"sol was solved at {sol.mu}, not at mu = {mu}")
     model.counters.count_estimates(1, kind)
-    mus = np.asarray(mu, dtype=float)[None]
-    alphas = _coercivity(problem, mus)
-    delta = float(np.sqrt(rsq) / alphas[0])
-    if not math.isfinite(delta):
-        raise NumericalFailureError(f"non-finite error estimate {delta} at mu = {mu}")
+    alphas = _coercivity(problem, sol.mu[None])
     if _false_coercivity(alphas)[0]:
-        raise NumericalFailureError(f"coercivity bound {alphas[0]} at mu = {mus[0]}")
+        raise NumericalFailureError(f"coercivity bound {alphas[0]} at mu = {sol.mu}")
+    delta = float(np.sqrt(residual_dual_norm_sq(model, sol)) / alphas[0])
+    if not math.isfinite(delta):
+        raise NumericalFailureError(f"non-finite error estimate {delta} at mu = {sol.mu}")
     return delta
 
 
@@ -603,7 +606,7 @@ def estimate_batch(
                 pivots[sl] = factor.border(model, thetas, scales, n, sl)
             coeffs[sl] = factor.solve(n, sl)
         rsq = residual_norm_sq_batch(model, thetas, scales, coeffs[sl])
-        deltas[sl] = np.sqrt(np.maximum(rsq, 0.0)) / systems.alphas[sl]
+        deltas[sl] = np.sqrt(rsq) / systems.alphas[sl]
 
     starts = range(0, b, DEFAULT_CHUNK)
     if workers > 1 and len(starts) > 1:

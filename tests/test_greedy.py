@@ -202,7 +202,9 @@ class TestNonFiniteEstimates:
         self, request, fixture_name, monkeypatch
     ):
         # the coercivity strategies do not see a NaN (NaN <= 0 is False), so
-        # the single-point solve and estimate check their own results
+        # the single-point solve and estimate check their own results; the
+        # estimate of a given solution reuses its row, so a NaN there comes
+        # from its coefficients
         from conftest import build_model
         from rbx.reduced import error_estimate, reduced_solve
 
@@ -216,6 +218,7 @@ class TestNonFiniteEstimates:
             reduced_solve(model, mu)
         with pytest.raises(NumericalFailureError, match="non-finite reduced coefficients at mu = "):
             error_estimate(model, problem, mu)
+        sol.coeffs[0] = np.nan
         with pytest.raises(NumericalFailureError, match="non-finite error estimate nan at mu = "):
             error_estimate(model, problem, mu, sol=sol)
 
@@ -244,13 +247,19 @@ class TestProblemCallableReturns:
                 r"^coercivity bound inf at mu = \[",
             ),
             (
+                0.0,
+                NumericalFailureError,
+                "coercivity bound 0.0 at training index {}, mu = ",
+                r"^coercivity bound 0.0 at mu = \[",
+            ),
+            (
                 "column",
                 InvalidParameterError,
                 r"lower_bound_batch returned shape \(\d+, 1\)",
                 r"lower_bound_batch returned shape \(1, 1\)",
             ),
         ],
-        ids=["negative", "infinite", "column"],
+        ids=["negative", "infinite", "zero", "column"],
     )
     def test_false_coercivity_bound_certifies_nothing(
         self, thermal_small, bad, error, message, point_message, monkeypatch

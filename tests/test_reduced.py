@@ -15,7 +15,6 @@ from rbx import reduced
 from rbx.errors import BasisRejectionError, InvalidParameterError, NumericalFailureError
 from rbx.reduced import (
     ReducedModel,
-    ReducedSolution,
     TrainingSystems,
     augmented_weights,
     error_estimate,
@@ -274,15 +273,15 @@ class TestResidualDualNorm:
         for _ in range(8):
             mu = lo + rng.random(problem.dim) * (hi - lo)
             sol = reduced_solve(model, mu)
-            got = residual_dual_norm_sq(model, mu, sol)
+            got = residual_dual_norm_sq(model, sol)
             ref = direct_residual_dual_norm_sq(model, problem, mu, sol)
             assert got == pytest.approx(ref, rel=1e-6, abs=1e-14)
 
     def test_empty_basis_norm_is_load_dual_norm(self, diffusion_small):
         model = ReducedModel(diffusion_small)
         mu = np.array([0.5, -0.5])
-        sol = ReducedSolution(mu=mu, coeffs=np.zeros(0))
-        got = residual_dual_norm_sq(model, mu, sol)
+        sol = reduced_solve(model, mu, n=0)
+        got = residual_dual_norm_sq(model, sol)
         f = diffusion_small.rhs
         rep = diffusion_small.discretization.x_solve(f)
         np.testing.assert_allclose(got, float(f @ rep), rtol=1e-10)
@@ -312,7 +311,7 @@ class TestErrorEstimate:
         for mu in thermal_model.snapshot_params:
             top = error_estimate(thermal_model, thermal_small, mu)
             empty = error_estimate(
-                thermal_model, thermal_small, mu, sol=ReducedSolution(mu, np.zeros(0))
+                thermal_model, thermal_small, mu, sol=reduced_solve(thermal_model, mu, n=0)
             )
             assert top <= 1e-8 * empty
 
@@ -485,12 +484,11 @@ class TestBatchedSweeps:
         mus = 0.1 + rng.random((10, 9)) * 9.9
         thetas = evaluate_theta_batch(thermal_small, mus)
         scales = rhs_scale_batch(thermal_small, mus)
-        coeffs = np.stack([reduced_solve(thermal_model, mu).coeffs for mu in mus])
+        sols = [reduced_solve(thermal_model, mu) for mu in mus]
+        coeffs = np.stack([sol.coeffs for sol in sols])
         batch = residual_norm_sq_batch(thermal_model, thetas, scales, coeffs)
-        for i, mu in enumerate(mus):
-            ref = residual_dual_norm_sq(
-                thermal_model, mu, ReducedSolution(mu, coeffs[i])
-            )
+        for i, sol in enumerate(sols):
+            ref = residual_dual_norm_sq(thermal_model, sol)
             assert batch[i] == pytest.approx(ref, rel=1e-9, abs=1e-14)
 
     def test_batch_counts_estimates(self, diffusion_small, diffusion_model):
@@ -691,9 +689,9 @@ class TestSinglePointIsBatchOfOne:
             expected[bucket[kind]] += 1
         assert counters.snapshot() == expected
 
-    def test_certified_query_checks_the_box_twice(self, thermal_small, thermal_model, monkeypatch):
-        # reduced_solve and the residual each check mu and evaluate theta; the
-        # coercivity row reuses the residual's check and evaluates theta again
+    def test_certified_query_checks_the_box_once(self, thermal_small, thermal_model, monkeypatch):
+        # reduced_solve checks mu and evaluates theta, the residual reuses its
+        # row, and the coercivity row evaluates theta once more
         from rbx.affine import ParameterBox
 
         mu = np.full(thermal_small.dim, 2.5)
@@ -712,7 +710,17 @@ class TestSinglePointIsBatchOfOne:
         monkeypatch.setattr(thermal_small, "theta", counted("theta", thermal_small.theta))
         sol = reduced_solve(thermal_model, mu)
         error_estimate(thermal_model, thermal_small, mu, sol=sol)
-        assert calls["box"] <= 2 and calls["theta"] <= 3, calls
+        assert calls["box"] == 1 and calls["theta"] == 2, calls
+
+    def test_solution_of_another_parameter_is_rejected(self, thermal_small, thermal_model):
+        sol = reduced_solve(thermal_model, np.full(thermal_small.dim, 2.5))
+        before = thermal_small.counters.snapshot()
+        with pytest.raises(InvalidParameterError, match="sol was solved at"):
+            error_estimate(thermal_model, thermal_small, np.full(thermal_small.dim, 2.0), sol=sol)
+        assert thermal_small.counters.snapshot() == before
+        # an equal copy of the parameter, as a list, is the same parameter
+        delta = error_estimate(thermal_model, thermal_small, sol.mu.tolist(), sol=sol)
+        assert delta == error_estimate(thermal_model, thermal_small, sol.mu)
 
     def test_singular_system_reports_condition(self, diffusion_small, diffusion_model):
         from rbx.errors import NumericalFailureError
